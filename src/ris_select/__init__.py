@@ -5,6 +5,7 @@ from .capacity import (
     PowerAllocation,
     allocate_power,
     closed_form_rate,
+    ergodic_rate_exact,
     hybrid_rate,
     hybrid_reflect_fraction,
     monte_carlo_capacity,

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 ingestion/validation failure, 2 regime or geometry
 diagnostic failure under --strict. Sweep CSVs are bit-identical across runs
 for a fixed (scenario, spec, seed); per-cell Monte Carlo seeds are derived as
 base_seed XOR cell index, with cells numbered axis-major then type-major in
-the fixed type order R, T, H.
+the fixed type order R, T, H. A single evaluation seeds type i with
+(seed, i). Seeds must be non-negative. Fading is always Gaussian here, so
+Monte Carlo uses the exact Gamma row-power sampler ("aggregate").
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import allocate_power, closed_form_rate, monte_carlo_capacity, upper_bound
+from .capacity import (
+    allocate_power,
+    closed_form_rate,
+    ergodic_rate_exact,
+    monte_carlo_capacity,
+    upper_bound,
+)
 from .channel import DegenerateGeometryError, link_budget
 from .scenario import (
     ConfigError,
@@ -39,6 +47,7 @@ from .selection import (
 
 SEED_ENV_VAR = "RIS_SELECT_SEED"
 DEFAULT_TRIALS = 100
+MC_SAMPLER = "aggregate"
 TYPE_ORDER = (RisType.REFLECTIVE, RisType.TRANSMISSIVE, RisType.HYBRID)
 SWEEP_AXES = ("transmit_power_dbm", "users_transmission", "ris_rows_cols", "distances")
 SWEEP_OUTPUTS = ("closed_form", "upper_bound", "monte_carlo", "decision", "diagnostics")
@@ -72,6 +81,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep outputs: {', '.join(unknown)}")
         if "monte_carlo" in self.outputs and self.trials < 1:
             raise ConfigError("trials must be >= 1 when monte_carlo is requested")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative; got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -267,10 +278,13 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         return 2
 
     reports = {}
+    exact = {}
     for index, ris_type in enumerate(TYPE_ORDER):
         alloc = allocate_power(cfg, ris_type, budget)
         reports[ris_type.value] = monte_carlo_capacity(
-            cfg, ris_type, alloc, trials, base_seed=(seed, index))
+            cfg, ris_type, alloc, trials, base_seed=(seed, index),
+            sampler=MC_SAMPLER)
+        exact[ris_type.value] = ergodic_rate_exact(cfg, ris_type, alloc, budget)
 
     decision_error = None
     try:
@@ -287,9 +301,11 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         "scenario_file": str(scenario_path),
         "trials": trials,
         "seed": seed,
+        "sampler": MC_SAMPLER,
         "link_budget": _jsonable(budget),
         "regime": _jsonable(regime),
-        "capacity": _jsonable(reports),
+        "capacity": {name: {**_jsonable(report), "ergodic_exact": exact[name]}
+                     for name, report in reports.items()},
     }
     if decision is not None:
         record["selection"] = _jsonable(decision)
@@ -377,8 +393,8 @@ def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
             mc_mean = mc_stderr = None
             if want_mc:
                 cell_seed = spec.base_seed ^ (axis_index * len(TYPE_ORDER) + type_index)
-                report = monte_carlo_capacity(cell_cfg, ris_type, alloc,
-                                              spec.trials, base_seed=cell_seed)
+                report = monte_carlo_capacity(cell_cfg, ris_type, alloc, spec.trials,
+                                              base_seed=cell_seed, sampler=MC_SAMPLER)
                 mc_mean, mc_stderr = report.monte_carlo_mean, report.monte_carlo_stderr
             rows.append(",".join([
                 _fmt(value), ris_type.letter, _fmt(closed), _fmt(bound),
@@ -470,6 +486,11 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"error: {SEED_ENV_VAR} must be an integer", file=sys.stderr)
             return 1
+    if seed_override is not None and seed_override < 0:
+        source = "--seed" if args.seed is not None else SEED_ENV_VAR
+        print(f"error: {source} must be non-negative; got {seed_override}",
+              file=sys.stderr)
+        return 1
     seed = seed_override if seed_override is not None else 0
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS
 
@@ -495,6 +516,9 @@ def main(argv=None) -> int:
         variant = SweepVariant(Path(args.sweep).stem, {}, spec)
         return run_sweep(args.scenario, [variant], args.out, args.strict)
 
+    if trials < 1:
+        print(f"error: --trials must be at least 1; got {trials}", file=sys.stderr)
+        return 1
     return run_evaluate(args.scenario, args.out, trials, seed, args.strict)
 
 

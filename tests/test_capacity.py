@@ -13,11 +13,13 @@ from ris_select import (
     allocate_power,
     closed_form_rate,
     dbm_to_watts,
+    ergodic_rate_exact,
     link_budget,
     monte_carlo_capacity,
     sample_channel,
     upper_bound,
 )
+from ris_select.capacity import average_snr
 
 LN2 = math.log(2.0)
 
@@ -259,3 +261,108 @@ def test_upper_bound_increasing_concave_in_power():
     second = np.diff(first)
     assert np.all(first > 0.0)
     assert np.all(second <= 1e-12)
+
+
+# --- aggregate sampler and exact ergodic rate ------------------------------------
+
+EULER_GAMMA = 0.5772156649015329
+
+
+def _exact_and_mc(cfg, trials, seed, sampler):
+    budget = link_budget(cfg)
+    for index, ris_type in enumerate(RisType):
+        alloc = allocate_power(cfg, ris_type, budget)
+        report = monte_carlo_capacity(cfg, ris_type, alloc, trials=trials,
+                                      base_seed=(seed, index), sampler=sampler)
+        yield ris_type, ergodic_rate_exact(cfg, ris_type, alloc, budget), report
+
+
+def test_exact_rate_reference_values():
+    cfg = make_config()
+    budget = link_budget(cfg)
+    expected = {RisType.REFLECTIVE: 23.43227029, RisType.TRANSMISSIVE: 45.66875389,
+                RisType.HYBRID: 50.61113132}
+    for ris_type, value in expected.items():
+        alloc = allocate_power(cfg, ris_type, budget)
+        exact = ergodic_rate_exact(cfg, ris_type, alloc, budget)
+        assert exact == pytest.approx(value, abs=1e-8)
+        # Jensen: strictly below the averaged-channel bound
+        assert exact < upper_bound(cfg, ris_type, alloc, budget)
+
+
+def test_aggregate_monte_carlo_matches_exact_rate():
+    for ris_type, exact, report in _exact_and_mc(make_config(), 4000, 17, "aggregate"):
+        assert abs(report.monte_carlo_mean - exact) <= 3.0 * report.monte_carlo_stderr, \
+            (ris_type, report.monte_carlo_mean, exact)
+
+
+def test_element_monte_carlo_matches_exact_rate():
+    # the row-power law is exact for any panel size, so a small panel suffices
+    cfg = make_config(rows=4, cols=4)
+    for ris_type, exact, report in _exact_and_mc(cfg, 2000, 23, "element"):
+        assert abs(report.monte_carlo_mean - exact) <= 3.0 * report.monte_carlo_stderr, \
+            (ris_type, report.monte_carlo_mean, exact)
+
+
+@pytest.mark.parametrize("bs_antennas", [1, 12, 64])
+@pytest.mark.parametrize("transmit_power", [1e-12, 20.0, 1e4, 1e8])
+def test_exact_rate_converges_in_node_count(bs_antennas, transmit_power):
+    # 20 W and 10 kW put the per-user scale near 3 and 1e3; with one antenna
+    # the log singularity at x = -1/scale then sits next to the Gamma(1)
+    # mass at 0, where Gauss-Laguerre in x converges only like 1/n
+    cfg = make_config(bs_antennas=bs_antennas, transmit_power=transmit_power)
+    budget = link_budget(cfg)
+    alloc = allocate_power(cfg, RisType.HYBRID, budget)
+    values = [ergodic_rate_exact(cfg, RisType.HYBRID, alloc, budget, points=n)
+              for n in (256, 512, 1024)]
+    for coarse, fine in zip(values, values[1:]):
+        assert fine == pytest.approx(coarse, rel=1e-12)
+
+    # independent limits of E[ln(1 + a X)] for X ~ Gamma(K_t, 1): a K_t at
+    # low SNR, ln a + digamma(K_t) at high SNR
+    scale = average_snr(cfg, RisType.HYBRID, alloc, budget) / bs_antennas
+    if transmit_power < 1e-6:
+        assert np.all(scale * bs_antennas < 1e-6)
+        limit = float(np.sum(scale * bs_antennas)) / LN2
+        assert values[-1] == pytest.approx(limit, rel=1e-5)
+    elif transmit_power > 1e6:
+        assert np.all(scale > 1e6)
+        digamma = -EULER_GAMMA + sum(1.0 / j for j in range(1, bs_antennas))
+        limit = float(np.sum(np.log(scale) + digamma)) / LN2
+        assert values[-1] == pytest.approx(limit, rel=1e-5)
+
+
+def test_aggregate_sampler_is_deterministic():
+    cfg = make_config()
+    alloc = _alloc(cfg, RisType.HYBRID)
+    first, second = (monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=50,
+                                          base_seed=(4, 2), sampler="aggregate")
+                     for _ in range(2))
+    assert first == second
+    other = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=50,
+                                 base_seed=(5, 2), sampler="aggregate")
+    assert other.monte_carlo_mean != first.monte_carlo_mean
+
+
+def test_aggregate_sampler_zero_allocation():
+    cfg = make_config(rows=2, cols=2)
+    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
+                            scheme=RisType.HYBRID)
+    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=4, base_seed=0,
+                                  sampler="aggregate")
+    assert report.monte_carlo_mean == 0.0
+    assert report.monte_carlo_stderr == 0.0
+    assert ergodic_rate_exact(cfg, RisType.HYBRID, alloc, link_budget(cfg)) == 0.0
+
+
+def test_sampler_and_quadrature_arguments_are_validated():
+    cfg = make_config(rows=2, cols=2)
+    alloc = _alloc(cfg, RisType.HYBRID)
+    with pytest.raises(ValueError, match="points"):
+        ergodic_rate_exact(cfg, RisType.HYBRID, alloc, link_budget(cfg), points=1)
+    with pytest.raises(ValueError, match="gaussian"):
+        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=2, base_seed=0,
+                             fading="sign", sampler="aggregate")
+    with pytest.raises(ValueError, match="unknown sampler"):
+        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=2, base_seed=0,
+                             sampler="bogus")

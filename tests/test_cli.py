@@ -316,3 +316,42 @@ def test_csv_numbers_are_locale_free(tmp_path):
         for cell in (row[2], row[3], row[4]):
             assert " " not in cell
             float(cell)  # parses with the C locale
+
+
+def test_evaluate_records_sampler_and_exact_rate(tmp_path):
+    rc = main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path),
+               "--trials", "400", "--seed", "5"])
+    assert rc == 0
+    record = json.loads((tmp_path / "evaluate.json").read_text())
+    assert record["sampler"] == "aggregate"
+    for report in record["capacity"].values():
+        exact = report["ergodic_exact"]
+        assert exact < report["upper_bound"]
+        assert abs(report["monte_carlo_mean"] - exact) \
+            <= 3.0 * report["monte_carlo_stderr"]
+
+
+@pytest.mark.parametrize("where", ["flag", "env", "sweep_file"])
+def test_negative_seed_is_rejected(tmp_path, monkeypatch, capsys, where):
+    argv = ["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path)]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    elif where == "env":
+        monkeypatch.setenv("RIS_SELECT_SEED", "-1")
+    else:
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(SMALL_SWEEP.replace("base_seed = 11", "base_seed = -1"))
+        argv += ["--sweep", str(spec)]
+    rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-negative" in err[0]
+
+
+def test_evaluate_rejects_zero_trials(tmp_path, capsys):
+    rc = main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path),
+               "--trials", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "trials" in err[0]
+    assert not (tmp_path / "evaluate.json").exists()
