@@ -131,8 +131,13 @@ def rng_for_seed(seed) -> np.random.Generator:
     """Deterministic generator for an int seed or a tuple of ints.
 
     SFC64 keyed through SeedSequence: substreams for tuple-extended seeds
-    are independent, cheap to create and replayable, so per-trial streams
-    can be farmed out in parallel without coordination. SFC64 is the fastest
+    are cheap to create and replayable, so per-trial streams can be farmed
+    out in parallel without coordination. Distinct keys give independent
+    streams only when they have the same length and every word lies in
+    [0, 2**32): SeedSequence pads its entropy with zeros and splits larger
+    ints into 32-bit words, so (9, 0, 3) and (9, 0, 3, 0) are one stream,
+    as are 9 and (9, 0), and 2**32 and (0, 1). The CLI keeps to that rule
+    (four-word trial keys, seeds below 2**32). SFC64 is the fastest
     generator shipped with numpy, which keeps large Monte Carlo sweeps
     inside their wall-clock budgets.
     """

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 ingestion/validation failure, 2 regime or geometry
 diagnostic failure under --strict. Sweep CSVs are bit-identical across runs
-for a fixed (scenario, spec, seed); per-cell Monte Carlo seeds are derived as
-base_seed XOR cell index, with cells numbered axis-major then type-major in
-the fixed type order R, T, H. A single evaluation seeds type i with
-(seed, i). Seeds must be non-negative. Fading is always Gaussian here, so
-Monte Carlo uses the exact Gamma row-power sampler ("aggregate").
+for a fixed (scenario, spec, seed); the Monte Carlo cell at axis index a and
+type index i (fixed type order R, T, H) is seeded (base_seed, a, i), and a
+single evaluation is axis 0 of the same scheme, seeding type i with
+(seed, 0, i). Trial t then draws from (seed, a, i, t): every key has four
+words, and seeds must lie in [0, 2**32) so each is one SeedSequence word and
+no two keys alias. Fading is always Gaussian here, so Monte Carlo uses the
+exact Gamma row-power sampler ("aggregate").
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ from .selection import (
 )
 
 SEED_ENV_VAR = "RIS_SELECT_SEED"
+SEED_LIMIT = 2 ** 32
 DEFAULT_TRIALS = 100
 MC_SAMPLER = "aggregate"
 TYPE_ORDER = (RisType.REFLECTIVE, RisType.TRANSMISSIVE, RisType.HYBRID)
 SWEEP_AXES = ("transmit_power_dbm", "users_transmission", "ris_rows_cols", "distances")
+INTEGER_AXES = ("users_transmission", "ris_rows_cols")
 SWEEP_OUTPUTS = ("closed_form", "upper_bound", "monte_carlo", "decision", "diagnostics")
 CSV_HEADER = "axis_value,type,closed_form,upper_bound,mc_mean,mc_stderr,decision,agrees"
 DIAGNOSTICS_HEADER = ("axis_value,element_count_scale,reflect_exponent,"
@@ -76,6 +80,11 @@ class SweepSpec:
             raise ConfigError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
+        if self.axis in INTEGER_AXES:
+            for value in self.values:
+                if not float(value).is_integer():
+                    raise ConfigError(f"{self.axis} values must be whole numbers; "
+                                      f"got {value!r}")
         unknown = [o for o in self.outputs if o not in SWEEP_OUTPUTS]
         if unknown:
             raise ConfigError(f"unknown sweep outputs: {', '.join(unknown)}")
@@ -83,6 +92,8 @@ class SweepSpec:
             raise ConfigError("trials must be >= 1 when monte_carlo is requested")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be non-negative; got {self.base_seed}")
+        if self.base_seed >= SEED_LIMIT:
+            raise ConfigError(f"base_seed must be below 2**32; got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +293,7 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
     for index, ris_type in enumerate(TYPE_ORDER):
         alloc = allocate_power(cfg, ris_type, budget)
         reports[ris_type.value] = monte_carlo_capacity(
-            cfg, ris_type, alloc, trials, base_seed=(seed, index),
+            cfg, ris_type, alloc, trials, base_seed=(seed, 0, index),
             sampler=MC_SAMPLER)
         exact[ris_type.value] = ergodic_rate_exact(cfg, ris_type, alloc, budget)
 
@@ -392,9 +403,10 @@ def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
             bound = upper_bound(cell_cfg, ris_type, alloc, budget) if want_ub else None
             mc_mean = mc_stderr = None
             if want_mc:
-                cell_seed = spec.base_seed ^ (axis_index * len(TYPE_ORDER) + type_index)
-                report = monte_carlo_capacity(cell_cfg, ris_type, alloc, spec.trials,
-                                              base_seed=cell_seed, sampler=MC_SAMPLER)
+                report = monte_carlo_capacity(
+                    cell_cfg, ris_type, alloc, spec.trials,
+                    base_seed=(spec.base_seed, axis_index, type_index),
+                    sampler=MC_SAMPLER)
                 mc_mean, mc_stderr = report.monte_carlo_mean, report.monte_carlo_stderr
             rows.append(",".join([
                 _fmt(value), ris_type.letter, _fmt(closed), _fmt(bound),
@@ -486,10 +498,10 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"error: {SEED_ENV_VAR} must be an integer", file=sys.stderr)
             return 1
-    if seed_override is not None and seed_override < 0:
+    if seed_override is not None and not 0 <= seed_override < SEED_LIMIT:
         source = "--seed" if args.seed is not None else SEED_ENV_VAR
-        print(f"error: {source} must be non-negative; got {seed_override}",
-              file=sys.stderr)
+        rule = "be non-negative" if seed_override < 0 else "be below 2**32"
+        print(f"error: {source} must {rule}; got {seed_override}", file=sys.stderr)
         return 1
     seed = seed_override if seed_override is not None else 0
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS

@@ -39,7 +39,12 @@ class ConfigValidationError(ConfigError):
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Convert dBm to watts; a power too large for a float gives inf, which
+    config validation then rejects as non-finite."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -82,6 +87,13 @@ _AMPLITUDES = {
 }
 
 
+def _require_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigValidationError(f"{name} must be finite; got {value!r}")
+
+
 def _frozen_grid(obj, name: str, rows: int, cols: int):
     grid = getattr(obj, name)
     if grid is None:
@@ -118,6 +130,8 @@ class RisPanel:
     phase_transmit: np.ndarray | None = None
 
     def __post_init__(self):
+        _require_finite(self, ("element_width", "element_height", "element_gain",
+                               "radiation_reflect", "radiation_transmit"))
         if self.rows < 1:
             raise ConfigValidationError("ris_rows must be a positive integer")
         if self.cols < 1:
@@ -142,7 +156,8 @@ class RisPanel:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated deployment description in linear SI units."""
+    """Validated deployment description in linear SI units; every float
+    field must be finite."""
 
     bs_antennas: int
     bs_ris_distance: float
@@ -161,6 +176,10 @@ class ScenarioConfig:
     snr_floor: float = SNR_FLOOR_DEFAULT
 
     def __post_init__(self):
+        _require_finite(self, ("bs_ris_distance", "ris_ue_distance", "bs_height",
+                               "ris_height", "transmit_power", "noise_variance",
+                               "wavelength", "antenna_gain", "pathloss_exponent",
+                               "iso_tol", "snr_floor"))
         if self.bs_antennas < 1:
             raise ConfigValidationError("bs_antennas must be a positive integer")
         if self.users_total < 1:

@@ -110,11 +110,22 @@ class SelectionThresholds:
 
 
 def _sign_pattern_monotone(values, increasing: bool) -> bool:
-    signs = [v for v in np.sign(values) if v != 0.0]
-    if not signs:
-        return True
-    diffs = np.diff(signs)
-    return bool(np.all(diffs >= 0)) if increasing else bool(np.all(diffs <= 0))
+    """True when the nonzero signs of `values` change at most once, and then
+    from negative to positive if `increasing` (positive to negative if not).
+
+    Zeros are skipped; any NaN makes the pattern non-monotone.
+    """
+    previous = None
+    for v in values:
+        if math.isnan(v):
+            return False
+        if v == 0.0:
+            continue
+        positive = v > 0.0
+        if previous is not None and positive != previous and positive != increasing:
+            return False
+        previous = positive
+    return True
 
 
 def _bisect(func, lo: float, hi: float) -> float | None:
@@ -142,8 +153,9 @@ def _bisect(func, lo: float, hi: float) -> float | None:
 def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresholds:
     """Locate the pairwise crossings of the three rate curves on [1, S-1].
 
-    Each difference is first sampled at 100 points; a sign pattern that is
-    not monotone means the closed-form comparisons cannot be trusted and a
+    Each curve is first evaluated once at 100 grid points and each
+    difference is sampled from those values; a sign pattern that is not
+    monotone means the closed-form comparisons cannot be trusted and a
     RegimeViolationError (carrying the regime report) is raised. Otherwise
     each crossing is bisected to within 1e-9 in the continuous split, or
     reported absent when the difference never changes sign.
@@ -152,19 +164,24 @@ def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresho
         raise ValueError("threshold search needs at least two users")
     c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
     lo, hi = 1.0, float(cfg.users_total - 1)
-    grid = np.linspace(lo, hi, SCAN_POINTS)
+    grid = np.linspace(lo, hi, SCAN_POINTS).tolist()
+    reflect = [c_reflect(x) for x in grid]
+    transmit = [c_transmit(x) for x in grid]
+    hybrid = [c_hybrid(x) for x in grid]
 
     differences = (
         ("transmissive minus reflective",
-         lambda x: c_transmit(x) - c_reflect(x), True),
+         lambda x: c_transmit(x) - c_reflect(x),
+         [t - r for t, r in zip(transmit, reflect)], True),
         ("reflective minus hybrid",
-         lambda x: c_reflect(x) - c_hybrid(x), False),
+         lambda x: c_reflect(x) - c_hybrid(x),
+         [r - h for r, h in zip(reflect, hybrid)], False),
         ("transmissive minus hybrid",
-         lambda x: c_transmit(x) - c_hybrid(x), True),
+         lambda x: c_transmit(x) - c_hybrid(x),
+         [t - h for t, h in zip(transmit, hybrid)], True),
     )
     roots = []
-    for name, diff, increasing in differences:
-        values = [diff(x) for x in grid]
+    for name, diff, values, increasing in differences:
         if not _sign_pattern_monotone(values, increasing):
             raise RegimeViolationError(
                 f"approximation regime violated: the {name} difference is not "
@@ -244,6 +261,23 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
+# (key, thresholds) of the last threshold search decide_type ran; see there.
+_last_thresholds = None
+
+
+def _thresholds_for(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresholds:
+    global _last_thresholds
+    panel = cfg.panel
+    key = (cfg.users_total, panel.radiation_reflect, panel.radiation_transmit,
+           budget.link_constant)
+    slot = _last_thresholds
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    thresholds = find_thresholds(cfg, budget)
+    _last_thresholds = (key, thresholds)
+    return thresholds
+
+
 def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None) -> SelectionDecision:
     """Pick the best surface type for a deployment.
 
@@ -253,6 +287,17 @@ def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None) -> Select
     report (or a missing reflect/transmit crossing) marks the table verdict
     advisory; monotonicity violations raise RegimeViolationError from the
     threshold search.
+
+    The crossings depend only on (users_total, radiation_reflect,
+    radiation_transmit, link_constant), none of which moves along a
+    user-split sweep. A one-slot module cache holds the key and thresholds
+    of the last search as one tuple, replaced by a single assignment, so a
+    concurrent caller never pairs one key with another key's thresholds.
+    When a call's key equals the stored key, the stored (immutable)
+    thresholds are reused; otherwise find_thresholds runs and replaces the
+    slot. A RegimeViolationError is never stored: it is raised afresh,
+    carrying the cell's own regime report. find_thresholds itself is not
+    cached.
     """
     if budget is None:
         budget = link_budget(cfg)
@@ -271,7 +316,7 @@ def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None) -> Select
                                  regime=regime, brute_force_optimal=brute,
                                  agrees=verdict is brute)
 
-    thresholds = find_thresholds(cfg, budget)
+    thresholds = _thresholds_for(cfg, budget)
     c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
     advisory = not regime.ok
     note = "" if regime.ok else "regime report failed; trust the brute-force verdict"

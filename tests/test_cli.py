@@ -1,10 +1,20 @@
 """Command-line front-end: evaluation records, sweeps, presets, exit codes."""
 
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import REFERENCE_SCENARIO
+from ris_select import (
+    RisType,
+    allocate_power,
+    ergodic_rate_exact,
+    link_budget,
+    load_scenario,
+)
 from ris_select.cli import CSV_HEADER, main
 
 GRAZING = """
@@ -102,22 +112,45 @@ def test_strict_flags_weak_regime(tmp_path, capsys):
     assert "regime" in capsys.readouterr().err
 
 
+def _mc_tolerance(cfg, trials):
+    """Six standard deviations of a Monte Carlo mean of the sum rate.
+
+    Each user's row power is a scaled Gamma(K_t, 1) variate X, and the
+    user's rate is (1/ln 2)-Lipschitz in ln X, whose variance is
+    psi'(K_t) (the trigamma function; for integer K_t it is
+    pi^2/6 - sum_{j<K_t} 1/j^2). Users are independent, so one trial's sum
+    rate has standard deviation at most sqrt(S psi'(K_t)) / ln 2.
+    """
+    trigamma = math.pi ** 2 / 6.0 - sum(1.0 / j ** 2 for j in range(1, cfg.bs_antennas))
+    sigma = math.sqrt(cfg.users_total * trigamma) / math.log(2.0)
+    return 6.0 * sigma / math.sqrt(trials)
+
+
 def test_sweep_from_file(tmp_path):
     spec = tmp_path / "sweep.cfg"
     spec.write_text(SMALL_SWEEP)
     out = tmp_path / "results"
+    trials = 400
     rc = main(["--scenario", str(REFERENCE_SCENARIO), "--sweep", str(spec),
-               "--out", str(out)])
+               "--out", str(out), "--trials", str(trials)])
     assert rc == 0
     rows = _rows(out / "sweep.csv")
     assert len(rows) == 6  # 2 axis points x 3 types
     assert [r[0] for r in rows] == ["3"] * 3 + ["5"] * 3
     assert [r[1] for r in rows] == ["R", "T", "H"] * 2
+    base = load_scenario(REFERENCE_SCENARIO)
+    tol = _mc_tolerance(base, trials)
     for row in rows:
         assert row[6] in {"R", "T", "H"}
         assert row[7] in {"true", "false"}
-        mc_mean, ub, stderr = float(row[4]), float(row[3]), float(row[5])
-        assert mc_mean <= ub + 2.0 * stderr
+        mc_mean, ub = float(row[4]), float(row[3])
+        cell = replace(base, users_transmission=int(row[0]))
+        ris_type = next(t for t in RisType if t.letter == row[1])
+        budget = link_budget(cell)
+        exact = ergodic_rate_exact(cell, ris_type, allocate_power(cell, ris_type, budget),
+                                   budget)
+        assert abs(mc_mean - exact) <= tol
+        assert mc_mean <= ub + tol
 
 
 def test_sweep_values_must_increase(tmp_path, capsys):
@@ -355,3 +388,103 @@ def test_evaluate_rejects_zero_trials(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "trials" in err[0]
     assert not (tmp_path / "evaluate.json").exists()
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("where", ["flag", "env", "sweep_file"])
+def test_seed_of_two_to_the_32_is_rejected(tmp_path, monkeypatch, capsys, where):
+    # SeedSequence splits such a seed into two 32-bit words, so it would
+    # alias a longer key made of smaller seeds
+    argv = ["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path)]
+    if where == "flag":
+        argv += ["--seed", "4294967296"]
+    elif where == "env":
+        monkeypatch.setenv("RIS_SELECT_SEED", "4294967296")
+    else:
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(SMALL_SWEEP.replace("base_seed = 11", "base_seed = 4294967296"))
+        argv += ["--sweep", str(spec)]
+    assert main(argv) == 1
+    assert "2**32" in _single_error_line(capsys)
+    assert not (tmp_path / "evaluate.json").exists()
+
+
+def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
+    # Under base_seed XOR cell_index, cell 3 of a seed-9 sweep drew the
+    # stream of cell 0 of a seed-10 sweep. Record the trial-0 key of every
+    # Monte Carlo cell and require all of their streams to differ.
+    import ris_select.cli as cli
+
+    seen = {}
+    real = cli.monte_carlo_capacity
+
+    def spy(cfg, ris_type, alloc, trials, base_seed, **kwargs):
+        seen.setdefault(current, []).append(base_seed)
+        return real(cfg, ris_type, alloc, trials, base_seed, **kwargs)
+
+    monkeypatch.setattr(cli, "monte_carlo_capacity", spy)
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(SMALL_SWEEP)
+    csvs = {}
+    for current in (9, 10):
+        out = tmp_path / str(current)
+        assert main(["--scenario", str(REFERENCE_SCENARIO), "--sweep", str(spec),
+                     "--out", str(out), "--seed", str(current)]) == 0
+        csvs[current] = _rows(out / "sweep.csv")
+
+    keys = [key if isinstance(key, tuple) else (key,) for key in seen[9] + seen[10]]
+    assert len(keys) == 12
+    states = {np.random.SeedSequence(key + (0,)).generate_state(4).tobytes()
+              for key in keys}
+    assert len(states) == len(keys)
+
+    # The two cells are different deployments, so compare like with like:
+    # seed-9 cell 3 (split 5, R) against the same cell drawn from the stream
+    # of seed-10 cell 0.
+    cell = replace(load_scenario(REFERENCE_SCENARIO), users_transmission=5)
+    alloc = allocate_power(cell, RisType.REFLECTIVE, link_budget(cell))
+    other = real(cell, RisType.REFLECTIVE, alloc, 4, seen[10][0], sampler="aggregate")
+    assert csvs[9][3][:2] == ["5", "R"]
+    assert float(csvs[9][3][4]) != pytest.approx(other.monte_carlo_mean, rel=1e-9)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("transmit_power_dbm = nan", "transmit_power must be finite"),
+    ("ris_ue_distance_m = inf", "ris_ue_distance must be finite"),
+    ("transmit_power_dbm = 1e10", "transmit_power must be finite"),
+])
+def test_non_finite_scenario_value_is_rejected(tmp_path, capsys, line, message):
+    key = line.split(" =")[0]
+    text = "".join(
+        line + "\n" if raw.startswith(key + " ") else raw + "\n"
+        for raw in REFERENCE_SCENARIO.read_text().splitlines())
+    assert line in text
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text(text)
+    assert main(["--scenario", str(scenario), "--out", str(tmp_path),
+                 "--trials", "2"]) == 1
+    assert message in _single_error_line(capsys)
+    assert not (tmp_path / "evaluate.json").exists()
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("users_transmission", "1, 1.5", "whole numbers; got 1.5"),
+    ("users_transmission", "3, nan", "whole numbers; got nan"),
+    ("ris_rows_cols", "10, 20.5", "whole numbers; got 20.5"),
+    ("transmit_power_dbm", "30, nan", "transmit_power must be finite"),
+    ("transmit_power_dbm", "30, 1e10", "transmit_power must be finite"),
+])
+def test_bad_sweep_value_is_rejected(tmp_path, capsys, axis, values, message):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(f"axis = {axis}\nvalues = {values}\n"
+                    "outputs = closed_form, upper_bound, decision\n")
+    out = tmp_path / "out"
+    assert main(["--scenario", str(REFERENCE_SCENARIO), "--sweep", str(spec),
+                 "--out", str(out)]) == 1
+    assert message in _single_error_line(capsys)
+    assert not (out / "sweep.csv").exists()

@@ -113,6 +113,75 @@ def test_sign_pattern_validator():
     assert not _sign_pattern_monotone([-1.0, 1.0, -1.0], increasing=False)
 
 
+def test_sign_pattern_rejects_nan_among_finite_values():
+    nan = float("nan")
+    assert not _sign_pattern_monotone([-1.0, nan, 1.0], increasing=True)
+    assert not _sign_pattern_monotone([1.0, nan, -1.0], increasing=False)
+    assert not _sign_pattern_monotone([-1.0, -1.0, nan], increasing=True)
+    assert not _sign_pattern_monotone([nan, 0.0, -1.0], increasing=False)
+
+
+def test_nan_power_raises_regime_violation():
+    import ris_select.selection as selection
+
+    cfg = make_config()
+    # The constructor rejects a NaN power; set it behind the check so the
+    # threshold scan itself sees the NaN link constant it produces.
+    object.__setattr__(cfg, "transmit_power", math.nan)
+    budget = link_budget(cfg)
+    assert math.isnan(budget.link_constant)
+    with pytest.raises(selection.RegimeViolationError):
+        find_thresholds(cfg, budget)
+
+
+def test_decide_type_thresholds_never_stale():
+    # decide_type reuses the crossings of the previous call when the inputs
+    # they depend on match; each cell must still see its own thresholds.
+    from conftest import random_config
+    import ris_select.selection as selection
+
+    rng = np.random.default_rng(2024)
+    cells = []
+    for _ in range(12):
+        cfg = random_config(rng)
+        # near-equal radiation constants, so the curves do cross; each
+        # variant follows its base and changes one input of the crossings
+        cfg = replace(cfg, panel=replace(
+            cfg.panel, radiation_reflect=float(rng.uniform(0.9, 1.0)),
+            radiation_transmit=float(rng.uniform(0.9, 1.0))))
+        cells += [
+            cfg,
+            replace(cfg, transmit_power=2.0 * cfg.transmit_power),
+            cfg,
+            replace(cfg, panel=replace(
+                cfg.panel, radiation_transmit=0.97 * cfg.panel.radiation_transmit)),
+            cfg,
+            replace(cfg, panel=replace(
+                cfg.panel, radiation_reflect=0.97 * cfg.panel.radiation_reflect)),
+        ]
+    base = make_config(users_total=9, radiation_transmit=0.9)
+    cells += [replace(base, users_transmission=s) for s in range(10)]
+    cells += [replace(cells[-1], users_total=10, users_transmission=s)
+              for s in range(1, 10)]
+
+    interior = crossing = 0
+    for cfg in cells:
+        budget = link_budget(cfg)
+        if not 1 <= cfg.users_transmission <= cfg.users_total - 1:
+            continue
+        try:
+            expected = find_thresholds(cfg, budget)
+        except selection.RegimeViolationError:
+            with pytest.raises(selection.RegimeViolationError):
+                decide_type(cfg, budget)
+            continue
+        assert decide_type(cfg, budget).thresholds == expected
+        assert decide_type(cfg).thresholds == expected
+        interior += 1
+        crossing += expected.split_reflect_transmit is not None
+    assert interior >= 40 and crossing >= 20
+
+
 def test_non_monotone_difference_raises_with_regime(monkeypatch):
     # force a wiggly hybrid curve so the sampled sign pattern breaks
     import ris_select.selection as selection
