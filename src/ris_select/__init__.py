@@ -4,6 +4,7 @@ from .capacity import (
     CapacityReport,
     PowerAllocation,
     allocate_power,
+    average_snr,
     closed_form_rate,
     ergodic_rate_exact,
     hybrid_rate,
@@ -14,15 +15,12 @@ from .capacity import (
     upper_bound,
 )
 from .channel import (
-    ChannelMatrix,
     DegenerateGeometryError,
     FADING_LAWS,
     LinkBudget,
     aggregated_gain_statistics,
-    dump_channel,
     link_budget,
     prepare_sampler,
-    sample_channel,
     zone_gain_statistics,
 )
 from .scenario import (
@@ -39,12 +37,10 @@ from .scenario import (
     load_scenario,
     parse_scenario,
     validate_approximation_regime,
-    watts_to_dbm,
 )
 from .selection import (
     AsymptoticDiagnostics,
     CertificateError,
-    DerivativeDominanceReport,
     MonotonicityCertificate,
     RegimeViolationError,
     SelectionDecision,
@@ -52,7 +48,6 @@ from .selection import (
     asymptotic_checks,
     brute_force_optimal,
     decide_type,
-    derivative_dominance,
     find_thresholds,
     monotonicity_certificate,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkBudget, link_budget, prepare_sampler, rng_for_seed
+from .channel import LinkBudget, prepare_sampler, rng_for_seed
 from .scenario import RisType, ScenarioConfig, reflection_zone_mask
 
 LN2 = math.log(2.0)
@@ -236,8 +236,8 @@ SAMPLERS = ("element", "aggregate")
 
 
 def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
-                         alloc: PowerAllocation, trials: int, base_seed,
-                         fading="gaussian", sampler="element") -> CapacityReport:
+                         alloc: PowerAllocation, budget: LinkBudget, trials: int,
+                         base_seed, fading="gaussian", sampler="element") -> CapacityReport:
     """Estimate the ergodic sum rate by averaging over channel draws.
 
     Each trial draws an independent channel and computes the sum over users
@@ -252,7 +252,7 @@ def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
     `sampler` selects what a trial draws:
 
     * "element" (any fading law) draws the full (S, K_t, M N) fading block
-      and sums it over the panel, as sample_channel does.
+      and sums it over the panel, as prepare_sampler's draw does.
     * "aggregate" (Gaussian fading only) uses that, under i.i.d. complex
       Gaussian fading, each panel sum is exactly complex normal for any
       phase grid, so row_power_s is beta_zone * amplitude_zone^2 * M N * X_s
@@ -271,7 +271,6 @@ def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
         raise ValueError("the aggregate sampler requires gaussian fading; "
                          f"got {fading!r}")
     base = base_seed if isinstance(base_seed, tuple) else (base_seed,)
-    budget = link_budget(cfg)
     if sampler == "aggregate":
         k, users = cfg.bs_antennas, cfg.users_total
         scale = average_snr(cfg, ris_type, alloc, budget) / k

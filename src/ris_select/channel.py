@@ -14,7 +14,6 @@ replayable and safe to farm out in parallel.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from .scenario import (
     RisType,
     ScenarioConfig,
-    config_digest,
     incident_angle_factor,
     reflection_zone_mask,
 )
@@ -51,9 +49,6 @@ class LinkBudget:
     avg_pathloss_transmit: float
     link_constant: float
     cos_sq_incidence: float
-
-    def pathloss(self, reflection_zone: bool) -> float:
-        return self.avg_pathloss_reflect if reflection_zone else self.avg_pathloss_transmit
 
 
 def link_budget(cfg: ScenarioConfig) -> LinkBudget:
@@ -146,20 +141,6 @@ def rng_for_seed(seed) -> np.random.Generator:
 
 # --- channel synthesis --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """One random draw of the users-by-antennas channel."""
-
-    entries: np.ndarray
-    ris_type: RisType
-    seed: object
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-
 def element_coefficients(panel, ris_type: RisType, reflection_zone: bool) -> np.ndarray:
     """Flat per-element response amplitude * exp(-j phase) toward one zone."""
     amp = ris_type.amplitude(reflection_zone)
@@ -170,8 +151,10 @@ def element_coefficients(panel, ris_type: RisType, reflection_zone: bool) -> np.
 def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, fading="gaussian"):
     """Build a draw(seed) -> entries closure with the per-config setup hoisted.
 
-    Useful when many draws of the same scenario are needed (Monte Carlo);
-    sample_channel wraps a single call.
+    Entry (s, k) of draw(seed) is sqrt(beta_zone(s)) times the sum over
+    elements of g[s, k, element] * coefficient[zone(s), element], with g a
+    unit-variance fading block drawn in one law call of shape (S, K_t, M*N);
+    that layout is fixed, so a seed always gives a bit-identical matrix.
     """
     law = resolve_fading(fading)
     budget = link_budget(cfg)
@@ -192,46 +175,6 @@ def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, fading="gaussian"):
         return np.matmul(g, coeff)[:, :, 0] * amplitude
 
     return draw
-
-
-def sample_channel(cfg: ScenarioConfig, ris_type: RisType, seed,
-                   fading="gaussian") -> ChannelMatrix:
-    """Draw one channel matrix (users x antennas).
-
-    Entry (s, k) is sqrt(beta_zone(s)) * sum over elements of
-    g[s, k, element] * coefficient[zone(s), element], where g holds i.i.d.
-    draws from the fading law (zero mean, unit variance per complex sample).
-    The fading block is drawn in one law call with shape (S, K_t, M*N); this
-    layout is fixed and documented so seeded draws can be reproduced.
-
-    Deterministic: the same (cfg, ris_type, seed, fading) always yields a
-    bit-identical matrix.
-    """
-    if ris_type is RisType.REFLECTIVE and cfg.users_reflection == 0:
-        warnings.warn("reflective surface with every user in the transmission zone: "
-                      "no user receives power", stacklevel=2)
-    if ris_type is RisType.TRANSMISSIVE and cfg.users_transmission == 0:
-        warnings.warn("transmissive surface with every user in the reflection zone: "
-                      "no user receives power", stacklevel=2)
-    draw = prepare_sampler(cfg, ris_type, fading)
-    return ChannelMatrix(entries=draw(seed), ris_type=ris_type, seed=seed)
-
-
-def dump_channel(matrix: ChannelMatrix, cfg: ScenarioConfig, path) -> None:
-    """Write one draw as text: header lines, then one 're im' pair per line.
-
-    Pairs are row-major over the users x antennas grid. The header names the
-    config fingerprint and the seed so dumps can be tied back to their run.
-    """
-    entries = matrix.entries
-    lines = [
-        f"# scenario {config_digest(cfg)} seed {matrix.seed!r}",
-        f"# rows {entries.shape[0]} cols {entries.shape[1]}",
-    ]
-    for z in entries.ravel():
-        lines.append(f"{z.real:.17g} {z.imag:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # --- aggregated-gain statistics ------------------------------------------------

@@ -1,5 +1,11 @@
 """Batch front-end: single evaluations, parameter sweeps, figure presets.
 
+Every deployment, a single evaluation or one sweep cell, goes through one
+function, `_evaluate_cell`: it computes the link budget once, each type's
+allocation, closed form, bound and Monte Carlo estimate once, then the regime
+check, the decision and the diagnostics. `run_evaluate` serializes the cell to
+evaluate.json, and `run_sweep` to CSV rows.
+
 Exit codes: 0 success, 1 ingestion/validation failure, 2 regime or geometry
 diagnostic failure under --strict. Sweep CSVs are bit-identical across runs
 for a fixed (scenario, spec, seed); the Monte Carlo cell at axis index a and
@@ -24,24 +30,31 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import (
+    CapacityReport,
     allocate_power,
+    average_snr,
     closed_form_rate,
     ergodic_rate_exact,
     monte_carlo_capacity,
     upper_bound,
 )
-from .channel import DegenerateGeometryError, link_budget
+from .channel import DegenerateGeometryError, LinkBudget, link_budget
 from .scenario import (
     ConfigError,
+    ConfigSyntaxError,
+    RegimeReport,
     RisType,
     ScenarioConfig,
     config_digest,
     dbm_to_watts,
+    _iter_config_lines,
     load_scenario,
     validate_approximation_regime,
 )
 from .selection import (
+    AsymptoticDiagnostics,
     RegimeViolationError,
+    SelectionDecision,
     asymptotic_checks,
     brute_force_optimal,
     decide_type,
@@ -108,8 +121,6 @@ class SweepVariant:
 def parse_sweep_spec(text: str, trials: int | None = None,
                      base_seed: int | None = None) -> SweepSpec:
     """Parse a sweep-spec file (same key = value format as scenarios)."""
-    from .scenario import ConfigSyntaxError, _iter_config_lines
-
     entries: dict[str, str] = {}
     for lineno, key, value in _iter_config_lines(text):
         if key in entries:
@@ -226,12 +237,6 @@ def _jsonable(obj):
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, RisType):
         return obj.value
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -261,51 +266,107 @@ def _threshold_text(thresholds) -> str:
             f"T|H={one(thresholds.split_transmit_hybrid)}")
 
 
-# --- evaluation -------------------------------------------------------------------
+# --- one cell -----------------------------------------------------------------------
+
+# What a single evaluation computes; a sweep computes what its spec's outputs ask.
+EVALUATE_OUTPUTS = ("monte_carlo", "exact", "decision", "diagnostics")
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """Every number one deployment yields; the serializers pick theirs.
+
+    `reports` and `exact` are keyed by type; the reports' Monte Carlo fields
+    are None when Monte Carlo was not asked for. When the condition table
+    breaks down, `violation` holds the RegimeViolationError in place of
+    `decision`; `winner` is the brute-force verdict either way.
+    """
+
+    budget: LinkBudget
+    regime: RegimeReport
+    reports: dict
+    exact: dict
+    decision: SelectionDecision | None
+    violation: RegimeViolationError | None
+    winner: RisType | None
+    diagnostics: AsymptoticDiagnostics | None
+
+
+def _evaluate_cell(cfg: ScenarioConfig, outputs, trials: int, seed: tuple) -> _Cell:
+    """Evaluate one deployment, deriving each number once.
+
+    The link budget is computed once; each type's allocation, closed form,
+    bound and (when asked for) Monte Carlo estimate and exact rate once; the
+    regime check reads the hybrid allocation's averaged SNR. Type i draws its
+    Monte Carlo trials from seed + (i,). Raises DegenerateGeometryError.
+    """
+    budget = link_budget(cfg)
+    reports, exact = {}, {}
+    for index, ris_type in enumerate(TYPE_ORDER):
+        alloc = allocate_power(cfg, ris_type, budget)
+        if "monte_carlo" in outputs:
+            reports[ris_type] = monte_carlo_capacity(
+                cfg, ris_type, alloc, budget, trials, base_seed=seed + (index,),
+                sampler=MC_SAMPLER)
+        else:
+            reports[ris_type] = CapacityReport(
+                closed_form_rate(cfg, ris_type, budget),
+                upper_bound(cfg, ris_type, alloc, budget), None, None, 0, ris_type)
+        if "exact" in outputs:
+            exact[ris_type] = ergodic_rate_exact(cfg, ris_type, alloc, budget)
+        if ris_type is RisType.HYBRID:
+            regime = validate_approximation_regime(
+                cfg, average_snr(cfg, ris_type, alloc, budget))
+
+    decision = violation = winner = diagnostics = None
+    if "decision" in outputs:
+        try:
+            decision = decide_type(cfg, budget, regime)
+            winner = decision.brute_force_optimal
+        except RegimeViolationError as exc:
+            violation, (winner, _) = exc, brute_force_optimal(cfg, budget)
+    if "diagnostics" in outputs and 1 <= cfg.users_transmission <= cfg.users_total - 1:
+        diagnostics = asymptotic_checks(cfg, budget)
+    return _Cell(budget, regime, reports, exact, decision, violation, winner,
+                 diagnostics)
+
+
+def _load(scenario_path: Path) -> ScenarioConfig | None:
+    """Load the scenario file, or print one error line and return None."""
+    try:
+        return load_scenario(scenario_path)
+    except OSError:
+        print(f"error: cannot read scenario file {scenario_path}", file=sys.stderr)
+    except UnicodeDecodeError:
+        print(f"error: scenario file {scenario_path} is not UTF-8 text", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+# --- single evaluation: evaluate.json -----------------------------------------------
 
 def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
                  strict: bool) -> int:
     """Evaluate all three types on one scenario and write evaluate.json."""
-    try:
-        cfg = load_scenario(Path(scenario_path))
-    except OSError:
-        print(f"error: cannot read scenario file {scenario_path}", file=sys.stderr)
+    cfg = _load(scenario_path)
+    if cfg is None:
         return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
     try:
-        budget = link_budget(cfg)
+        cell = _evaluate_cell(cfg, EVALUATE_OUTPUTS, trials, (seed, 0))
     except DegenerateGeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if strict else 1
 
-    regime = validate_approximation_regime(cfg)
+    regime = cell.regime
     if strict and not regime.ok:
         print(f"error: approximation regime check failed "
               f"(isotropy ratio {regime.isotropy_ratio:.4g}, "
               f"min received SNR {regime.min_received_snr:.4g})", file=sys.stderr)
         return 2
-
-    reports = {}
-    exact = {}
-    for index, ris_type in enumerate(TYPE_ORDER):
-        alloc = allocate_power(cfg, ris_type, budget)
-        reports[ris_type.value] = monte_carlo_capacity(
-            cfg, ris_type, alloc, trials, base_seed=(seed, 0, index),
-            sampler=MC_SAMPLER)
-        exact[ris_type.value] = ergodic_rate_exact(cfg, ris_type, alloc, budget)
-
-    decision_error = None
-    try:
-        decision = decide_type(cfg, budget)
-    except RegimeViolationError as exc:
-        if strict:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        decision = None
-        decision_error = str(exc)
+    if strict and cell.violation is not None:
+        print(f"error: {cell.violation}", file=sys.stderr)
+        return 2
 
     record = {
         "scenario_digest": config_digest(cfg),
@@ -313,22 +374,26 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         "trials": trials,
         "seed": seed,
         "sampler": MC_SAMPLER,
-        "link_budget": _jsonable(budget),
+        "link_budget": _jsonable(cell.budget),
         "regime": _jsonable(regime),
-        "capacity": {name: {**_jsonable(report), "ergodic_exact": exact[name]}
-                     for name, report in reports.items()},
+        "capacity": {t.value: {**_jsonable(cell.reports[t]), "ergodic_exact": cell.exact[t]}
+                     for t in TYPE_ORDER},
     }
+    decision = cell.decision
     if decision is not None:
         record["selection"] = _jsonable(decision)
+        note = f"table={decision.optimal.value}, agrees={'yes' if decision.agrees else 'no'}"
+        splits = " " + _threshold_text(decision.thresholds)
     else:
-        winner, rates = brute_force_optimal(cfg, budget)
+        _, rates = brute_force_optimal(cfg, cell.budget)
         record["selection"] = {
-            "error": decision_error,
-            "brute_force_optimal": winner.value,
+            "error": str(cell.violation),
+            "brute_force_optimal": cell.winner.value,
             "rates": _jsonable({k.value: v for k, v in rates.items()}),
         }
-    if 1 <= cfg.users_transmission <= cfg.users_total - 1:
-        record["diagnostics"] = _jsonable(asymptotic_checks(cfg, budget))
+        note, splits = f"table unavailable: {cell.violation}", ""
+    if cell.diagnostics is not None:
+        record["diagnostics"] = _jsonable(cell.diagnostics)
 
     out_dir = Path(out_dir)
     try:
@@ -340,92 +405,53 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         return 1
 
     rates_text = " ".join(
-        f"{t.letter}={reports[t.value].closed_form:.3f}" for t in TYPE_ORDER)
-    if decision is not None:
-        summary = (f"optimal={decision.brute_force_optimal.value} "
-                   f"(table={decision.optimal.value}, "
-                   f"agrees={'yes' if decision.agrees else 'no'}) "
-                   f"rates[b/s/Hz]: {rates_text} "
-                   f"{_threshold_text(decision.thresholds)}")
-    else:
-        winner, _ = brute_force_optimal(cfg, budget)
-        summary = (f"optimal={winner.value} (table unavailable: "
-                   f"{decision_error}) rates[b/s/Hz]: {rates_text}")
-    print(summary)
+        f"{t.letter}={cell.reports[t].closed_form:.3f}" for t in TYPE_ORDER)
+    print(f"optimal={cell.winner.value} ({note}) rates[b/s/Hz]: {rates_text}{splits}")
     return 0
 
 
-def _diagnostics_row(cfg: ScenarioConfig, value, budget) -> str:
-    cells = [_fmt(value)]
-    if 1 <= cfg.users_transmission <= cfg.users_total - 1:
-        diag = asymptotic_checks(cfg, budget)
-        cells += [_fmt(x) for x in (
-            diag.element_count_scale, diag.reflect_exponent,
-            diag.transmit_exponent, diag.element_count_threshold,
-            diag.element_count, diag.hybrid_favored, diag.log_pattern_term,
-            diag.mismatch_term, diag.hybrid_vs_transmit_approx)]
-    else:
-        cells += [""] * 9  # single-zone splits carry no crossover diagnostics
-    return ",".join(cells)
+# --- sweeps: one CSV row per (axis value, type) ----------------------------------------
+
+def _diagnostics_row(value, diag) -> str:
+    if diag is None:  # single-zone splits carry no crossover diagnostics
+        return ",".join([_fmt(value)] + [""] * 9)
+    return ",".join(_fmt(x) for x in (
+        value, diag.element_count_scale, diag.reflect_exponent,
+        diag.transmit_exponent, diag.element_count_threshold,
+        diag.element_count, diag.hybrid_favored, diag.log_pattern_term,
+        diag.mismatch_term, diag.hybrid_vs_transmit_approx))
 
 
 def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
     rows = []
     diagnostics_rows = []
-    want_cf = "closed_form" in spec.outputs
-    want_ub = "upper_bound" in spec.outputs
-    want_mc = "monte_carlo" in spec.outputs
-    want_decision = "decision" in spec.outputs
-    want_diagnostics = "diagnostics" in spec.outputs
-
+    outputs = spec.outputs
     for axis_index, value in enumerate(spec.values):
-        cell_cfg = apply_axis_value(cfg, spec.axis, value)
-        budget = link_budget(cell_cfg)
-
-        decision_letter, agrees = None, None
-        if want_decision:
-            try:
-                decision = decide_type(cell_cfg, budget)
-                decision_letter = decision.brute_force_optimal.letter
-                agrees = decision.agrees
-            except RegimeViolationError as exc:
-                if strict:
-                    raise
-                winner, _ = brute_force_optimal(cell_cfg, budget)
-                decision_letter = winner.letter
-                agrees = None
-        if want_diagnostics:
-            diagnostics_rows.append(_diagnostics_row(cell_cfg, value, budget))
-
-        for type_index, ris_type in enumerate(TYPE_ORDER):
-            alloc = allocate_power(cell_cfg, ris_type, budget)
-            closed = closed_form_rate(cell_cfg, ris_type, budget) if want_cf else None
-            bound = upper_bound(cell_cfg, ris_type, alloc, budget) if want_ub else None
-            mc_mean = mc_stderr = None
-            if want_mc:
-                report = monte_carlo_capacity(
-                    cell_cfg, ris_type, alloc, spec.trials,
-                    base_seed=(spec.base_seed, axis_index, type_index),
-                    sampler=MC_SAMPLER)
-                mc_mean, mc_stderr = report.monte_carlo_mean, report.monte_carlo_stderr
+        cell = _evaluate_cell(apply_axis_value(cfg, spec.axis, value), outputs,
+                              spec.trials, (spec.base_seed, axis_index))
+        if strict and cell.violation is not None:
+            raise cell.violation
+        decision_letter = cell.winner.letter if cell.winner is not None else ""
+        agrees = cell.decision.agrees if cell.decision is not None else None
+        for ris_type in TYPE_ORDER:
+            report = cell.reports[ris_type]
             rows.append(",".join([
-                _fmt(value), ris_type.letter, _fmt(closed), _fmt(bound),
-                _fmt(mc_mean), _fmt(mc_stderr), decision_letter or "",
-                _fmt(agrees),
+                _fmt(value), ris_type.letter,
+                _fmt(report.closed_form if "closed_form" in outputs else None),
+                _fmt(report.upper_bound if "upper_bound" in outputs else None),
+                _fmt(report.monte_carlo_mean), _fmt(report.monte_carlo_stderr),
+                decision_letter, _fmt(agrees),
             ]))
+        if "diagnostics" in outputs:
+            diagnostics_rows.append(_diagnostics_row(value, cell.diagnostics))
     return rows, diagnostics_rows
 
 
 def run_sweep(scenario_path: Path, variants: list[SweepVariant], out_dir: Path,
               strict: bool) -> int:
     """Run one or more sweep variants and write one CSV per variant."""
-    try:
-        cfg = load_scenario(Path(scenario_path))
-    except OSError:
-        print(f"error: cannot read scenario file {scenario_path}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cfg = _load(scenario_path)
+    if cfg is None:
         return 1
 
     out_dir = Path(out_dir)
@@ -519,6 +545,9 @@ def main(argv=None) -> int:
             text = Path(args.sweep).read_text(encoding="utf-8")
         except OSError:
             print(f"error: cannot read sweep spec {args.sweep}", file=sys.stderr)
+            return 1
+        except UnicodeDecodeError:
+            print(f"error: sweep spec {args.sweep} is not UTF-8 text", file=sys.stderr)
             return 1
         try:
             spec = parse_sweep_spec(text, trials=args.trials, base_seed=seed_override)

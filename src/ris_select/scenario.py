@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -45,12 +44,6 @@ def dbm_to_watts(dbm: float) -> float:
         return 10.0 ** ((dbm - 30.0) / 10.0)
     except OverflowError:
         return math.inf
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(watts) + 30.0
 
 
 class RisType(enum.Enum):
@@ -355,17 +348,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return ScenarioConfig(panel=panel, **powers, **kwargs)
 
 
-def load_scenario(source) -> ScenarioConfig:
-    """Load a scenario from config text or from a path-like object.
-
-    Plain strings are treated as config text; pass a pathlib.Path (or any
-    os.PathLike) to read from a file.
-    """
-    if isinstance(source, os.PathLike):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source
-    return parse_scenario(text)
+def load_scenario(path) -> ScenarioConfig:
+    """Load a scenario from a UTF-8 config file; parse_scenario takes text."""
+    return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
 def config_digest(cfg: ScenarioConfig) -> str:
@@ -411,25 +396,18 @@ class RegimeReport:
         return self.isotropic and self.high_snr
 
 
-def validate_approximation_regime(cfg: ScenarioConfig) -> RegimeReport:
-    """Report whether the closed-form selection machinery is trustworthy here."""
-    # Imported lazily: these modules build on the types defined above.
-    from .capacity import allocate_power
-    from .channel import link_budget
+def validate_approximation_regime(cfg: ScenarioConfig, hybrid_snr) -> RegimeReport:
+    """Report whether the closed-form selection machinery is trustworthy here.
 
+    `hybrid_snr` is the per-user averaged SNR under the hybrid power split,
+    as `capacity.average_snr` gives it; a user with a positive SNR is served.
+    """
     eps_r = cfg.panel.radiation_reflect
     eps_t = cfg.panel.radiation_transmit
     ratio = abs(eps_r - eps_t) / eps_r
 
-    budget = link_budget(cfg)
-    alloc = allocate_power(cfg, RisType.HYBRID, budget)
-    mask = reflection_zone_mask(cfg)
-    beta = np.where(mask, budget.avg_pathloss_reflect, budget.avg_pathloss_transmit)
-    gamma_sq = np.where(mask, RisType.HYBRID.amplitude_reflect ** 2,
-                        RisType.HYBRID.amplitude_transmit ** 2)
-    snr = (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue * beta \
-        * cfg.bs_antennas * cfg.panel.element_count * gamma_sq
-    served = alloc.per_ue > 0.0
+    snr = np.asarray(hybrid_snr)
+    served = snr > 0.0
     min_snr = float(snr[served].min()) if served.any() else 0.0
 
     return RegimeReport(

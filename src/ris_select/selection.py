@@ -19,6 +19,8 @@ import numpy as np
 
 from .capacity import (
     LN2,
+    allocate_power,
+    average_snr,
     hybrid_rate,
     hybrid_reflect_fraction,
     reflective_rate,
@@ -36,7 +38,6 @@ ROOT_TOL = 1e-9
 SCAN_POINTS = 100
 BISECT_MAX_ITERS = 200
 FD_STEP = 1e-6
-DOMINANCE_FLOOR_DEFAULT = 10.0
 
 
 class RegimeViolationError(RuntimeError):
@@ -94,6 +95,13 @@ def reflective_rate_derivative(n_transmit: float, n_total: float,
     """Analytic slope of the reflective rate in the user split (negative)."""
     x = 1.0 + radiation_reflect / (link_constant * (n_total - n_transmit))
     return -_f_lemma(x) / (LN2 * x)
+
+
+def _regime_report(cfg: ScenarioConfig, budget: LinkBudget) -> RegimeReport:
+    """The regime report under the hybrid power split."""
+    alloc = allocate_power(cfg, RisType.HYBRID, budget)
+    return validate_approximation_regime(
+        cfg, average_snr(cfg, RisType.HYBRID, alloc, budget))
 
 
 # --- thresholds -------------------------------------------------------------------
@@ -186,7 +194,7 @@ def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresho
             raise RegimeViolationError(
                 f"approximation regime violated: the {name} difference is not "
                 f"monotone over the user split",
-                regime=validate_approximation_regime(cfg),
+                regime=_regime_report(cfg, budget),
             )
         roots.append(_bisect(diff, lo, hi))
 
@@ -250,11 +258,8 @@ def brute_force_optimal(cfg: ScenarioConfig, budget: LinkBudget):
         RisType.TRANSMISSIVE: c_transmit(x),
         RisType.HYBRID: c_hybrid(x),
     }
-    winner = RisType.REFLECTIVE
-    for candidate in (RisType.TRANSMISSIVE, RisType.HYBRID):
-        if rates[candidate] > rates[winner]:
-            winner = candidate
-    return winner, rates
+    # max keeps the first of equal rates, in the dict's R, T, H order
+    return max(rates, key=rates.get), rates
 
 
 def _sign(x: float) -> int:
@@ -278,7 +283,8 @@ def _thresholds_for(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresho
     return thresholds
 
 
-def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None) -> SelectionDecision:
+def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None,
+                regime: RegimeReport | None = None) -> SelectionDecision:
     """Pick the best surface type for a deployment.
 
     Boundary splits (no users on one side) go straight to the single-zone
@@ -286,7 +292,8 @@ def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None) -> Select
     thresholds and compared against the brute-force argmax. A failing regime
     report (or a missing reflect/transmit crossing) marks the table verdict
     advisory; monotonicity violations raise RegimeViolationError from the
-    threshold search.
+    threshold search. Pass `regime` when the caller already holds the
+    report for this config; otherwise it is built from the hybrid split.
 
     The crossings depend only on (users_total, radiation_reflect,
     radiation_transmit, link_constant), none of which moves along a
@@ -301,7 +308,8 @@ def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None) -> Select
     """
     if budget is None:
         budget = link_budget(cfg)
-    regime = validate_approximation_regime(cfg)
+    if regime is None:
+        regime = _regime_report(cfg, budget)
     brute, _rates = brute_force_optimal(cfg, budget)
     s = cfg.users_total
     s_t = cfg.users_transmission
@@ -446,84 +454,6 @@ def monotonicity_certificate(cfg: ScenarioConfig, budget: LinkBudget,
 # --- asymptotic diagnostics -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class DerivativeDominanceReport:
-    """How flat the hybrid rate curve is next to the reflective one."""
-
-    log_pattern_term: float
-    mismatch_term: float
-    mismatch_reflect: float
-    mismatch_transmit: float
-    hybrid_slope: float
-    reflect_slope: float
-    ratio: float
-    dominance_floor: float
-    dominant: bool
-
-
-def _hybrid_slope_terms(cfg: ScenarioConfig, budget: LinkBudget):
-    """Shared pieces of the hybrid-slope decomposition (unclamped share)."""
-    panel = cfg.panel
-    eps_r, eps_t = panel.radiation_reflect, panel.radiation_transmit
-    big_l = budget.link_constant
-    s = float(cfg.users_total)
-    s_t = float(cfg.users_transmission)
-    s_r = s - s_t
-    lam = hybrid_reflect_fraction(s_t, s, eps_r, eps_t, big_l, simplified=True)
-    share = (1.0 - s_r * lam) / s_t
-    mismatch_reflect = eps_r / eps_t - 1.0
-    mismatch_transmit = 1.0 - eps_t / eps_r
-    log_term = math.log(eps_t / eps_r) / LN2
-    mismatch_term = (s_r / s) * mismatch_reflect / (LN2 * (1.0 + eps_r * lam / (2.0 * big_l))) \
-        + (s_t / s) * mismatch_transmit / (1.0 + eps_t * share / (2.0 * big_l))
-    return lam, log_term, mismatch_term, mismatch_reflect, mismatch_transmit
-
-
-def derivative_dominance(cfg: ScenarioConfig, budget: LinkBudget,
-                         dominance_floor: float = DOMINANCE_FLOOR_DEFAULT
-                         ) -> DerivativeDominanceReport:
-    """Compare the reflective and hybrid slopes at the configured split.
-
-    Valid only while the hybrid reflect fraction is strictly inside its
-    clamp interval; a clamped share raises ValueError ("decomposition not
-    applicable"). The hybrid slope is measured by central differences on the
-    exact (clamped) curve; the reflective slope is analytic. `dominant`
-    reports whether their magnitude ratio clears `dominance_floor`.
-    """
-    s = cfg.users_total
-    s_t = cfg.users_transmission
-    if not 1 <= s_t <= s - 1:
-        raise ValueError("both zones must hold at least one user")
-    s_r = s - s_t
-    panel = cfg.panel
-    raw = hybrid_reflect_fraction(float(s_t), float(s), panel.radiation_reflect,
-                                  panel.radiation_transmit, budget.link_constant,
-                                  simplified=True)
-    if not 0.0 < raw < 1.0 / s_r:
-        raise ValueError(
-            "decomposition not applicable: the hybrid power share is clamped "
-            f"(raw value {raw:.6g} outside (0, {1.0 / s_r:.6g}))"
-        )
-    lam, log_term, mismatch_term, mm_r, mm_t = _hybrid_slope_terms(cfg, budget)
-    _, _, c_hybrid = _curves(cfg, budget)
-    x = float(s_t)
-    hybrid_slope = (c_hybrid(x + FD_STEP) - c_hybrid(x - FD_STEP)) / (2.0 * FD_STEP)
-    reflect_slope = reflective_rate_derivative(x, float(s), panel.radiation_reflect,
-                                               budget.link_constant)
-    ratio = math.inf if hybrid_slope == 0.0 else abs(reflect_slope) / abs(hybrid_slope)
-    return DerivativeDominanceReport(
-        log_pattern_term=log_term,
-        mismatch_term=mismatch_term,
-        mismatch_reflect=mm_r,
-        mismatch_transmit=mm_t,
-        hybrid_slope=hybrid_slope,
-        reflect_slope=reflect_slope,
-        ratio=ratio,
-        dominance_floor=dominance_floor,
-        dominant=ratio > dominance_floor,
-    )
-
-
-@dataclass(frozen=True)
 class AsymptoticDiagnostics:
     """Element-count threshold for hybrid dominance plus slope diagnostics.
 
@@ -558,16 +488,9 @@ def asymptotic_checks(cfg: ScenarioConfig, budget: LinkBudget) -> AsymptoticDiag
     panel = cfg.panel
     eps_r, eps_t = panel.radiation_reflect, panel.radiation_transmit
 
-    # Size-free link constant, computed from first principles rather than via
-    # link_constant * M N so the identity between the two stays testable.
-    cos_sq = budget.cos_sq_incidence
-    scale = 64.0 * math.pi ** 3 \
-        * (cfg.bs_ris_distance * cfg.ris_ue_distance) ** cfg.pathloss_exponent \
-        * cfg.noise_variance / (
-            cfg.transmit_power * cfg.wavelength ** 2 * cfg.antenna_gain
-            * panel.element_width * panel.element_height * panel.element_gain
-            * cos_sq * cfg.bs_antennas
-        )
+    big_l = budget.link_constant
+    mn = panel.element_count
+    scale = big_l * mn  # the link constant without the panel size
 
     def log2(x):
         return math.log(x) / LN2
@@ -576,18 +499,21 @@ def asymptotic_checks(cfg: ScenarioConfig, budget: LinkBudget) -> AsymptoticDiag
     transmit_exp = (s - s_r * log2(eps_t) + s * log2(s) - s_t * log2(s_t)) / s_r
     threshold = scale * 2.0 ** max(reflect_exp, transmit_exp)
 
-    big_l = budget.link_constant
     approx = (-s + s_r * log2(eps_t) - s * log2(s) + s_t * log2(s_t)
               - s_r * log2(big_l))
-    _, log_term, mismatch_term, mm_r, mm_t = _hybrid_slope_terms(cfg, budget)
-
-    mn = panel.element_count
+    # slope decomposition of the hybrid curve under the unclamped share
+    lam = hybrid_reflect_fraction(s_t, s, eps_r, eps_t, big_l, simplified=True)
+    share = (1.0 - s_r * lam) / s_t
+    mm_r = eps_r / eps_t - 1.0
+    mm_t = 1.0 - eps_t / eps_r
+    mismatch_term = (s_r / s) * mm_r / (LN2 * (1.0 + eps_r * lam / (2.0 * big_l))) \
+        + (s_t / s) * mm_t / (1.0 + eps_t * share / (2.0 * big_l))
     return AsymptoticDiagnostics(
         element_count_scale=scale,
         reflect_exponent=reflect_exp,
         transmit_exponent=transmit_exp,
         element_count_threshold=threshold,
-        log_pattern_term=log_term,
+        log_pattern_term=log2(eps_t / eps_r),
         mismatch_term=mismatch_term,
         mismatch_reflect=mm_r,
         mismatch_transmit=mm_t,

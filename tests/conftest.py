@@ -1,8 +1,17 @@
-"""Shared helpers: reference scenario path and a config factory."""
+"""Shared helpers: reference scenario path, a config factory, the regime report."""
 
 from pathlib import Path
 
-from ris_select import RisPanel, ScenarioConfig, dbm_to_watts
+from ris_select import (
+    RisPanel,
+    RisType,
+    ScenarioConfig,
+    allocate_power,
+    average_snr,
+    dbm_to_watts,
+    link_budget,
+    validate_approximation_regime,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_SCENARIO = REPO_ROOT / "scenarios" / "reference.cfg"
@@ -47,6 +56,14 @@ def make_config(**overrides) -> ScenarioConfig:
         else:
             raise TypeError(f"unknown override {key!r}")
     return ScenarioConfig(panel=RisPanel(**panel_kwargs), **config_kwargs)
+
+
+def regime_report(cfg: ScenarioConfig):
+    """The regime report under the hybrid power split, as decide_type builds it."""
+    budget = link_budget(cfg)
+    alloc = allocate_power(cfg, RisType.HYBRID, budget)
+    return validate_approximation_regime(
+        cfg, average_snr(cfg, RisType.HYBRID, alloc, budget))
 
 
 def random_config(rng) -> ScenarioConfig:

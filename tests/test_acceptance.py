@@ -72,7 +72,7 @@ def test_criterion_2_bound_tightness():
     worst = 0.0
     for index, ris_type in enumerate(RisType):
         alloc = allocate_power(cfg, ris_type, budget)
-        report = monte_carlo_capacity(cfg, ris_type, alloc, trials=1000,
+        report = monte_carlo_capacity(cfg, ris_type, alloc, budget, trials=1000,
                                       base_seed=(101, index))
         gap = (report.upper_bound - report.monte_carlo_mean) / report.upper_bound
         worst = max(worst, gap)

@@ -16,7 +16,7 @@ from ris_select import (
     ergodic_rate_exact,
     link_budget,
     monte_carlo_capacity,
-    sample_channel,
+    prepare_sampler,
     upper_bound,
 )
 from ris_select.capacity import average_snr
@@ -194,9 +194,9 @@ def test_monte_carlo_matches_scalar_brute_force():
                       users_transmission=1)
     budget = link_budget(cfg)
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
-    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=1, base_seed=5)
+    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=1, base_seed=5)
 
-    entries = sample_channel(cfg, RisType.HYBRID, seed=(5, 0)).entries
+    entries = prepare_sampler(cfg, RisType.HYBRID)((5, 0))
     expected = 0.0
     for s in range(2):
         row_power = sum(abs(entries[s, k]) ** 2 for k in range(1))
@@ -211,7 +211,8 @@ def test_monte_carlo_zero_allocation():
     cfg = make_config(rows=2, cols=2)
     alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
                             scheme=RisType.HYBRID)
-    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=4, base_seed=0)
+    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, link_budget(cfg), trials=4,
+                                  base_seed=0)
     assert report.monte_carlo_mean == 0.0
     assert report.monte_carlo_stderr == 0.0
 
@@ -220,7 +221,8 @@ def test_monte_carlo_requires_a_trial():
     cfg = make_config(rows=2, cols=2)
     alloc = _alloc(cfg, RisType.HYBRID)
     with pytest.raises(ValueError):
-        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=0, base_seed=0)
+        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, link_budget(cfg), trials=0,
+                             base_seed=0)
 
 
 def test_monte_carlo_below_bound_all_types():
@@ -228,7 +230,7 @@ def test_monte_carlo_below_bound_all_types():
     budget = link_budget(cfg)
     for ris_type in RisType:
         alloc = allocate_power(cfg, ris_type, budget)
-        report = monte_carlo_capacity(cfg, ris_type, alloc, trials=60, base_seed=3)
+        report = monte_carlo_capacity(cfg, ris_type, alloc, budget, trials=60, base_seed=3)
         assert report.monte_carlo_mean \
             <= report.upper_bound + 2.0 * report.monte_carlo_stderr
         assert report.upper_bound == pytest.approx(report.closed_form, rel=1e-10)
@@ -241,7 +243,7 @@ def test_bound_gap_shrinks_with_antennas_times_elements():
         cfg = make_config(rows=20, cols=20, bs_antennas=kt)
         budget = link_budget(cfg)
         alloc = allocate_power(cfg, RisType.REFLECTIVE, budget)
-        report = monte_carlo_capacity(cfg, RisType.REFLECTIVE, alloc,
+        report = monte_carlo_capacity(cfg, RisType.REFLECTIVE, alloc, budget,
                                       trials=trials, base_seed=13)
         gaps.append((report.upper_bound - report.monte_carlo_mean)
                     / report.upper_bound)
@@ -272,7 +274,7 @@ def _exact_and_mc(cfg, trials, seed, sampler):
     budget = link_budget(cfg)
     for index, ris_type in enumerate(RisType):
         alloc = allocate_power(cfg, ris_type, budget)
-        report = monte_carlo_capacity(cfg, ris_type, alloc, trials=trials,
+        report = monte_carlo_capacity(cfg, ris_type, alloc, budget, trials=trials,
                                       base_seed=(seed, index), sampler=sampler)
         yield ris_type, ergodic_rate_exact(cfg, ris_type, alloc, budget), report
 
@@ -334,35 +336,38 @@ def test_exact_rate_converges_in_node_count(bs_antennas, transmit_power):
 
 def test_aggregate_sampler_is_deterministic():
     cfg = make_config()
-    alloc = _alloc(cfg, RisType.HYBRID)
-    first, second = (monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=50,
+    budget = link_budget(cfg)
+    alloc = allocate_power(cfg, RisType.HYBRID, budget)
+    first, second = (monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=50,
                                           base_seed=(4, 2), sampler="aggregate")
                      for _ in range(2))
     assert first == second
-    other = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=50,
+    other = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=50,
                                  base_seed=(5, 2), sampler="aggregate")
     assert other.monte_carlo_mean != first.monte_carlo_mean
 
 
 def test_aggregate_sampler_zero_allocation():
     cfg = make_config(rows=2, cols=2)
+    budget = link_budget(cfg)
     alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
                             scheme=RisType.HYBRID)
-    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=4, base_seed=0,
+    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=4, base_seed=0,
                                   sampler="aggregate")
     assert report.monte_carlo_mean == 0.0
     assert report.monte_carlo_stderr == 0.0
-    assert ergodic_rate_exact(cfg, RisType.HYBRID, alloc, link_budget(cfg)) == 0.0
+    assert ergodic_rate_exact(cfg, RisType.HYBRID, alloc, budget) == 0.0
 
 
 def test_sampler_and_quadrature_arguments_are_validated():
     cfg = make_config(rows=2, cols=2)
-    alloc = _alloc(cfg, RisType.HYBRID)
+    budget = link_budget(cfg)
+    alloc = allocate_power(cfg, RisType.HYBRID, budget)
     with pytest.raises(ValueError, match="points"):
-        ergodic_rate_exact(cfg, RisType.HYBRID, alloc, link_budget(cfg), points=1)
+        ergodic_rate_exact(cfg, RisType.HYBRID, alloc, budget, points=1)
     with pytest.raises(ValueError, match="gaussian"):
-        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=2, base_seed=0,
+        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=2, base_seed=0,
                              fading="sign", sampler="aggregate")
     with pytest.raises(ValueError, match="unknown sampler"):
-        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, trials=2, base_seed=0,
+        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=2, base_seed=0,
                              sampler="bogus")

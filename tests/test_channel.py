@@ -11,11 +11,8 @@ from ris_select import (
     FADING_LAWS,
     RisType,
     aggregated_gain_statistics,
-    config_digest,
-    dump_channel,
     link_budget,
     prepare_sampler,
-    sample_channel,
     zone_gain_statistics,
 )
 from ris_select.channel import gaussian_fading, resolve_fading, rng_for_seed
@@ -79,9 +76,9 @@ def test_grazing_incidence_raises():
 
 def test_reflective_type_zeroes_transmission_rows():
     cfg = make_config(rows=4, cols=4, users_total=5, users_transmission=2)
-    draw = sample_channel(cfg, RisType.REFLECTIVE, seed=1)
-    assert np.all(draw.entries[cfg.users_reflection:, :] == 0.0)
-    assert np.all(draw.entries[: cfg.users_reflection, :] != 0.0)
+    entries = prepare_sampler(cfg, RisType.REFLECTIVE)(1)
+    assert np.all(entries[cfg.users_reflection:, :] == 0.0)
+    assert np.all(entries[: cfg.users_reflection, :] != 0.0)
 
 
 def test_single_element_reduction():
@@ -89,40 +86,37 @@ def test_single_element_reduction():
     cfg = make_config(rows=1, cols=1, users_total=2, users_transmission=1,
                       bs_antennas=3)
     seed = 99
-    draw = sample_channel(cfg, RisType.HYBRID, seed=seed)
+    entries = prepare_sampler(cfg, RisType.HYBRID)(seed)
     budget = link_budget(cfg)
     g = gaussian_fading(rng_for_seed(seed), (2, 3, 1))[:, :, 0]
     amp = np.array([math.sqrt(budget.avg_pathloss_reflect),
                     math.sqrt(budget.avg_pathloss_transmit)])
     expected = g * math.sqrt(0.5) * amp[:, None]
-    np.testing.assert_allclose(draw.entries, expected, rtol=1e-14)
+    np.testing.assert_allclose(entries, expected, rtol=1e-14)
 
 
 def test_channel_matrix_shape_and_finiteness():
     cfg = make_config(rows=5, cols=3, users_total=6, users_transmission=2,
                       bs_antennas=4)
     for law in sorted(FADING_LAWS):
-        draw = sample_channel(cfg, RisType.HYBRID, seed=8, fading=law)
-        assert draw.entries.shape == (6, 4)
-        assert np.all(np.isfinite(draw.entries))
-        assert draw.ris_type is RisType.HYBRID
-        assert draw.seed == 8
+        entries = prepare_sampler(cfg, RisType.HYBRID, fading=law)(8)
+        assert entries.shape == (6, 4)
+        assert np.all(np.isfinite(entries))
 
 
 def test_sampling_is_bit_deterministic():
     cfg = make_config(rows=6, cols=6)
-    a = sample_channel(cfg, RisType.HYBRID, seed=1234)
-    b = sample_channel(cfg, RisType.HYBRID, seed=1234)
-    c = sample_channel(cfg, RisType.HYBRID, seed=1235)
-    assert np.array_equal(a.entries, b.entries)
-    assert not np.array_equal(a.entries, c.entries)
+    a = prepare_sampler(cfg, RisType.HYBRID)(1234)
+    b = prepare_sampler(cfg, RisType.HYBRID)(1234)
+    c = prepare_sampler(cfg, RisType.HYBRID)(1235)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_tuple_seeds_give_distinct_streams():
     cfg = make_config(rows=6, cols=6)
-    a = sample_channel(cfg, RisType.HYBRID, seed=(7, 0))
-    b = sample_channel(cfg, RisType.HYBRID, seed=(7, 1))
-    assert not np.array_equal(a.entries, b.entries)
+    draw = prepare_sampler(cfg, RisType.HYBRID)
+    assert not np.array_equal(draw((7, 0)), draw((7, 1)))
 
 
 def test_zero_mean_and_variance_law():
@@ -235,30 +229,3 @@ def test_fading_laws_are_unit_variance():
         batch = law(rng, (20000,))
         assert abs(batch.mean()) < 0.02, name
         assert np.mean(np.abs(batch) ** 2) == pytest.approx(1.0, abs=0.03), name
-
-
-def test_sample_warns_when_no_user_is_served():
-    cfg = make_config(users_total=4, users_transmission=4, rows=2, cols=2)
-    with pytest.warns(UserWarning, match="no user receives power"):
-        draw = sample_channel(cfg, RisType.REFLECTIVE, seed=0)
-    assert np.all(draw.entries == 0.0)
-    cfg = make_config(users_total=4, users_transmission=0, rows=2, cols=2)
-    with pytest.warns(UserWarning, match="no user receives power"):
-        sample_channel(cfg, RisType.TRANSMISSIVE, seed=0)
-
-
-def test_dump_channel_format(tmp_path):
-    cfg = make_config(rows=3, cols=3, users_total=4, users_transmission=2)
-    draw = sample_channel(cfg, RisType.HYBRID, seed=77)
-    path = tmp_path / "draw.txt"
-    dump_channel(draw, cfg, path)
-
-    lines = path.read_text().splitlines()
-    header = lines[0].split()
-    assert header[:2] == ["#", "scenario"]
-    assert header[2] == config_digest(cfg)
-    assert "77" in lines[0]
-    assert lines[1] == f"# rows {cfg.users_total} cols {cfg.bs_antennas}"
-    values = np.array([[float(p) for p in line.split()] for line in lines[2:]])
-    rebuilt = (values[:, 0] + 1j * values[:, 1]).reshape(draw.entries.shape)
-    np.testing.assert_allclose(rebuilt, draw.entries, rtol=1e-15)

@@ -276,12 +276,9 @@ def test_evaluate_survives_threshold_breakdown(tmp_path, monkeypatch, capsys):
     # when the condition table cannot be built, the record still carries the
     # brute-force winner and the run succeeds unless --strict is set
     import ris_select.cli as cli
-    from ris_select import RegimeViolationError, validate_approximation_regime
-    from ris_select.scenario import load_scenario
+    from ris_select import RegimeViolationError
 
-    regime = validate_approximation_regime(load_scenario(REFERENCE_SCENARIO))
-
-    def broken(cfg, budget=None):
+    def broken(cfg, budget=None, regime=None):
         raise RegimeViolationError("approximation regime violated: stub", regime)
 
     monkeypatch.setattr(cli, "decide_type", broken)
@@ -301,12 +298,9 @@ def test_evaluate_survives_threshold_breakdown(tmp_path, monkeypatch, capsys):
 
 def test_sweep_survives_threshold_breakdown(tmp_path, monkeypatch):
     import ris_select.cli as cli
-    from ris_select import RegimeViolationError, validate_approximation_regime
-    from ris_select.scenario import load_scenario
+    from ris_select import RegimeViolationError
 
-    regime = validate_approximation_regime(load_scenario(REFERENCE_SCENARIO))
-
-    def broken(cfg, budget=None):
+    def broken(cfg, budget=None, regime=None):
         raise RegimeViolationError("approximation regime violated: stub", regime)
 
     monkeypatch.setattr(cli, "decide_type", broken)
@@ -423,9 +417,9 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     seen = {}
     real = cli.monte_carlo_capacity
 
-    def spy(cfg, ris_type, alloc, trials, base_seed, **kwargs):
+    def spy(cfg, ris_type, alloc, budget, trials, base_seed, **kwargs):
         seen.setdefault(current, []).append(base_seed)
-        return real(cfg, ris_type, alloc, trials, base_seed, **kwargs)
+        return real(cfg, ris_type, alloc, budget, trials, base_seed, **kwargs)
 
     monkeypatch.setattr(cli, "monte_carlo_capacity", spy)
     spec = tmp_path / "sweep.cfg"
@@ -447,8 +441,10 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     # seed-9 cell 3 (split 5, R) against the same cell drawn from the stream
     # of seed-10 cell 0.
     cell = replace(load_scenario(REFERENCE_SCENARIO), users_transmission=5)
-    alloc = allocate_power(cell, RisType.REFLECTIVE, link_budget(cell))
-    other = real(cell, RisType.REFLECTIVE, alloc, 4, seen[10][0], sampler="aggregate")
+    budget = link_budget(cell)
+    alloc = allocate_power(cell, RisType.REFLECTIVE, budget)
+    other = real(cell, RisType.REFLECTIVE, alloc, budget, 4, seen[10][0],
+                 sampler="aggregate")
     assert csvs[9][3][:2] == ["5", "R"]
     assert float(csvs[9][3][4]) != pytest.approx(other.monte_carlo_mean, rel=1e-9)
 
@@ -488,3 +484,45 @@ def test_bad_sweep_value_is_rejected(tmp_path, capsys, axis, values, message):
                  "--out", str(out)]) == 1
     assert message in _single_error_line(capsys)
     assert not (out / "sweep.csv").exists()
+
+
+def test_evaluate_and_one_point_sweep_agree(tmp_path):
+    # a single evaluation is the one-point sweep at axis index 0: same per-type
+    # numbers (to the CSV's 12 digits), same brute-force winner, same agreement
+    common = ["--scenario", str(REFERENCE_SCENARIO), "--seed", "5", "--trials", "50"]
+    assert main(common + ["--out", str(tmp_path / "eval")]) == 0
+    spec = tmp_path / "point.cfg"
+    spec.write_text("axis = users_transmission\nvalues = 7\n"
+                    "outputs = closed_form, upper_bound, monte_carlo, decision\n")
+    assert main(common + ["--sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 0
+
+    record = json.loads((tmp_path / "eval" / "evaluate.json").read_text())
+    rows = _rows(tmp_path / "sweep" / "point.csv")
+    assert [row[1] for row in rows] == ["R", "T", "H"]
+    selection = record["selection"]
+    for row in rows:
+        ris_type = next(t for t in RisType if t.letter == row[1])
+        report = record["capacity"][ris_type.value]
+        assert row[2:6] == [f"{report[key]:.12g}" for key in (
+            "closed_form", "upper_bound", "monte_carlo_mean", "monte_carlo_stderr")]
+        assert row[6] == RisType(selection["brute_force_optimal"]).letter
+        assert row[7] == ("true" if selection["agrees"] else "false")
+
+
+@pytest.mark.parametrize("mode", ["evaluate", "preset", "sweep"])
+def test_non_utf8_input_gives_one_error_line(tmp_path, capsys, mode):
+    scenario, spec = REFERENCE_SCENARIO, tmp_path / "sweep.cfg"
+    spec.write_text(SMALL_SWEEP)
+    if mode == "sweep":
+        spec.write_bytes(b"axis = users_transmission\nvalues = 3, \xff5\n")
+        bad = spec
+    else:
+        scenario = bad = tmp_path / "bad.cfg"
+        scenario.write_bytes(b"\xff\xfe" + REFERENCE_SCENARIO.read_bytes())
+    argv = ["--scenario", str(scenario), "--out", str(tmp_path / "out")]
+    argv += {"evaluate": [], "preset": ["--preset", "fig2b"],
+             "sweep": ["--sweep", str(spec)]}[mode]
+    assert main(argv) == 1
+    line = _single_error_line(capsys)
+    assert str(bad) in line and "UTF-8" in line
+    assert not (tmp_path / "out").exists()

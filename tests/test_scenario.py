@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_SCENARIO, make_config
+from conftest import REFERENCE_SCENARIO, make_config, regime_report
 from ris_select import (
     ConfigSyntaxError,
     ConfigValidationError,
@@ -14,8 +14,6 @@ from ris_select import (
     incident_angle_factor,
     load_scenario,
     parse_scenario,
-    validate_approximation_regime,
-    watts_to_dbm,
 )
 
 
@@ -25,17 +23,6 @@ def test_dbm_reference_values():
     assert dbm_to_watts(43.0) == pytest.approx(19.952623149688797, rel=1e-14)
     assert dbm_to_watts(-96.0) == pytest.approx(10.0 ** -12.6, rel=1e-14)
     assert dbm_to_watts(-96.0) == pytest.approx(2.511886431509582e-13, rel=1e-14)
-
-
-def test_unit_round_trip():
-    for watts in np.logspace(-15, 3, 37):
-        back = dbm_to_watts(watts_to_dbm(watts))
-        assert abs(back - watts) / watts <= 1e-12
-
-
-def test_watts_to_dbm_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
 
 
 def test_load_reference_scenario():
@@ -212,20 +199,20 @@ def test_incident_angle_monotone_in_distance():
 
 
 def test_regime_isotropy_flags():
-    report = validate_approximation_regime(make_config())
+    report = regime_report(make_config())
     assert report.isotropic
     assert report.isotropy_ratio == pytest.approx(0.05, rel=1e-12)
 
-    equal = validate_approximation_regime(make_config(radiation_transmit=1.0))
+    equal = regime_report(make_config(radiation_transmit=1.0))
     assert equal.isotropic and equal.isotropy_ratio == 0.0
 
-    skewed = validate_approximation_regime(make_config(radiation_transmit=0.5))
+    skewed = regime_report(make_config(radiation_transmit=0.5))
     assert not skewed.isotropic
 
 
 def test_regime_high_snr_reference():
     # weakest hybrid user: transmission zone, SNR = eps_t * share / (2 L)
-    report = validate_approximation_regime(make_config())
+    report = regime_report(make_config())
     assert report.high_snr
     assert report.min_received_snr == pytest.approx(33.20553624817076, rel=1e-9)
     assert report.ok
@@ -233,7 +220,7 @@ def test_regime_high_snr_reference():
 
 def test_regime_low_snr_flagged():
     noisy = make_config(noise_variance=dbm_to_watts(-56.0))
-    report = validate_approximation_regime(noisy)
+    report = regime_report(noisy)
     assert not report.high_snr
     assert not report.ok
 

@@ -6,18 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import make_config, regime_report
 from ris_select import (
     RisType,
     asymptotic_checks,
     brute_force_optimal,
     dbm_to_watts,
     decide_type,
-    derivative_dominance,
     find_thresholds,
     link_budget,
     monotonicity_certificate,
-    validate_approximation_regime,
 )
 from ris_select.selection import (
     CertificateError,
@@ -353,33 +351,7 @@ def test_certificate_error_type_exists():
     assert issubclass(CertificateError, RuntimeError)
 
 
-# --- slope dominance and asymptotics -----------------------------------------------
-
-def test_dominance_at_reference():
-    cfg, budget = _cfg_and_budget()
-    report = derivative_dominance(cfg, budget)
-    assert report.log_pattern_term == pytest.approx(-0.07400058144377693, rel=1e-12)
-    assert report.mismatch_reflect == pytest.approx(1.0 / 0.95 - 1.0, rel=1e-12)
-    assert report.mismatch_transmit == pytest.approx(1.0 - 0.95, rel=1e-12)
-    assert report.ratio > 10.0
-    assert report.dominant
-
-
-def test_dominance_isotropic_log_term_vanishes():
-    cfg, budget = _cfg_and_budget(radiation_transmit=1.0)
-    report = derivative_dominance(cfg, budget)
-    assert report.log_pattern_term == 0.0
-    assert report.mismatch_reflect == 0.0
-    assert report.mismatch_transmit == 0.0
-
-
-def test_dominance_rejects_clamped_share():
-    cfg, budget = _cfg_and_budget(radiation_reflect=1.0, radiation_transmit=0.02,
-                                  users_transmission=9, bs_ris_distance=200.0,
-                                  ris_ue_distance=200.0)
-    with pytest.raises(ValueError, match="decomposition not applicable"):
-        derivative_dominance(cfg, budget)
-
+# --- asymptotics -----------------------------------------------------------------
 
 def test_asymptotic_scale_equals_link_constant_times_panel():
     for overrides in ({}, {"rows": 100, "cols": 100, "bs_ris_distance": 100.0,
@@ -387,8 +359,34 @@ def test_asymptotic_scale_equals_link_constant_times_panel():
                       {"wavelength": 0.05, "pathloss_exponent": 2.5}):
         cfg, budget = _cfg_and_budget(**overrides)
         diag = asymptotic_checks(cfg, budget)
-        assert diag.element_count_scale == pytest.approx(
-            budget.link_constant * cfg.panel.element_count, rel=1e-12)
+        # the size-free scale from first principles, independent of link_budget:
+        # 64 pi^3 (D d)^alpha sigma^2 / (P_T lambda^2 G l_M l_N G_I cos^2 K_t)
+        panel = cfg.panel
+        dh = cfg.bs_height - cfg.ris_height
+        cos_sq = (cfg.bs_ris_distance ** 2 - dh ** 2) / cfg.bs_ris_distance ** 2
+        scale = 64.0 * math.pi ** 3 \
+            * (cfg.bs_ris_distance * cfg.ris_ue_distance) ** cfg.pathloss_exponent \
+            * cfg.noise_variance / (
+                cfg.transmit_power * cfg.wavelength ** 2 * cfg.antenna_gain
+                * panel.element_width * panel.element_height * panel.element_gain
+                * cos_sq * cfg.bs_antennas)
+        assert diag.element_count_scale == pytest.approx(scale, rel=1e-12)
+
+
+def test_asymptotic_slope_terms():
+    # the hybrid-slope decomposition terms at the reference split, and their
+    # vanishing when the two radiation constants agree
+    cfg, budget = _cfg_and_budget()
+    diag = asymptotic_checks(cfg, budget)
+    assert diag.log_pattern_term == pytest.approx(math.log2(0.95), rel=1e-12)
+    assert diag.log_pattern_term == pytest.approx(-0.07400058144377693, rel=1e-12)
+    assert diag.mismatch_reflect == pytest.approx(1.0 / 0.95 - 1.0, rel=1e-12)
+    assert diag.mismatch_transmit == pytest.approx(1.0 - 0.95, rel=1e-12)
+    assert diag.mismatch_term > 0.0
+    cfg, budget = _cfg_and_budget(radiation_transmit=1.0)
+    diag = asymptotic_checks(cfg, budget)
+    assert diag.log_pattern_term == 0.0
+    assert diag.mismatch_reflect == diag.mismatch_transmit == diag.mismatch_term == 0.0
 
 
 def test_asymptotic_exponents_symmetric_case():
@@ -461,7 +459,7 @@ def test_hybrid_transmit_gap_estimate_accuracy():
                        ris_ue_distance=200.0,
                        transmit_power=dbm_to_watts(68.0))
     budget = link_budget(base)
-    assert validate_approximation_regime(base).ok
+    assert regime_report(base).ok
     for split in range(1, 10):
         cfg = replace(base, users_transmission=split)
         diag = asymptotic_checks(cfg, budget)
@@ -475,5 +473,3 @@ def test_asymptotics_need_both_zones():
     cfg, budget = _cfg_and_budget(users_transmission=0)
     with pytest.raises(ValueError):
         asymptotic_checks(cfg, budget)
-    with pytest.raises(ValueError):
-        derivative_dominance(cfg, budget)

@@ -1,0 +1,38 @@
+"""Module layout: no imports inside functions, traced names still resolve."""
+
+import ast
+import importlib
+import importlib.util
+
+from conftest import REPO_ROOT
+
+PACKAGE = REPO_ROOT / "src" / "ris_select"
+
+
+def test_no_function_level_imports():
+    # every module imports its dependencies at the top, so the import graph
+    # has no hidden lazy cycles
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, found
+
+
+def test_layer_trace_names_resolve():
+    # bench/run.py --trace 1 wraps these names by getattr on each module
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", REPO_ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = [f"{layer}.{name}" for layer, names in layertrace.LAYERS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"ris_select.{layer}"),
+                                       name, None))]
+    assert not missing, missing
+    channel = importlib.import_module("ris_select.channel")
+    assert channel.FADING_LAWS and all(callable(law) for law in channel.FADING_LAWS.values())
