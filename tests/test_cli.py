@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +211,24 @@ def test_preset_fig2c_decision_pattern(tmp_path):
         best = max(float(r[2]) for r in rows if r[0] == row[0])
         if decision == "H":
             assert float(row[2]) == best
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("preset", ["fig2b", "fig2c"])
+def test_closed_form_presets_match_golden_files(tmp_path, preset):
+    # the closed-form preset CSVs are a fixed function of the reference
+    # scenario; tests/data holds them as recorded, and any change to a byte
+    # of them is an output change that has to be made on purpose
+    rc = main(["--scenario", str(REFERENCE_SCENARIO), "--preset", preset,
+               "--out", str(tmp_path), "--seed", "7"])
+    assert rc == 0
+    golden = sorted(GOLDEN.glob(f"{preset}_*.csv"))
+    assert [p.name for p in golden] == sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert len(golden) == 3
+    for path in golden:
+        assert (tmp_path / path.name).read_text() == path.read_text(), path.name
 
 
 def test_sweep_reproducibility_and_seed_sensitivity(tmp_path):
