@@ -7,11 +7,8 @@ from .capacity import (
     average_snr,
     closed_form_rate,
     ergodic_rate_exact,
-    hybrid_rate,
-    hybrid_reflect_fraction,
     monte_carlo_capacity,
-    reflective_rate,
-    transmissive_rate,
+    type_curves,
     upper_bound,
 )
 from .channel import (

@@ -7,9 +7,11 @@ so the Monte Carlo estimator and the closed forms share the same allocation.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,72 +21,86 @@ from .scenario import RisType, ScenarioConfig, reflection_zone_mask
 LN2 = math.log(2.0)
 
 
-def _log2_1p(x: float) -> float:
-    return math.log1p(x) / LN2
+# --- the surface types: one rule each ------------------------------------------
+
+def hybrid_share(n_other, n_total, radiation_own, radiation_other,
+                 link_constant):
+    """Unclamped optimal per-user power share of a hybrid user in one zone,
+    with n_other of the n_total users in the other zone:
+    L (2 n_other / n) (1/eps_other - 1/eps_own) + 1/n. The two zones'
+    shares sum to one over the users and equalize 2 L / eps + share, the
+    water-filling optimum of the hybrid rate."""
+    return link_constant * (2.0 * n_other / n_total) \
+        * (1.0 / radiation_other - 1.0 / radiation_own) + 1.0 / n_total
 
 
-# --- scalar rate curves (user counts may be fractional) -----------------------
+def type_curves(cfg: ScenarioConfig, budget: LinkBudget):
+    """Each surface type's rate curve and per-zone power shares.
 
-def reflective_rate(n_reflect: float, radiation_reflect: float,
-                    link_constant: float) -> float:
-    """Sum rate serving only the reflection zone, power split equally."""
-    if n_reflect <= 0.0:
-        return 0.0
-    return n_reflect * _log2_1p(radiation_reflect / (link_constant * n_reflect))
+    Returns a read-only mapping RisType -> (rate, shares), in RisType order,
+    of functions of the number x of transmission-zone users out of
+    cfg.users_total, continuous on [0, S]: rate(x) is the closed-form sum
+    rate in bits/s/Hz and shares(x) the per-user fractions of the transmit
+    power (reflection zone, transmission zone). This is the one place each
+    type's rule is written:
 
+    * reflective and transmissive: all energy goes to one side, whose users
+      split the power equally; the other zone gets nothing.
+    * hybrid: each element sends half its energy to either side. A
+      reflection-zone user gets hybrid_share clamped to [0, 1/n_R] (0 when
+      the zone is empty), and the transmission zone splits the rest.
 
-def transmissive_rate(n_transmit: float, radiation_transmit: float,
-                      link_constant: float) -> float:
-    """Sum rate serving only the transmission zone, power split equally."""
-    if n_transmit <= 0.0:
-        return 0.0
-    return n_transmit * _log2_1p(radiation_transmit / (link_constant * n_transmit))
+    A user's averaged SNR is eps_zone * amplitude_zone^2 * share / L, with
+    L = budget.link_constant, and a zone without users adds nothing to the
+    rate (n log2(1 + c/n) extends continuously to 0 at n = 0).
 
-
-def hybrid_reflect_fraction(n_transmit: float, n_total: float,
-                            radiation_reflect: float, radiation_transmit: float,
-                            link_constant: float, simplified: bool = False) -> float:
-    """Optimal per-user power share for reflection-zone users (hybrid mode).
-
-    The unconstrained optimum is
-        L * (2 n_T / n) * (1/eps_t - 1/eps_r) + 1/n,
-    clamped to [0, 1/n_R] so the transmission-zone share stays feasible.
-    `simplified=True` returns the unclamped value, which is the form the
-    asymptotic diagnostics differentiate. When the reflection zone is empty
-    the share is irrelevant; 0.0 is returned so the transmission zone gets
-    the whole budget.
+    The curves depend on (S, eps_r, eps_t, L) alone, none of which moves
+    along a user-split sweep, so they are built once per distinct tuple (a
+    bounded LRU cache) rather than on every allocation or closed form.
     """
-    raw = link_constant * (2.0 * n_transmit / n_total) \
-        * (1.0 / radiation_transmit - 1.0 / radiation_reflect) + 1.0 / n_total
-    if simplified:
-        return raw
-    n_reflect = n_total - n_transmit
-    if n_reflect <= 0.0:
-        return 0.0
-    return min(max(raw, 0.0), 1.0 / n_reflect)
+    panel = cfg.panel
+    return _type_curves(cfg.users_total, panel.radiation_reflect,
+                        panel.radiation_transmit, budget.link_constant)
 
 
-def hybrid_rate(n_transmit: float, n_total: float, radiation_reflect: float,
-                radiation_transmit: float, link_constant: float,
-                reflect_fraction: float | None = None) -> float:
-    """Sum rate of the hybrid mode; both zones served, energy split halved.
+@functools.lru_cache(maxsize=32)
+def _type_curves(s, eps_r, eps_t, big_l):
+    def single_zone(reflective: bool):
+        eps = eps_r if reflective else eps_t
 
-    Uses the clamped optimal reflect fraction unless one is supplied. Empty
-    zones contribute zero (the n*log2(1 + c/n) terms extend continuously to
-    zero at n = 0).
-    """
-    n_reflect = n_total - n_transmit
-    lam = reflect_fraction
-    if lam is None:
-        lam = hybrid_reflect_fraction(n_transmit, n_total, radiation_reflect,
-                                      radiation_transmit, link_constant)
-    rate = 0.0
-    if n_reflect > 0.0:
-        rate += n_reflect * _log2_1p(radiation_reflect * lam / (2.0 * link_constant))
-    if n_transmit > 0.0:
-        share = (1.0 - n_reflect * lam) / n_transmit
-        rate += n_transmit * _log2_1p(radiation_transmit * share / (2.0 * link_constant))
-    return rate
+        def rate(x):
+            n = s - x if reflective else x
+            return n * (math.log1p(eps / (big_l * n)) / LN2) if n > 0.0 else 0.0
+
+        def shares(x):
+            n = s - x if reflective else x
+            share = 1.0 / n if n > 0.0 else 0.0
+            return (share, 0.0) if reflective else (0.0, share)
+
+        return rate, shares
+
+    def hybrid_shares(x):
+        n_r = s - x
+        lam = 0.0
+        if n_r > 0.0:
+            lam = min(max(hybrid_share(x, s, eps_r, eps_t, big_l), 0.0), 1.0 / n_r)
+        return lam, ((1.0 - n_r * lam) / x if x > 0.0 else 0.0)
+
+    def hybrid_rate(x):
+        lam, share = hybrid_shares(x)
+        n_r = s - x
+        total = 0.0
+        if n_r > 0.0:
+            total += n_r * (math.log1p(eps_r * lam / (2.0 * big_l)) / LN2)
+        if x > 0.0:
+            total += x * (math.log1p(eps_t * share / (2.0 * big_l)) / LN2)
+        return total
+
+    return MappingProxyType({
+        RisType.REFLECTIVE: single_zone(True),
+        RisType.TRANSMISSIVE: single_zone(False),
+        RisType.HYBRID: (hybrid_rate, hybrid_shares),
+    })
 
 
 # --- allocation ----------------------------------------------------------------
@@ -110,40 +126,21 @@ class PowerAllocation:
 
 def allocate_power(cfg: ScenarioConfig, ris_type: RisType,
                    budget: LinkBudget) -> PowerAllocation:
-    """Long-term power split for one surface type.
-
-    Reflective and transmissive modes put equal shares on their own zone and
-    nothing on the other. The hybrid mode gives every reflection-zone user
-    the clamped optimal fraction and spreads the remainder equally over the
-    transmission zone. An empty served set yields the all-zero allocation and
-    a warning.
+    """Long-term power split for one surface type: the shares of
+    type_curves at the configured split. `reflect_fraction` is the hybrid
+    reflection-zone share (None for the single-zone types). An empty served
+    set yields the all-zero allocation and a warning.
     """
-    s = cfg.users_total
-    s_r = cfg.users_reflection
-    s_t = cfg.users_transmission
-    per_ue = np.zeros(s)
-    lam = None
-
-    if ris_type is RisType.REFLECTIVE:
-        if s_r == 0:
-            warnings.warn("no served UEs: reflective surface with an empty "
-                          "reflection zone", stacklevel=2)
-        else:
-            per_ue[:s_r] = 1.0 / s_r
-    elif ris_type is RisType.TRANSMISSIVE:
-        if s_t == 0:
-            warnings.warn("no served UEs: transmissive surface with an empty "
-                          "transmission zone", stacklevel=2)
-        else:
-            per_ue[s_r:] = 1.0 / s_t
-    else:
-        panel = cfg.panel
-        lam = hybrid_reflect_fraction(s_t, s, panel.radiation_reflect,
-                                      panel.radiation_transmit, budget.link_constant)
-        per_ue[:s_r] = lam
-        if s_t > 0:
-            per_ue[s_r:] = (1.0 - s_r * lam) / s_t
-    return PowerAllocation(per_ue=per_ue, reflect_fraction=lam, scheme=ris_type)
+    _, shares = type_curves(cfg, budget)[ris_type]
+    share_r, share_t = shares(cfg.users_transmission)
+    if share_r == share_t == 0.0:
+        zone = "reflection" if ris_type is RisType.REFLECTIVE else "transmission"
+        warnings.warn(f"no served UEs: {ris_type.value} surface with an empty "
+                      f"{zone} zone", stacklevel=2)
+    return PowerAllocation(
+        per_ue=[share_r] * cfg.users_reflection + [share_t] * cfg.users_transmission,
+        reflect_fraction=share_r if ris_type is RisType.HYBRID else None,
+        scheme=ris_type)
 
 
 # --- rate evaluation -------------------------------------------------------------
@@ -164,14 +161,8 @@ class CapacityReport:
 def closed_form_rate(cfg: ScenarioConfig, ris_type: RisType,
                      budget: LinkBudget) -> float:
     """Canonical sum rate of one type under its own long-term allocation."""
-    panel = cfg.panel
-    eps_r, eps_t = panel.radiation_reflect, panel.radiation_transmit
-    big_l = budget.link_constant
-    if ris_type is RisType.REFLECTIVE:
-        return reflective_rate(cfg.users_reflection, eps_r, big_l)
-    if ris_type is RisType.TRANSMISSIVE:
-        return transmissive_rate(cfg.users_transmission, eps_t, big_l)
-    return hybrid_rate(cfg.users_transmission, cfg.users_total, eps_r, eps_t, big_l)
+    rate, _ = type_curves(cfg, budget)[ris_type]
+    return rate(cfg.users_transmission)
 
 
 def average_snr(cfg: ScenarioConfig, ris_type: RisType, alloc: PowerAllocation,
@@ -185,8 +176,8 @@ def average_snr(cfg: ScenarioConfig, ris_type: RisType, alloc: PowerAllocation,
     """
     mask = reflection_zone_mask(cfg)
     beta = np.where(mask, budget.avg_pathloss_reflect, budget.avg_pathloss_transmit)
-    gamma_sq = np.where(mask, ris_type.amplitude_reflect ** 2,
-                        ris_type.amplitude_transmit ** 2)
+    gamma_sq = np.where(mask, ris_type.amplitude(True) ** 2,
+                        ris_type.amplitude(False) ** 2)
     return (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue * beta \
         * cfg.bs_antennas * cfg.panel.element_count * gamma_sq
 
@@ -280,7 +271,7 @@ def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
         rates = np.sum(np.log1p(scale * row_gamma), axis=1) / LN2
     else:
         gain = (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue
-        draw = prepare_sampler(cfg, ris_type, fading)
+        draw = prepare_sampler(cfg, ris_type, budget, fading)
         rates = np.empty(trials)
         for t in range(trials):
             entries = draw(base + (t,))

@@ -148,7 +148,8 @@ def element_coefficients(panel, ris_type: RisType, reflection_zone: bool) -> np.
     return amp * np.exp(-1j * phases).ravel()
 
 
-def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, fading="gaussian"):
+def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, budget: LinkBudget,
+                    fading="gaussian"):
     """Build a draw(seed) -> entries closure with the per-config setup hoisted.
 
     Entry (s, k) of draw(seed) is sqrt(beta_zone(s)) times the sum over
@@ -157,7 +158,6 @@ def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, fading="gaussian"):
     that layout is fixed, so a seed always gives a bit-identical matrix.
     """
     law = resolve_fading(fading)
-    budget = link_budget(cfg)
     panel = cfg.panel
     mask = reflection_zone_mask(cfg)
 

@@ -64,7 +64,6 @@ SEED_ENV_VAR = "RIS_SELECT_SEED"
 SEED_LIMIT = 2 ** 32
 DEFAULT_TRIALS = 100
 MC_SAMPLER = "aggregate"
-TYPE_ORDER = (RisType.REFLECTIVE, RisType.TRANSMISSIVE, RisType.HYBRID)
 SWEEP_AXES = ("transmit_power_dbm", "users_transmission", "ris_rows_cols", "distances")
 INTEGER_AXES = ("users_transmission", "ris_rows_cols")
 SWEEP_OUTPUTS = ("closed_form", "upper_bound", "monte_carlo", "decision", "diagnostics")
@@ -302,7 +301,7 @@ def _evaluate_cell(cfg: ScenarioConfig, outputs, trials: int, seed: tuple) -> _C
     """
     budget = link_budget(cfg)
     reports, exact = {}, {}
-    for index, ris_type in enumerate(TYPE_ORDER):
+    for index, ris_type in enumerate(RisType):
         alloc = allocate_power(cfg, ris_type, budget)
         if "monte_carlo" in outputs:
             reports[ris_type] = monte_carlo_capacity(
@@ -329,6 +328,18 @@ def _evaluate_cell(cfg: ScenarioConfig, outputs, trials: int, seed: tuple) -> _C
         diagnostics = asymptotic_checks(cfg, budget)
     return _Cell(budget, regime, reports, exact, decision, violation, winner,
                  diagnostics)
+
+
+def _strict_failure(cell: _Cell) -> RegimeViolationError | None:
+    """Why --strict rejects a cell: a failing regime report, else a broken
+    condition table; None when neither applies."""
+    regime = cell.regime
+    if not regime.ok:
+        return RegimeViolationError(
+            f"approximation regime check failed (isotropy ratio "
+            f"{regime.isotropy_ratio:.4g}, min received SNR "
+            f"{regime.min_received_snr:.4g})", regime)
+    return cell.violation
 
 
 def _load(scenario_path: Path) -> ScenarioConfig | None:
@@ -358,14 +369,9 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         print(f"error: {exc}", file=sys.stderr)
         return 2 if strict else 1
 
-    regime = cell.regime
-    if strict and not regime.ok:
-        print(f"error: approximation regime check failed "
-              f"(isotropy ratio {regime.isotropy_ratio:.4g}, "
-              f"min received SNR {regime.min_received_snr:.4g})", file=sys.stderr)
-        return 2
-    if strict and cell.violation is not None:
-        print(f"error: {cell.violation}", file=sys.stderr)
+    failure = _strict_failure(cell) if strict else None
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         return 2
 
     record = {
@@ -375,9 +381,9 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         "seed": seed,
         "sampler": MC_SAMPLER,
         "link_budget": _jsonable(cell.budget),
-        "regime": _jsonable(regime),
-        "capacity": {t.value: {**_jsonable(cell.reports[t]), "ergodic_exact": cell.exact[t]}
-                     for t in TYPE_ORDER},
+        "regime": _jsonable(cell.regime),
+        "capacity": {t.value: {**_jsonable(report), "ergodic_exact": cell.exact[t]}
+                     for t, report in cell.reports.items()},
     }
     decision = cell.decision
     if decision is not None:
@@ -405,7 +411,7 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         return 1
 
     rates_text = " ".join(
-        f"{t.letter}={cell.reports[t].closed_form:.3f}" for t in TYPE_ORDER)
+        f"{t.letter}={report.closed_form:.3f}" for t, report in cell.reports.items())
     print(f"optimal={cell.winner.value} ({note}) rates[b/s/Hz]: {rates_text}{splits}")
     return 0
 
@@ -429,12 +435,12 @@ def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
     for axis_index, value in enumerate(spec.values):
         cell = _evaluate_cell(apply_axis_value(cfg, spec.axis, value), outputs,
                               spec.trials, (spec.base_seed, axis_index))
-        if strict and cell.violation is not None:
-            raise cell.violation
+        failure = _strict_failure(cell) if strict else None
+        if failure is not None:
+            raise failure
         decision_letter = cell.winner.letter if cell.winner is not None else ""
         agrees = cell.decision.agrees if cell.decision is not None else None
-        for ris_type in TYPE_ORDER:
-            report = cell.reports[ris_type]
+        for ris_type, report in cell.reports.items():
             rows.append(",".join([
                 _fmt(value), ris_type.letter,
                 _fmt(report.closed_form if "closed_form" in outputs else None),

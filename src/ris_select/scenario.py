@@ -57,14 +57,6 @@ class RisType(enum.Enum):
     TRANSMISSIVE = "transmissive"
     HYBRID = "hybrid"
 
-    @property
-    def amplitude_reflect(self) -> float:
-        return _AMPLITUDES[self][0]
-
-    @property
-    def amplitude_transmit(self) -> float:
-        return _AMPLITUDES[self][1]
-
     def amplitude(self, reflection_zone: bool) -> float:
         return _AMPLITUDES[self][0 if reflection_zone else 1]
 

@@ -21,10 +21,8 @@ from .capacity import (
     LN2,
     allocate_power,
     average_snr,
-    hybrid_rate,
-    hybrid_reflect_fraction,
-    reflective_rate,
-    transmissive_rate,
+    hybrid_share,
+    type_curves,
 )
 from .channel import LinkBudget, link_budget
 from .scenario import (
@@ -41,7 +39,9 @@ FD_STEP = 1e-6
 
 
 class RegimeViolationError(RuntimeError):
-    """A difference curve broke the monotonicity the condition table assumes."""
+    """The closed forms left the regime the condition table assumes: a
+    difference curve broke monotonicity (or, under the CLI's --strict, the
+    regime report failed). Carries the regime report."""
 
     def __init__(self, message: str, regime: RegimeReport):
         super().__init__(message)
@@ -55,21 +55,8 @@ class CertificateError(RuntimeError):
 # --- rate curves over the continuous user split --------------------------------
 
 def _curves(cfg: ScenarioConfig, budget: LinkBudget):
-    panel = cfg.panel
-    eps_r, eps_t = panel.radiation_reflect, panel.radiation_transmit
-    big_l = budget.link_constant
-    s = float(cfg.users_total)
-
-    def c_reflect(x):
-        return reflective_rate(s - x, eps_r, big_l)
-
-    def c_transmit(x):
-        return transmissive_rate(x, eps_t, big_l)
-
-    def c_hybrid(x):
-        return hybrid_rate(x, s, eps_r, eps_t, big_l)
-
-    return c_reflect, c_transmit, c_hybrid
+    """The rate curves of the three types, in RisType order (R, T, H)."""
+    return tuple(rate for rate, _ in type_curves(cfg, budget).values())
 
 
 def _f_lemma(x: float) -> float:
@@ -82,19 +69,14 @@ def _f_lemma(x: float) -> float:
     return x * math.log1p(e) - e
 
 
-def transmissive_rate_derivative(n_transmit: float, radiation_transmit: float,
-                                 link_constant: float) -> float:
-    """Analytic slope of the transmissive rate in the user split."""
-    x = 1.0 + radiation_transmit / (link_constant * n_transmit)
+def single_zone_slope(n_served: float, radiation: float,
+                      link_constant: float) -> float:
+    """Analytic derivative in n of n log2(1 + eps / (L n)), the rate of n
+    users sharing a single-zone type's power: f(x) / (x ln 2) with
+    x = 1 + eps / (L n). The transmissive curve's slope in the split x is
+    this at n = x; the reflective curve's is minus this at n = S - x."""
+    x = 1.0 + radiation / (link_constant * n_served)
     return _f_lemma(x) / (LN2 * x)
-
-
-def reflective_rate_derivative(n_transmit: float, n_total: float,
-                               radiation_reflect: float,
-                               link_constant: float) -> float:
-    """Analytic slope of the reflective rate in the user split (negative)."""
-    x = 1.0 + radiation_reflect / (link_constant * (n_total - n_transmit))
-    return -_f_lemma(x) / (LN2 * x)
 
 
 def _regime_report(cfg: ScenarioConfig, budget: LinkBudget) -> RegimeReport:
@@ -251,13 +233,8 @@ def brute_force_optimal(cfg: ScenarioConfig, budget: LinkBudget):
     Returns (winner, rates) with rates keyed by RisType. Ties prefer
     reflective over transmissive over hybrid.
     """
-    c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
     x = float(cfg.users_transmission)
-    rates = {
-        RisType.REFLECTIVE: c_reflect(x),
-        RisType.TRANSMISSIVE: c_transmit(x),
-        RisType.HYBRID: c_hybrid(x),
-    }
+    rates = {t: rate(x) for t, (rate, _) in type_curves(cfg, budget).items()}
     # max keeps the first of equal rates, in the dict's R, T, H order
     return max(rates, key=rates.get), rates
 
@@ -406,7 +383,6 @@ def monotonicity_certificate(cfg: ScenarioConfig, budget: LinkBudget,
     if cfg.users_total < 3:
         raise ValueError("certificate needs at least three users")
     panel = cfg.panel
-    eps_r, eps_t = panel.radiation_reflect, panel.radiation_transmit
     big_l = budget.link_constant
     s = float(cfg.users_total)
     c_reflect, c_transmit, _ = _curves(cfg, budget)
@@ -416,8 +392,8 @@ def monotonicity_certificate(cfg: ScenarioConfig, budget: LinkBudget,
     reflect_slope = np.empty_like(grid)
     worst = 0.0
     for i, x in enumerate(grid):
-        ct_slope = transmissive_rate_derivative(x, eps_t, big_l)
-        cr_slope = reflective_rate_derivative(x, s, eps_r, big_l)
+        ct_slope = single_zone_slope(x, panel.radiation_transmit, big_l)
+        cr_slope = -single_zone_slope(s - x, panel.radiation_reflect, big_l)
         fd_ct = (c_transmit(x + FD_STEP) - c_transmit(x - FD_STEP)) / (2.0 * FD_STEP)
         fd_cr = (c_reflect(x + FD_STEP) - c_reflect(x - FD_STEP)) / (2.0 * FD_STEP)
         err_ct = abs(fd_ct - ct_slope) / abs(ct_slope)
@@ -463,6 +439,16 @@ class AsymptoticDiagnostics:
     element_count_scale * 2 ** max(reflect_exponent, transmit_exponent).
     `hybrid_vs_transmit_approx` is the high-SNR estimate of the hybrid minus
     transmissive rate gap.
+
+    `log_pattern_term + mismatch_term` is the slope of the hybrid rate curve
+    in the user split at the configured split, taken at the unclamped
+    optimal shares (capacity.hybrid_share for each zone): by the envelope
+    theorem the slope splits into log2(eps_t / eps_r) and an amplitude
+    mismatch term that vanishes when eps_r = eps_t. When the reflection
+    share is clamped (hybrid_share outside [0, 1/n_R]), the allocation sits
+    on a bound where the envelope theorem does not apply; both terms are
+    still reported for the unclamped optimum, which then puts negative
+    power on one zone, and their sum is not the slope of the hybrid curve.
     """
 
     element_count_scale: float
@@ -501,13 +487,13 @@ def asymptotic_checks(cfg: ScenarioConfig, budget: LinkBudget) -> AsymptoticDiag
 
     approx = (-s + s_r * log2(eps_t) - s * log2(s) + s_t * log2(s_t)
               - s_r * log2(big_l))
-    # slope decomposition of the hybrid curve under the unclamped share
-    lam = hybrid_reflect_fraction(s_t, s, eps_r, eps_t, big_l, simplified=True)
-    share = (1.0 - s_r * lam) / s_t
+    # slope decomposition of the hybrid curve at the unclamped optimum
+    lam = hybrid_share(s_t, s, eps_r, eps_t, big_l)
+    share = hybrid_share(s_r, s, eps_t, eps_r, big_l)
     mm_r = eps_r / eps_t - 1.0
     mm_t = 1.0 - eps_t / eps_r
     mismatch_term = (s_r / s) * mm_r / (LN2 * (1.0 + eps_r * lam / (2.0 * big_l))) \
-        + (s_t / s) * mm_t / (1.0 + eps_t * share / (2.0 * big_l))
+        + (s_t / s) * mm_t / (LN2 * (1.0 + eps_t * share / (2.0 * big_l)))
     return AsymptoticDiagnostics(
         element_count_scale=scale,
         reflect_exponent=reflect_exp,

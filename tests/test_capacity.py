@@ -196,7 +196,7 @@ def test_monte_carlo_matches_scalar_brute_force():
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
     report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=1, base_seed=5)
 
-    entries = prepare_sampler(cfg, RisType.HYBRID)((5, 0))
+    entries = prepare_sampler(cfg, RisType.HYBRID, budget)((5, 0))
     expected = 0.0
     for s in range(2):
         row_power = sum(abs(entries[s, k]) ** 2 for k in range(1))
@@ -345,6 +345,24 @@ def test_aggregate_sampler_is_deterministic():
     other = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=50,
                                  base_seed=(5, 2), sampler="aggregate")
     assert other.monte_carlo_mean != first.monte_carlo_mean
+
+
+def test_element_sampler_uses_the_given_budget(monkeypatch):
+    import ris_select.channel as channel
+
+    cfg = make_config(rows=3, cols=3)
+    budget = link_budget(cfg)
+    alloc = allocate_power(cfg, RisType.HYBRID, budget)
+    expected = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=3,
+                                    base_seed=4)
+
+    def recomputed(cfg):
+        raise AssertionError("link_budget computed again")
+
+    monkeypatch.setattr(channel, "link_budget", recomputed)
+    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=3,
+                                  base_seed=4)
+    assert report == expected
 
 
 def test_aggregate_sampler_zero_allocation():

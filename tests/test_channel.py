@@ -76,7 +76,7 @@ def test_grazing_incidence_raises():
 
 def test_reflective_type_zeroes_transmission_rows():
     cfg = make_config(rows=4, cols=4, users_total=5, users_transmission=2)
-    entries = prepare_sampler(cfg, RisType.REFLECTIVE)(1)
+    entries = prepare_sampler(cfg, RisType.REFLECTIVE, link_budget(cfg))(1)
     assert np.all(entries[cfg.users_reflection:, :] == 0.0)
     assert np.all(entries[: cfg.users_reflection, :] != 0.0)
 
@@ -86,7 +86,7 @@ def test_single_element_reduction():
     cfg = make_config(rows=1, cols=1, users_total=2, users_transmission=1,
                       bs_antennas=3)
     seed = 99
-    entries = prepare_sampler(cfg, RisType.HYBRID)(seed)
+    entries = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))(seed)
     budget = link_budget(cfg)
     g = gaussian_fading(rng_for_seed(seed), (2, 3, 1))[:, :, 0]
     amp = np.array([math.sqrt(budget.avg_pathloss_reflect),
@@ -99,23 +99,23 @@ def test_channel_matrix_shape_and_finiteness():
     cfg = make_config(rows=5, cols=3, users_total=6, users_transmission=2,
                       bs_antennas=4)
     for law in sorted(FADING_LAWS):
-        entries = prepare_sampler(cfg, RisType.HYBRID, fading=law)(8)
+        entries = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg), fading=law)(8)
         assert entries.shape == (6, 4)
         assert np.all(np.isfinite(entries))
 
 
 def test_sampling_is_bit_deterministic():
     cfg = make_config(rows=6, cols=6)
-    a = prepare_sampler(cfg, RisType.HYBRID)(1234)
-    b = prepare_sampler(cfg, RisType.HYBRID)(1234)
-    c = prepare_sampler(cfg, RisType.HYBRID)(1235)
+    a = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))(1234)
+    b = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))(1234)
+    c = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))(1235)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_tuple_seeds_give_distinct_streams():
     cfg = make_config(rows=6, cols=6)
-    draw = prepare_sampler(cfg, RisType.HYBRID)
+    draw = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))
     assert not np.array_equal(draw((7, 0)), draw((7, 1)))
 
 
@@ -124,7 +124,7 @@ def test_zero_mean_and_variance_law():
     budget = link_budget(cfg)
     mn = cfg.panel.element_count
     trials = 2500
-    draw = prepare_sampler(cfg, RisType.HYBRID)
+    draw = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))
     entries = np.stack([draw((5, t)) for t in range(trials)])
 
     mask = np.zeros(cfg.users_total, bool)
@@ -147,7 +147,7 @@ def test_hybrid_energy_split_conserved():
     budget = link_budget(cfg)
     mn = cfg.panel.element_count
     trials = 2500
-    draw = prepare_sampler(cfg, RisType.HYBRID)
+    draw = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))
     entries = np.stack([draw((6, t)) for t in range(trials)])
     s_r = cfg.users_reflection
 
@@ -169,7 +169,7 @@ def test_magnitude_distribution_ignores_phase_grid():
     trials = 4000
 
     def mean_power(cfg, tag):
-        draw = prepare_sampler(cfg, RisType.HYBRID)
+        draw = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))
         samples = np.stack([draw((tag, t)) for t in range(trials)])
         return np.abs(samples) ** 2
 

@@ -113,6 +113,27 @@ def test_strict_flags_weak_regime(tmp_path, capsys):
     assert "regime" in capsys.readouterr().err
 
 
+def test_strict_regime_failure_exits_2_as_evaluation_and_as_sweep(tmp_path, capsys):
+    # the reference deployment at -20 dBm: the regime report fails on the
+    # received SNR floor, and --strict rejects it on either path
+    weak = tmp_path / "weak.cfg"
+    weak.write_text(REFERENCE_SCENARIO.read_text().replace(
+        "transmit_power_dbm = 43", "transmit_power_dbm = -20"))
+    spec = tmp_path / "point.cfg"
+    spec.write_text("axis = users_transmission\nvalues = 7\n"
+                    "outputs = closed_form, upper_bound, decision\n")
+    evaluate = ["--scenario", str(weak), "--trials", "2"]
+    sweep = ["--scenario", str(weak), "--sweep", str(spec)]
+    for argv in (evaluate, sweep):
+        assert main(argv + ["--out", str(tmp_path / "lenient")]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "strict"), "--strict"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "approximation regime check failed" in err[0], err
+        assert "min received SNR" in err[0]
+    assert not (tmp_path / "strict").exists() or not any((tmp_path / "strict").iterdir())
+
+
 def _mc_tolerance(cfg, trials):
     """Six standard deviations of a Monte Carlo mean of the sum rate.
 

@@ -164,14 +164,14 @@ def test_panel_radiation_bounds():
 
 
 def test_ris_type_amplitudes_conserve_energy():
-    assert (RisType.REFLECTIVE.amplitude_reflect,
-            RisType.REFLECTIVE.amplitude_transmit) == (1.0, 0.0)
-    assert (RisType.TRANSMISSIVE.amplitude_reflect,
-            RisType.TRANSMISSIVE.amplitude_transmit) == (0.0, 1.0)
-    assert RisType.HYBRID.amplitude_reflect ** 2 == pytest.approx(0.5, rel=1e-15)
-    assert RisType.HYBRID.amplitude_transmit ** 2 == pytest.approx(0.5, rel=1e-15)
+    assert (RisType.REFLECTIVE.amplitude(True),
+            RisType.REFLECTIVE.amplitude(False)) == (1.0, 0.0)
+    assert (RisType.TRANSMISSIVE.amplitude(True),
+            RisType.TRANSMISSIVE.amplitude(False)) == (0.0, 1.0)
+    assert RisType.HYBRID.amplitude(True) ** 2 == pytest.approx(0.5, rel=1e-15)
+    assert RisType.HYBRID.amplitude(False) ** 2 == pytest.approx(0.5, rel=1e-15)
     for ris_type in RisType:
-        total = ris_type.amplitude_reflect ** 2 + ris_type.amplitude_transmit ** 2
+        total = ris_type.amplitude(True) ** 2 + ris_type.amplitude(False) ** 2
         assert total == pytest.approx(1.0, rel=1e-15)
 
 

@@ -21,7 +21,7 @@ from ris_select.selection import (
     CertificateError,
     _f_lemma,
     _sign_pattern_monotone,
-    transmissive_rate_derivative,
+    single_zone_slope,
 )
 
 LN2 = math.log(2.0)
@@ -185,13 +185,16 @@ def test_non_monotone_difference_raises_with_regime(monkeypatch):
     import ris_select.selection as selection
 
     cfg, budget = _cfg_and_budget()
-    reference = selection.hybrid_rate
+    reference = selection.type_curves
 
-    def wiggly(n_transmit, n_total, eps_r, eps_t, big_l, reflect_fraction=None):
-        base = reference(n_transmit, n_total, eps_r, eps_t, big_l, reflect_fraction)
-        return base + 40.0 * math.sin(3.0 * math.pi * n_transmit)
+    def wiggly(cfg, budget):
+        curves = dict(reference(cfg, budget))
+        rate, shares = curves[RisType.HYBRID]
+        curves[RisType.HYBRID] = (
+            lambda x: rate(x) + 40.0 * math.sin(3.0 * math.pi * x), shares)
+        return curves
 
-    monkeypatch.setattr(selection, "hybrid_rate", wiggly)
+    monkeypatch.setattr(selection, "type_curves", wiggly)
     with pytest.raises(selection.RegimeViolationError,
                        match="approximation regime violated") as excinfo:
         find_thresholds(cfg, budget)
@@ -329,7 +332,7 @@ def test_certificate_derivative_matches_finite_difference_at_three():
     cfg, budget = _cfg_and_budget()
     eps_t = cfg.panel.radiation_transmit
     big_l = budget.link_constant
-    analytic = transmissive_rate_derivative(3.0, eps_t, big_l)
+    analytic = single_zone_slope(3.0, eps_t, big_l)
     h = 1e-6
 
     def rate(x):
@@ -387,6 +390,43 @@ def test_asymptotic_slope_terms():
     diag = asymptotic_checks(cfg, budget)
     assert diag.log_pattern_term == 0.0
     assert diag.mismatch_reflect == diag.mismatch_transmit == diag.mismatch_term == 0.0
+
+
+def test_hybrid_slope_terms_sum_to_the_curve_slope():
+    # oracle: a central difference of the hybrid rate, written out here from
+    # the water-filling share, over random deployments whose reflection
+    # share is not clamped
+    from conftest import random_config
+
+    def hybrid(x, s, eps_r, eps_t, big_l):
+        lam = big_l * (2.0 * x / s) * (1.0 / eps_t - 1.0 / eps_r) + 1.0 / s
+        share = (1.0 - (s - x) * lam) / x
+        return ((s - x) * math.log2(1.0 + eps_r * lam / (2.0 * big_l))
+                + x * math.log2(1.0 + eps_t * share / (2.0 * big_l)))
+
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 100:
+        cfg = random_config(rng)
+        s, x = cfg.users_total, cfg.users_transmission
+        if not 1 <= x <= s - 1:
+            continue
+        budget = link_budget(cfg)
+        eps_r, eps_t = cfg.panel.radiation_reflect, cfg.panel.radiation_transmit
+        big_l = budget.link_constant
+        lam = big_l * (2.0 * x / s) * (1.0 / eps_t - 1.0 / eps_r) + 1.0 / s
+        if not 0.01 < lam * (s - x) < 0.99:
+            continue  # clamped, or too close to a clamp for the difference
+        _, rates = brute_force_optimal(cfg, budget)
+        assert rates[RisType.HYBRID] == pytest.approx(
+            hybrid(x, s, eps_r, eps_t, big_l), rel=1e-12)
+        h = 1e-6
+        slope = (hybrid(x + h, s, eps_r, eps_t, big_l)
+                 - hybrid(x - h, s, eps_r, eps_t, big_l)) / (2.0 * h)
+        diag = asymptotic_checks(cfg, budget)
+        assert abs(diag.log_pattern_term + diag.mismatch_term - slope) \
+            <= 1e-6 * max(1.0, abs(slope)), (checked, slope)
+        checked += 1
 
 
 def test_asymptotic_exponents_symmetric_case():
