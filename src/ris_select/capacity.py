@@ -27,9 +27,9 @@ def hybrid_share(n_other, n_total, radiation_own, radiation_other,
                  link_constant):
     """Unclamped optimal per-user power share of a hybrid user in one zone,
     with n_other of the n_total users in the other zone:
-    L (2 n_other / n) (1/eps_other - 1/eps_own) + 1/n. The two zones'
-    shares sum to one over the users and equalize 2 L / eps + share, the
-    water-filling optimum of the hybrid rate."""
+    L (2 n_other / n) (1/eps_other - 1/eps_own) + 1/n. The shares of the
+    two zones satisfy n_R share_R + n_T share_T = 1 and equalize
+    2 L / eps + share, the water-filling optimum of the hybrid rate."""
     return link_constant * (2.0 * n_other / n_total) \
         * (1.0 / radiation_other - 1.0 / radiation_own) + 1.0 / n_total
 
