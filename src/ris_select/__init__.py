@@ -14,6 +14,7 @@ from .capacity import (
 from .channel import (
     DegenerateGeometryError,
     FADING_LAWS,
+    FadingLaw,
     LinkBudget,
     aggregated_gain_statistics,
     link_budget,

@@ -9,11 +9,21 @@ the whole aggregate.
 Sampling is pure given (config, type, seed): seeds are ints or tuples of
 ints keyed through SeedSequence, so per-trial substreams are cheap,
 replayable and safe to farm out in parallel.
+
+Each named fading law is a FadingLaw: an in-order `draw` that only calls
+the generator and a pure, row-wise `finish`. The per-element paths
+(prepare_sampler and zone_gain_statistics) draw blocks of rows in stream
+order on the calling thread and hand large blocks to at most two worker
+threads, which finish them and reduce them over the panel. A sample's bits
+depend only on the seed, never on the block size or the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +36,18 @@ from .scenario import (
 )
 
 _PATHLOSS_DENOM = 64.0 * math.pi ** 3
-_STAT_CHUNK = 512  # fixed draw-block size; part of the deterministic stream layout
+# Rows per zone_gain_statistics draw block. The draw stays in stream order
+# whatever the block size, so this sets memory and handoff granularity only.
+_STAT_CHUNK = 128
+# prepare_sampler groups whole user rows into blocks of about this many
+# values. Blocks smaller than this are finished on the calling thread, where
+# a thread handoff (about 0.1 ms) would cost more than it saves.
+_BLOCK_VALUES = 1 << 16
+_WORKERS = 2  # finishing threads; at most this many blocks are in flight
+# Values per matrix-vector call of the panel sum: small enough that a
+# multithreaded BLAS stays on the calling thread instead of waking a pool
+# that spins against the workers after every call.
+_GEMV_VALUES = 1 << 13
 
 
 class DegenerateGeometryError(ValueError):
@@ -84,26 +105,61 @@ def link_budget(cfg: ScenarioConfig) -> LinkBudget:
 
 # --- small-scale fading laws -------------------------------------------------
 
-def gaussian_fading(rng: np.random.Generator, shape) -> np.ndarray:
+@dataclass(frozen=True)
+class FadingLaw:
+    """A unit-variance fading law split where the generator is done.
+
+    `draw(rng, shape)` makes only generator calls, so draws must run in
+    stream order; `finish(raw)` is pure and row-wise (it may overwrite
+    `raw`) and turns the draw into complex samples of the given shape.
+    Calling the law runs both. Any other callable law(rng, shape) counts as
+    all draw: it runs whole on the calling thread.
+    """
+
+    draw: Callable
+    finish: Callable
+
+    def __call__(self, rng: np.random.Generator, shape) -> np.ndarray:
+        return self.finish(self.draw(rng, shape))
+
+
+def _normal_pairs(rng, shape):
+    return rng.standard_normal(tuple(shape) + (2,))
+
+
+def _circular_normal(pairs):
     """Circularly symmetric complex normal, unit variance per sample."""
-    z = rng.standard_normal(tuple(shape) + (2,))
-    z *= math.sqrt(0.5)
-    return z.view(np.complex128)[..., 0]
+    pairs *= math.sqrt(0.5)
+    return pairs.view(np.complex128)[..., 0]
 
 
-def uniform_phase_fading(rng: np.random.Generator, shape) -> np.ndarray:
+def _uniforms(rng, shape):
+    return rng.random(shape)
+
+
+def _unit_phasors(u):
     """Unit-modulus samples with uniform phase; mean 0, unit variance."""
-    theta = (2.0 * np.pi) * rng.random(shape)
-    out = np.empty(theta.shape, dtype=complex)
-    out.real = np.cos(theta)
-    out.imag = np.sin(theta)
+    u *= 2.0 * np.pi
+    out = np.empty(u.shape, dtype=complex)
+    np.cos(u, out=out.real)
+    np.sin(u, out=out.imag)
     return out
 
 
-def sign_fading(rng: np.random.Generator, shape) -> np.ndarray:
-    """Random +/-1, a two-point law with mean 0 and unit variance."""
-    return (rng.integers(0, 2, size=shape) * 2 - 1).astype(complex)
+def _bits(rng, shape):
+    return rng.integers(0, 2, size=shape)
 
+
+def _signs(bits):
+    """Random +/-1, a two-point law with mean 0 and unit variance."""
+    bits *= 2
+    bits -= 1
+    return bits.astype(complex)
+
+
+gaussian_fading = FadingLaw(_normal_pairs, _circular_normal)
+uniform_phase_fading = FadingLaw(_uniforms, _unit_phasors)
+sign_fading = FadingLaw(_bits, _signs)
 
 FADING_LAWS = {
     "gaussian": gaussian_fading,
@@ -139,6 +195,75 @@ def rng_for_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
+# --- blockwise panel sums --------------------------------------------------------
+
+def _row_bounds(rows: int, step: int) -> list:
+    """Cut points of `rows` rows in runs of `step`; a lone last row joins the
+    run before it."""
+    bounds = list(range(0, rows, step)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
+
+
+def _panel_sum(g, coeff, scale, out) -> None:
+    """out[...] = (g @ coeff) * scale, a few matrix rows per BLAS call.
+
+    g is (..., rows, M N) and coeff (..., M N, 1). A row's matrix-vector
+    product is the same whichever other rows share the call, but not when it
+    is alone (numpy then takes a dot product), so no call gets a lone row
+    unless the matrices have only one.
+    """
+    bounds = _row_bounds(g.shape[-2], max(2, _GEMV_VALUES // g.shape[-1]))
+    for start, stop in zip(bounds, bounds[1:]):
+        out[..., start:stop, :] = (g[..., start:stop, :] @ coeff) * scale
+
+
+def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the panel sums of blocks drawn in stream order.
+
+    Block (shape, coeff, scale, index) draws g = law(rng, shape), in list
+    order on the calling thread, and sets out[index] = (g @ coeff) * scale.
+    When there is more than one block and blocks hold at least _BLOCK_VALUES
+    values, each drawn block goes to a new worker thread that finishes and
+    reduces it while the next one is drawn, with at most _WORKERS blocks in
+    flight; otherwise the calling thread does it all. A worker's exception
+    is re-raised here once every worker has stopped.
+    """
+    draw, finish = (law.draw, law.finish) if isinstance(law, FadingLaw) \
+        else (law, np.asarray)
+    if len(blocks) < 2 or math.prod(blocks[0][0]) < _BLOCK_VALUES:
+        for shape, coeff, scale, index in blocks:
+            _panel_sum(finish(draw(rng, shape)), coeff, scale, out[index])
+        return out
+
+    errors = []
+
+    def work(raw, coeff, scale, index):
+        try:
+            _panel_sum(finish(raw), coeff, scale, out[index])
+        except Exception as exc:
+            errors.append(exc)
+
+    running = deque()
+    try:
+        for shape, coeff, scale, index in blocks:
+            if len(running) == _WORKERS:
+                running.popleft().join()
+            if errors:
+                break
+            worker = threading.Thread(target=work,
+                                      args=(draw(rng, shape), coeff, scale, index))
+            worker.start()
+            running.append(worker)
+    finally:
+        for worker in running:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
 # --- channel synthesis --------------------------------------------------------
 
 def element_coefficients(panel, ris_type: RisType, reflection_zone: bool) -> np.ndarray:
@@ -154,8 +279,10 @@ def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, budget: LinkBudget,
 
     Entry (s, k) of draw(seed) is sqrt(beta_zone(s)) times the sum over
     elements of g[s, k, element] * coefficient[zone(s), element], with g a
-    unit-variance fading block drawn in one law call of shape (S, K_t, M*N);
-    that layout is fixed, so a seed always gives a bit-identical matrix.
+    unit-variance fading block of shape (S, K_t, M*N) drawn in stream order,
+    a few whole user rows (K_t, M*N) at a time (one row on a large panel),
+    so a seed always gives a bit-identical matrix and a draw holds at most
+    two blocks, not the whole (S, K_t, M*N) array.
     """
     law = resolve_fading(fading)
     panel = cfg.panel
@@ -168,11 +295,15 @@ def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, budget: LinkBudget,
     amplitude = np.where(mask,
                          math.sqrt(budget.avg_pathloss_reflect),
                          math.sqrt(budget.avg_pathloss_transmit))[:, None]
-    shape = (cfg.users_total, cfg.bs_antennas, panel.element_count)
+    users, antennas, mn = cfg.users_total, cfg.bs_antennas, panel.element_count
+    bounds = _row_bounds(users, max(1, _BLOCK_VALUES // (antennas * mn)))
+    blocks = [((stop - start, antennas, mn), coeff[start:stop],
+               amplitude[start:stop, :, None], slice(start, stop))
+              for start, stop in zip(bounds, bounds[1:])]
 
     def draw(seed) -> np.ndarray:
-        g = law(rng_for_seed(seed), shape)
-        return np.matmul(g, coeff)[:, :, 0] * amplitude
+        out = np.empty((users, antennas, 1), dtype=complex)
+        return _reduce_blocks(law, rng_for_seed(seed), blocks, out)[:, :, 0]
 
     return draw
 
@@ -210,16 +341,14 @@ def _excess_kurtosis(x: np.ndarray) -> float:
 
 
 def _zone_statistics(coeff, mn, trials, law, seed, expected) -> GainStatistics:
-    samples = np.zeros(trials, dtype=complex)
+    samples = np.zeros((trials, 1), dtype=complex)
     if np.any(coeff != 0.0):
-        rng = rng_for_seed(seed)
         scale = 1.0 / math.sqrt(mn)
-        done = 0
-        while done < trials:
-            n = min(_STAT_CHUNK, trials - done)
-            g = law(rng, (n, mn))
-            samples[done:done + n] = (g @ coeff) * scale
-            done += n
+        bounds = _row_bounds(trials, _STAT_CHUNK)
+        blocks = [((stop - start, mn), coeff[:, None], scale, slice(start, stop))
+                  for start, stop in zip(bounds, bounds[1:])]
+        _reduce_blocks(law, rng_for_seed(seed), blocks, samples)
+    samples = samples[:, 0]
     mean = complex(samples.mean())
     centered = samples - mean
     sq = np.abs(centered) ** 2

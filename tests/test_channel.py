@@ -1,6 +1,7 @@
 """Link budget and channel sampling: formulas, statistics, determinism."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,13 +10,20 @@ from conftest import make_config
 from ris_select import (
     DegenerateGeometryError,
     FADING_LAWS,
+    FadingLaw,
     RisType,
     aggregated_gain_statistics,
     link_budget,
     prepare_sampler,
     zone_gain_statistics,
 )
-from ris_select.channel import gaussian_fading, resolve_fading, rng_for_seed
+from ris_select.channel import (
+    element_coefficients,
+    gaussian_fading,
+    resolve_fading,
+    rng_for_seed,
+    uniform_phase_fading,
+)
 
 
 def test_link_budget_reference_value():
@@ -229,3 +237,97 @@ def test_fading_laws_are_unit_variance():
         batch = law(rng, (20000,))
         assert abs(batch.mean()) < 0.02, name
         assert np.mean(np.abs(batch) ** 2) == pytest.approx(1.0, abs=0.03), name
+
+
+# --- the threaded element path: failures and plain callables -------------------
+
+class FinishFailed(RuntimeError):
+    pass
+
+
+def _run_with_watchdog(call, seconds=60.0):
+    """Run call() on its own thread; return the exception it raised (or None)
+    once it ends, failing the test if it is still running after `seconds`."""
+    outcome = []
+
+    def run():
+        try:
+            call()
+            outcome.append(None)
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(seconds)
+    assert not caller.is_alive(), "the element path hung"
+    return outcome[0], caller
+
+
+def test_worker_failure_propagates_with_its_own_type():
+    cfg = make_config()  # 2500 elements: each 128-row block goes to a worker
+    before = threading.active_count()
+    raised_on = []
+
+    def finish(raw):
+        raised_on.append(threading.current_thread())
+        raise FinishFailed("finish failed")
+
+    law = FadingLaw(gaussian_fading.draw, finish)
+    error, caller = _run_with_watchdog(
+        lambda: zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law))
+    assert isinstance(error, FinishFailed)
+    assert raised_on and caller not in raised_on
+    assert threading.active_count() == before
+
+
+def test_draw_failure_with_blocks_in_flight_leaves_no_thread():
+    cfg = make_config()
+    before = threading.active_count()
+    calls = []
+
+    def draw(rng, shape):
+        calls.append(shape)
+        if len(calls) == 4:
+            raise FinishFailed("draw failed")
+        return gaussian_fading.draw(rng, shape)
+
+    law = FadingLaw(draw, gaussian_fading.finish)
+    error, _ = _run_with_watchdog(
+        lambda: zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law))
+    assert isinstance(error, FinishFailed)
+    assert len(calls) == 4
+    assert threading.active_count() == before
+
+
+def test_plain_callable_law_matches_an_inline_reference():
+    cfg = make_config()
+    mn = cfg.panel.element_count
+    trials = 1000
+    callers = set()
+
+    def law(rng, shape):
+        callers.add(threading.current_thread())
+        return uniform_phase_fading(rng, shape)
+
+    stats = zone_gain_statistics(cfg, RisType.HYBRID, True, trials, fading=law, seed=8)
+    # a plain callable runs whole on the calling thread
+    assert callers == {threading.current_thread()}
+
+    # one whole-panel draw from the zone's stream and one product, no threads
+    g = uniform_phase_fading(rng_for_seed((8, 0)), (trials, mn))
+    coeff = element_coefficients(cfg.panel, RisType.HYBRID, True)
+    samples = (g @ coeff) * (1.0 / math.sqrt(mn))
+    mean = complex(samples.mean())
+    centered = samples - mean
+    sq = np.abs(centered) ** 2
+
+    def kurtosis(x):
+        m2 = float(np.mean(x * x))
+        return float(np.mean(x ** 4)) / (m2 * m2) - 3.0
+
+    assert stats.mean == mean
+    assert stats.variance == float(sq.mean())
+    assert stats.variance_stderr == float(sq.std(ddof=1) / math.sqrt(trials))
+    assert stats.kurtosis_real == kurtosis(centered.real)
+    assert stats.kurtosis_imag == kurtosis(centered.imag)

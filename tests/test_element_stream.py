@@ -80,3 +80,11 @@ def test_element_outputs_match_golden_file():
 def test_element_outputs_ignore_the_block_size(monkeypatch, block_rows):
     monkeypatch.setattr(channel, "_STAT_CHUNK", block_rows)
     assert element_stream(("odd_3x3",)) == _golden(("odd_3x3",))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_element_outputs_ignore_the_worker_count(monkeypatch, workers):
+    # every block of the 3x3 panel is handed to a worker thread
+    monkeypatch.setattr(channel, "_BLOCK_VALUES", 0)
+    monkeypatch.setattr(channel, "_WORKERS", workers)
+    assert element_stream(("odd_3x3",)) == _golden(("odd_3x3",))
