@@ -183,20 +183,23 @@ def average_snr(cfg: ScenarioConfig, ris_type: RisType, alloc: PowerAllocation,
 
 
 def upper_bound(cfg: ScenarioConfig, ris_type: RisType, alloc: PowerAllocation,
-                budget: LinkBudget) -> float:
+                budget: LinkBudget, *, snr=None) -> float:
     """Averaged-channel bound on the ergodic sum rate for a given allocation.
 
     Per user: log2(1 + average_snr). By Jensen's inequality this bounds the
     per-user ergodic rate E[log2(1 + average_snr * X / K_t)], where X / K_t
     is the unit-mean normalized row power. With the type's own allocation it
-    equals the closed form exactly.
+    equals the closed form exactly. Pass `snr` when the caller already holds
+    average_snr(cfg, ris_type, alloc, budget).
     """
-    return float(np.sum(np.log1p(average_snr(cfg, ris_type, alloc, budget))) / LN2)
+    if snr is None:
+        snr = average_snr(cfg, ris_type, alloc, budget)
+    return float(np.sum(np.log1p(snr)) / LN2)
 
 
 def ergodic_rate_exact(cfg: ScenarioConfig, ris_type: RisType,
                        alloc: PowerAllocation, budget: LinkBudget,
-                       points: int = 256) -> float:
+                       points: int = 256, *, snr=None) -> float:
     """Ergodic sum rate under i.i.d. complex Gaussian fading, without sampling.
 
     Each user's element sum is exactly complex normal for any phase grid, so
@@ -208,6 +211,7 @@ def ergodic_rate_exact(cfg: ScenarioConfig, ris_type: RisType,
     in a strip around the real u axis whose width does not depend on the SNR,
     so the error falls exponentially in `points` for every SNR and K_t; at
     the default it is at the level of float rounding for K_t up to 1024.
+    Pass `snr` when the caller already holds the average_snr vector.
     """
     if points < 2:
         raise ValueError("points must be at least 2")
@@ -219,8 +223,9 @@ def ergodic_rate_exact(cfg: ScenarioConfig, ris_type: RisType,
     u, step = np.linspace(lo, hi, points, retstep=True)
     x = np.exp(u)
     weights = np.exp(k * u - x - math.lgamma(k)) * step
-    scale = average_snr(cfg, ris_type, alloc, budget) / k
-    return float(np.sum(np.log1p(np.outer(scale, x)) @ weights) / LN2)
+    if snr is None:
+        snr = average_snr(cfg, ris_type, alloc, budget)
+    return float(np.sum(np.log1p(np.outer(snr / k, x)) @ weights) / LN2)
 
 
 SAMPLERS = ("element", "aggregate")
@@ -228,7 +233,8 @@ SAMPLERS = ("element", "aggregate")
 
 def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
                          alloc: PowerAllocation, budget: LinkBudget, trials: int,
-                         base_seed, fading="gaussian", sampler="element") -> CapacityReport:
+                         base_seed, fading="gaussian", sampler="element", *,
+                         snr=None) -> CapacityReport:
     """Estimate the ergodic sum rate by averaging over channel draws.
 
     Each trial draws an independent channel and computes the sum over users
@@ -252,6 +258,9 @@ def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
       users of log2(1 + average_snr_s * X_s / K_t). The law is that of
       "element" and the cost does not grow with the panel, but the stream
       differs.
+
+    The report's bound and the aggregate scale read one average_snr vector;
+    pass it as `snr` when the caller already holds it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -262,9 +271,11 @@ def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
         raise ValueError("the aggregate sampler requires gaussian fading; "
                          f"got {fading!r}")
     base = base_seed if isinstance(base_seed, tuple) else (base_seed,)
+    if snr is None:
+        snr = average_snr(cfg, ris_type, alloc, budget)
     if sampler == "aggregate":
         k, users = cfg.bs_antennas, cfg.users_total
-        scale = average_snr(cfg, ris_type, alloc, budget) / k
+        scale = snr / k
         row_gamma = np.empty((trials, users))
         for t in range(trials):
             row_gamma[t] = rng_for_seed(base + (t,)).standard_gamma(k, size=users)
@@ -281,7 +292,7 @@ def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
     stderr = float(rates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return CapacityReport(
         closed_form=closed_form_rate(cfg, ris_type, budget),
-        upper_bound=upper_bound(cfg, ris_type, alloc, budget),
+        upper_bound=upper_bound(cfg, ris_type, alloc, budget, snr=snr),
         monte_carlo_mean=mean,
         monte_carlo_stderr=stderr,
         trials=trials,

@@ -294,28 +294,30 @@ class _Cell:
 def _evaluate_cell(cfg: ScenarioConfig, outputs, trials: int, seed: tuple) -> _Cell:
     """Evaluate one deployment, deriving each number once.
 
-    The link budget is computed once; each type's allocation, closed form,
-    bound and (when asked for) Monte Carlo estimate and exact rate once; the
-    regime check reads the hybrid allocation's averaged SNR. Type i draws its
-    Monte Carlo trials from seed + (i,). Raises DegenerateGeometryError.
+    The link budget is computed once; each type's allocation, averaged SNR,
+    closed form, bound and (when asked for) Monte Carlo estimate and exact
+    rate once. The bound, the exact rate and the regime check (under the
+    hybrid allocation) all read that one SNR vector. Type i draws its Monte
+    Carlo trials from seed + (i,). Raises DegenerateGeometryError.
     """
     budget = link_budget(cfg)
     reports, exact = {}, {}
     for index, ris_type in enumerate(RisType):
         alloc = allocate_power(cfg, ris_type, budget)
+        snr = average_snr(cfg, ris_type, alloc, budget)
         if "monte_carlo" in outputs:
             reports[ris_type] = monte_carlo_capacity(
                 cfg, ris_type, alloc, budget, trials, base_seed=seed + (index,),
-                sampler=MC_SAMPLER)
+                sampler=MC_SAMPLER, snr=snr)
         else:
             reports[ris_type] = CapacityReport(
                 closed_form_rate(cfg, ris_type, budget),
-                upper_bound(cfg, ris_type, alloc, budget), None, None, 0, ris_type)
+                upper_bound(cfg, ris_type, alloc, budget, snr=snr), None, None, 0,
+                ris_type)
         if "exact" in outputs:
-            exact[ris_type] = ergodic_rate_exact(cfg, ris_type, alloc, budget)
+            exact[ris_type] = ergodic_rate_exact(cfg, ris_type, alloc, budget, snr=snr)
         if ris_type is RisType.HYBRID:
-            regime = validate_approximation_regime(
-                cfg, average_snr(cfg, ris_type, alloc, budget))
+            regime = validate_approximation_regime(cfg, snr)
 
     decision = violation = winner = diagnostics = None
     if "decision" in outputs:

@@ -12,10 +12,12 @@ from conftest import REFERENCE_SCENARIO
 from ris_select import (
     RisType,
     allocate_power,
+    average_snr,
     ergodic_rate_exact,
     link_budget,
     load_scenario,
 )
+from ris_select import capacity, cli, selection
 from ris_select.cli import CSV_HEADER, main
 
 GRAZING = """
@@ -75,6 +77,23 @@ def test_evaluate_reference(tmp_path, capsys):
     assert selection["agrees"] is True
     assert selection["thresholds"]["split_reflect_transmit"] == pytest.approx(
         5.032394081, abs=1e-6)
+
+
+def test_evaluation_computes_each_types_snr_once(tmp_path, monkeypatch):
+    # the bound, the exact rate, the Monte Carlo scale and the regime check
+    # of a cell all read one averaged-SNR vector per type
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return average_snr(*args)
+
+    for module in (capacity, cli, selection):
+        monkeypatch.setattr(module, "average_snr", counted)
+    rc = main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path),
+               "--trials", "10", "--seed", "3"])
+    assert rc == 0
+    assert calls == list(RisType)
 
 
 def test_evaluate_missing_scenario(tmp_path, capsys):
