@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -44,10 +44,10 @@ _STAT_CHUNK = 128
 # a thread handoff (about 0.1 ms) would cost more than it saves.
 _BLOCK_VALUES = 1 << 16
 _WORKERS = 2  # finishing threads; at most this many blocks are in flight
-# Values per matrix-vector call of the panel sum: small enough that a
-# multithreaded BLAS stays on the calling thread instead of waking a pool
-# that spins against the workers after every call.
-_GEMV_VALUES = 1 << 13
+# Workers take over only when finishing a block costs at least this share of
+# drawing it: below that (Gaussian draws are ~12x their finish) the overlap
+# saves less than the handoffs and the cross-core cache traffic cost.
+_HANDOFF_RATIO = 0.25
 
 
 class DegenerateGeometryError(ValueError):
@@ -207,16 +207,27 @@ def _row_bounds(rows: int, step: int) -> list:
 
 
 def _panel_sum(g, coeff, scale, out) -> None:
-    """out[...] = (g @ coeff) * scale, a few matrix rows per BLAS call.
+    """out[...] = (g @ coeff) * scale, two matrix rows per BLAS call.
 
     g is (..., rows, M N) and coeff (..., M N, 1). A row's matrix-vector
     product is the same whichever other rows share the call, but not when it
-    is alone (numpy then takes a dot product), so no call gets a lone row
-    unless the matrices have only one.
+    is alone (numpy then takes a dot product), so the rows go in pairs (the
+    last three together when their number is odd). One numpy call loops
+    over the pairs without the GIL, and a pair is too small to wake a
+    multithreaded BLAS's pool, which would otherwise spin against the
+    workers after every call.
     """
-    bounds = _row_bounds(g.shape[-2], max(2, _GEMV_VALUES // g.shape[-1]))
-    for start, stop in zip(bounds, bounds[1:]):
-        out[..., start:stop, :] = (g[..., start:stop, :] @ coeff) * scale
+    rows = g.shape[-2]
+    if rows < 4:
+        out[...] = (g @ coeff) * scale
+        return
+    head = rows - 3 * (rows % 2)
+    lead = g.shape[:-2]
+    pairs = g[..., :head, :].reshape(lead + (head // 2, 2, g.shape[-1]))
+    out[..., :head, :] = (pairs @ coeff[..., None, :, :]).reshape(lead + (head, 1))
+    if head < rows:
+        out[..., head:, :] = g[..., head:, :] @ coeff
+    out *= scale
 
 
 def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np.ndarray:
@@ -225,18 +236,35 @@ def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np
     Block (shape, coeff, scale, index) draws g = law(rng, shape), in list
     order on the calling thread, and sets out[index] = (g @ coeff) * scale.
     When there is more than one block and blocks hold at least _BLOCK_VALUES
-    values, each drawn block goes to a new worker thread that finishes and
-    reduces it while the next one is drawn, with at most _WORKERS blocks in
-    flight; otherwise the calling thread does it all. A worker's exception
-    is re-raised here once every worker has stopped.
+    values, the first block is timed on the calling thread, and the rest go
+    to worker threads (_pipeline) if finishing it took at least
+    _HANDOFF_RATIO of the time drawing it did. Otherwise the calling thread
+    does it all.
     """
     draw, finish = (law.draw, law.finish) if isinstance(law, FadingLaw) \
         else (law, np.asarray)
-    if len(blocks) < 2 or math.prod(blocks[0][0]) < _BLOCK_VALUES:
-        for shape, coeff, scale, index in blocks:
-            _panel_sum(finish(draw(rng, shape)), coeff, scale, out[index])
-        return out
+    rest = iter(blocks)
+    if len(blocks) > 1 and math.prod(blocks[0][0]) >= _BLOCK_VALUES:
+        shape, coeff, scale, index = next(rest)
+        started = time.perf_counter()
+        raw = draw(rng, shape)
+        drawn = time.perf_counter()
+        _panel_sum(finish(raw), coeff, scale, out[index])
+        if time.perf_counter() - drawn >= _HANDOFF_RATIO * (drawn - started):
+            _pipeline(draw, finish, rng, rest, out)
+            return out
+    for shape, coeff, scale, index in rest:
+        _panel_sum(finish(draw(rng, shape)), coeff, scale, out[index])
+    return out
 
+
+def _pipeline(draw, finish, rng, blocks, out) -> None:
+    """Draw each block here and hand it to a new worker thread that finishes
+    and reduces it while the next one is drawn, with at most _WORKERS blocks
+    in flight. When every worker is still busy (the finish is slow, or no
+    core is free) this thread finishes the block itself rather than wait. A
+    worker's exception is re-raised here once every worker has stopped.
+    """
     errors = []
 
     def work(raw, coeff, scale, index):
@@ -245,23 +273,24 @@ def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np
         except Exception as exc:
             errors.append(exc)
 
-    running = deque()
+    running = []
     try:
         for shape, coeff, scale, index in blocks:
-            if len(running) == _WORKERS:
-                running.popleft().join()
+            raw = draw(rng, shape)
+            running = [worker for worker in running if worker.is_alive()]
             if errors:
                 break
-            worker = threading.Thread(target=work,
-                                      args=(draw(rng, shape), coeff, scale, index))
-            worker.start()
-            running.append(worker)
+            if len(running) < _WORKERS:
+                worker = threading.Thread(target=work, args=(raw, coeff, scale, index))
+                worker.start()
+                running.append(worker)
+            else:
+                work(raw, coeff, scale, index)
     finally:
         for worker in running:
             worker.join()
     if errors:
         raise errors[0]
-    return out
 
 
 # --- channel synthesis --------------------------------------------------------
@@ -395,5 +424,7 @@ def aggregated_gain_statistics(cfg: ScenarioConfig, ris_type: RisType, trials: i
         transmit=zone_gain_statistics(cfg, ris_type, False, trials, fading, seed),
         ris_type=ris_type,
         element_count=cfg.panel.element_count,
-        fading=fading if isinstance(fading, str) else getattr(fading, "__name__", "custom"),
+        fading=fading if isinstance(fading, str) else next(
+            (name for name, law in FADING_LAWS.items() if law is fading),
+            getattr(fading, "__name__", "custom")),
     )

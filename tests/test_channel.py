@@ -17,6 +17,7 @@ from ris_select import (
     prepare_sampler,
     zone_gain_statistics,
 )
+from ris_select import channel
 from ris_select.channel import (
     element_coefficients,
     gaussian_fading,
@@ -221,6 +222,18 @@ def test_single_element_keeps_fading_law_shape():
     assert stats.kurtosis_real < -1.0
 
 
+def test_report_names_the_fading_law():
+    cfg = make_config(rows=2, cols=2)
+
+    def custom_law(rng, shape):
+        return gaussian_fading(rng, shape)
+
+    for fading, name in (("sign", "sign"), (uniform_phase_fading, "uniform_phase"),
+                         (custom_law, "custom_law")):
+        report = aggregated_gain_statistics(cfg, RisType.HYBRID, 100, fading=fading)
+        assert report.fading == name
+
+
 def test_statistics_require_enough_trials():
     with pytest.raises(ValueError):
         aggregated_gain_statistics(make_config(rows=2, cols=2), RisType.HYBRID, 99)
@@ -264,24 +277,32 @@ def _run_with_watchdog(call, seconds=60.0):
     return outcome[0], caller
 
 
-def test_worker_failure_propagates_with_its_own_type():
-    cfg = make_config()  # 2500 elements: each 128-row block goes to a worker
+@pytest.fixture
+def handoff(monkeypatch):
+    # 2500 elements: every 128-row block after the first goes to a worker
+    monkeypatch.setattr(channel, "_HANDOFF_RATIO", 0.0)
+
+
+def test_worker_failure_propagates_with_its_own_type(handoff):
+    cfg = make_config()
     before = threading.active_count()
-    raised_on = []
+    finished_on = []
 
     def finish(raw):
-        raised_on.append(threading.current_thread())
-        raise FinishFailed("finish failed")
+        finished_on.append(threading.current_thread())
+        if len(finished_on) > 1:  # the first block is timed on the caller
+            raise FinishFailed("finish failed")
+        return gaussian_fading.finish(raw)
 
     law = FadingLaw(gaussian_fading.draw, finish)
     error, caller = _run_with_watchdog(
         lambda: zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law))
     assert isinstance(error, FinishFailed)
-    assert raised_on and caller not in raised_on
+    assert any(thread is not caller for thread in finished_on[1:])
     assert threading.active_count() == before
 
 
-def test_draw_failure_with_blocks_in_flight_leaves_no_thread():
+def test_draw_failure_with_blocks_in_flight_leaves_no_thread(handoff):
     cfg = make_config()
     before = threading.active_count()
     calls = []

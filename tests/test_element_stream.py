@@ -84,7 +84,8 @@ def test_element_outputs_ignore_the_block_size(monkeypatch, block_rows):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_element_outputs_ignore_the_worker_count(monkeypatch, workers):
-    # every block of the 3x3 panel is handed to a worker thread
+    # every block of the 3x3 panel after the first is handed to a worker
     monkeypatch.setattr(channel, "_BLOCK_VALUES", 0)
+    monkeypatch.setattr(channel, "_HANDOFF_RATIO", 0.0)
     monkeypatch.setattr(channel, "_WORKERS", workers)
     assert element_stream(("odd_3x3",)) == _golden(("odd_3x3",))
