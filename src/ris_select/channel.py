@@ -13,9 +13,11 @@ replayable and safe to farm out in parallel.
 Each named fading law is a FadingLaw: an in-order `draw` that only calls
 the generator and a pure, row-wise `finish`. The per-element paths
 (prepare_sampler and zone_gain_statistics) draw blocks of rows in stream
-order on the calling thread and hand large blocks to at most two worker
-threads, which finish them and reduce them over the panel. A sample's bits
-depend only on the seed, never on the block size or the thread count.
+order on the calling thread. When a block's finish costs more than its
+draw, a worker thread finishes and reduces blocks while the calling thread
+draws the next one (and finishes that one too if the worker is still busy).
+A sample's bits depend only on the seed, never on the block size, the
+thread count or the timing.
 """
 
 from __future__ import annotations
@@ -43,11 +45,16 @@ _STAT_CHUNK = 128
 # values. Blocks smaller than this are finished on the calling thread, where
 # a thread handoff (about 0.1 ms) would cost more than it saves.
 _BLOCK_VALUES = 1 << 16
-_WORKERS = 2  # finishing threads; at most this many blocks are in flight
-# Workers take over only when finishing a block costs at least this share of
-# drawing it: below that (Gaussian draws are ~12x their finish) the overlap
-# saves less than the handoffs and the cross-core cache traffic cost.
-_HANDOFF_RATIO = 0.25
+# Worker threads that finish blocks beside the calling thread, which draws
+# every block and finishes one itself whenever the worker is busy. One worker
+# keeps both cores of a 2-core host busy; a second one only adds cache
+# traffic, and more so when a core is taken by another process.
+_WORKERS = 1
+# The worker takes over only when finishing a block costs at least this
+# share of drawing it (uniform_phase: ~13; sign: ~0.7; gaussian: ~0.08).
+# Below that, overlapping the finish with the next draw saves less than the
+# handoff and the cross-core cache traffic cost, measured on 2 cores.
+_HANDOFF_RATIO = 1.0
 
 
 class DegenerateGeometryError(ValueError):
@@ -237,9 +244,8 @@ def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np
     order on the calling thread, and sets out[index] = (g @ coeff) * scale.
     When there is more than one block and blocks hold at least _BLOCK_VALUES
     values, the first block is timed on the calling thread, and the rest go
-    to worker threads (_pipeline) if finishing it took at least
-    _HANDOFF_RATIO of the time drawing it did. Otherwise the calling thread
-    does it all.
+    through _pipeline if finishing it took at least _HANDOFF_RATIO times as
+    long as drawing it. Otherwise the calling thread does it all.
     """
     draw, finish = (law.draw, law.finish) if isinstance(law, FadingLaw) \
         else (law, np.asarray)
@@ -261,9 +267,9 @@ def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np
 def _pipeline(draw, finish, rng, blocks, out) -> None:
     """Draw each block here and hand it to a new worker thread that finishes
     and reduces it while the next one is drawn, with at most _WORKERS blocks
-    in flight. When every worker is still busy (the finish is slow, or no
-    core is free) this thread finishes the block itself rather than wait. A
-    worker's exception is re-raised here once every worker has stopped.
+    in flight. When every worker is still busy, this thread finishes the
+    block itself rather than wait. A worker's exception is re-raised here
+    once every worker has stopped.
     """
     errors = []
 
@@ -310,8 +316,8 @@ def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, budget: LinkBudget,
     elements of g[s, k, element] * coefficient[zone(s), element], with g a
     unit-variance fading block of shape (S, K_t, M*N) drawn in stream order,
     a few whole user rows (K_t, M*N) at a time (one row on a large panel),
-    so a seed always gives a bit-identical matrix and a draw holds at most
-    two blocks, not the whole (S, K_t, M*N) array.
+    so a seed always gives a bit-identical matrix and a draw holds a few
+    blocks, not the whole (S, K_t, M*N) array.
     """
     law = resolve_fading(fading)
     panel = cfg.panel
