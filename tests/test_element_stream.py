@@ -84,7 +84,7 @@ def test_element_outputs_ignore_the_block_size(monkeypatch, block_rows):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_element_outputs_ignore_the_worker_count(monkeypatch, workers):
-    # every block of the 3x3 panel after the first is handed to a worker
+    # the 3x3 draws go through the worker pipeline, one user row per block
     monkeypatch.setattr(channel, "_BLOCK_VALUES", 0)
     monkeypatch.setattr(channel, "_HANDOFF_RATIO", 0.0)
     monkeypatch.setattr(channel, "_WORKERS", workers)
