@@ -1,5 +1,7 @@
-"""Shared helpers: reference scenario path, a config factory, the regime report."""
+"""Shared helpers: reference scenario path, a config factory, the regime report,
+the Monte Carlo tolerance."""
 
+import math
 from pathlib import Path
 
 from ris_select import (
@@ -95,3 +97,17 @@ def random_config(rng) -> ScenarioConfig:
         transmit_power=dbm_to_watts(float(rng.uniform(10.0, 50.0))),
         noise_variance=dbm_to_watts(float(rng.uniform(-110.0, -70.0))),
     )
+
+
+def mc_tolerance(cfg, trials):
+    """Six standard deviations of a Monte Carlo mean of the sum rate.
+
+    Each user's row power is a scaled Gamma(K_t, 1) variate X, and the
+    user's rate is (1/ln 2)-Lipschitz in ln X, whose variance is
+    psi'(K_t) (the trigamma function; for integer K_t it is
+    pi^2/6 - sum_{j<K_t} 1/j^2). Users are independent, so one trial's sum
+    rate has standard deviation at most sqrt(S psi'(K_t)) / ln 2.
+    """
+    trigamma = math.pi ** 2 / 6.0 - sum(1.0 / j ** 2 for j in range(1, cfg.bs_antennas))
+    sigma = math.sqrt(cfg.users_total * trigamma) / math.log(2.0)
+    return 6.0 * sigma / math.sqrt(trials)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_config, random_config
+from conftest import make_config, mc_tolerance, random_config
 from ris_select import (
     PowerAllocation,
     RisType,
@@ -304,6 +304,34 @@ def test_element_monte_carlo_matches_exact_rate():
     for ris_type, exact, report in _exact_and_mc(cfg, 2000, 23, "element"):
         assert abs(report.monte_carlo_mean - exact) <= 3.0 * report.monte_carlo_stderr, \
             (ris_type, report.monte_carlo_mean, exact)
+
+
+def test_rate_invariants_over_random_deployments():
+    # over random deployments and every type: the exact ergodic rate lies
+    # below the averaged-channel bound, the bound under the type's own
+    # allocation is the closed form, and the Gamma row-power Monte Carlo
+    # lies within its six-sigma tolerance of the exact rate
+    rng = np.random.default_rng(20261018)
+    trials = 200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # empty-zone allocations are expected here
+        for deployment in range(100):
+            cfg = random_config(rng)
+            budget = link_budget(cfg)
+            tol = mc_tolerance(cfg, trials)
+            for index, ris_type in enumerate(RisType):
+                alloc = allocate_power(cfg, ris_type, budget)
+                bound = upper_bound(cfg, ris_type, alloc, budget)
+                exact = ergodic_rate_exact(cfg, ris_type, alloc, budget)
+                report = monte_carlo_capacity(cfg, ris_type, alloc, budget,
+                                              trials=trials,
+                                              base_seed=(deployment, index),
+                                              sampler="aggregate")
+                assert exact <= bound, (deployment, ris_type, exact, bound)
+                assert bound == pytest.approx(
+                    closed_form_rate(cfg, ris_type, budget), rel=1e-10)
+                assert abs(report.monte_carlo_mean - exact) <= tol, (
+                    deployment, ris_type, report.monte_carlo_mean, exact)
 
 
 @pytest.mark.parametrize("bs_antennas", [1, 12, 64])

@@ -1,14 +1,13 @@
 """Command-line front-end: evaluation records, sweeps, presets, exit codes."""
 
 import json
-import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_SCENARIO
+from conftest import REFERENCE_SCENARIO, REPO_ROOT, mc_tolerance
 from ris_select import (
     RisType,
     allocate_power,
@@ -153,20 +152,6 @@ def test_strict_regime_failure_exits_2_as_evaluation_and_as_sweep(tmp_path, caps
     assert not (tmp_path / "strict").exists() or not any((tmp_path / "strict").iterdir())
 
 
-def _mc_tolerance(cfg, trials):
-    """Six standard deviations of a Monte Carlo mean of the sum rate.
-
-    Each user's row power is a scaled Gamma(K_t, 1) variate X, and the
-    user's rate is (1/ln 2)-Lipschitz in ln X, whose variance is
-    psi'(K_t) (the trigamma function; for integer K_t it is
-    pi^2/6 - sum_{j<K_t} 1/j^2). Users are independent, so one trial's sum
-    rate has standard deviation at most sqrt(S psi'(K_t)) / ln 2.
-    """
-    trigamma = math.pi ** 2 / 6.0 - sum(1.0 / j ** 2 for j in range(1, cfg.bs_antennas))
-    sigma = math.sqrt(cfg.users_total * trigamma) / math.log(2.0)
-    return 6.0 * sigma / math.sqrt(trials)
-
-
 def test_sweep_from_file(tmp_path):
     spec = tmp_path / "sweep.cfg"
     spec.write_text(SMALL_SWEEP)
@@ -180,7 +165,7 @@ def test_sweep_from_file(tmp_path):
     assert [r[0] for r in rows] == ["3"] * 3 + ["5"] * 3
     assert [r[1] for r in rows] == ["R", "T", "H"] * 2
     base = load_scenario(REFERENCE_SCENARIO)
-    tol = _mc_tolerance(base, trials)
+    tol = mc_tolerance(base, trials)
     for row in rows:
         assert row[6] in {"R", "T", "H"}
         assert row[7] in {"true", "false"}
@@ -269,6 +254,19 @@ def test_closed_form_presets_match_golden_files(tmp_path, preset):
     assert len(golden) == 3
     for path in golden:
         assert (tmp_path / path.name).read_text() == path.read_text(), path.name
+
+
+def test_monte_carlo_outputs_match_golden_files(tmp_path, monkeypatch):
+    # the fig2a preset and a single evaluation at --seed 7 --trials 100, as
+    # recorded in tests/data. evaluate.json names the scenario path it was
+    # given, so both run from the repository root with a relative path.
+    monkeypatch.chdir(REPO_ROOT)
+    common = ["--scenario", "scenarios/reference.cfg", "--out", str(tmp_path),
+              "--seed", "7", "--trials", "100"]
+    assert main(common + ["--preset", "fig2a"]) == 0
+    assert main(common) == 0
+    for name in ("fig2a.csv", "evaluate.json"):
+        assert (tmp_path / name).read_text() == (GOLDEN / name).read_text(), name
 
 
 def test_sweep_reproducibility_and_seed_sensitivity(tmp_path):
