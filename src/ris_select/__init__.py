@@ -6,6 +6,7 @@ from .capacity import (
     allocate_power,
     average_snr,
     closed_form_rate,
+    element_monte_carlo,
     ergodic_rate_exact,
     monte_carlo_capacity,
     type_curves,
@@ -16,7 +17,6 @@ from .channel import (
     FADING_LAWS,
     FadingLaw,
     LinkBudget,
-    aggregated_gain_statistics,
     link_budget,
     prepare_sampler,
     zone_gain_statistics,

@@ -3,6 +3,8 @@
 All rates are in bits/s/Hz (base-2 logs). Power allocation is long-term: it
 depends on pathloss and the user split only, never on a fading realization,
 so the Monte Carlo estimator and the closed forms share the same allocation.
+Downstream of it, the bound, the exact rate and the Gamma Monte Carlo take
+one input: the per-user averaged-SNR vector that average_snr gives.
 """
 
 from __future__ import annotations
@@ -145,17 +147,23 @@ def allocate_power(cfg: ScenarioConfig, ris_type: RisType,
 
 # --- rate evaluation -------------------------------------------------------------
 
+# Trapezoid nodes of ergodic_rate_exact.
+EXACT_POINTS = 256
+
+
 @dataclass(frozen=True)
 class CapacityReport:
     """Per-type rates: canonical closed form, bound for the given allocation,
-    and the Monte Carlo estimate with its standard error."""
+    the Monte Carlo estimate with its standard error (None when not
+    computed) and the exact ergodic rate (None when not computed)."""
 
     closed_form: float
     upper_bound: float
-    monte_carlo_mean: float
-    monte_carlo_stderr: float
+    monte_carlo_mean: float | None
+    monte_carlo_stderr: float | None
     trials: int
     ris_type: RisType
+    ergodic_exact: float | None = None
 
 
 def closed_form_rate(cfg: ScenarioConfig, ris_type: RisType,
@@ -182,119 +190,94 @@ def average_snr(cfg: ScenarioConfig, ris_type: RisType, alloc: PowerAllocation,
         * cfg.bs_antennas * cfg.panel.element_count * gamma_sq
 
 
-def upper_bound(cfg: ScenarioConfig, ris_type: RisType, alloc: PowerAllocation,
-                budget: LinkBudget, *, snr=None) -> float:
-    """Averaged-channel bound on the ergodic sum rate for a given allocation.
-
-    Per user: log2(1 + average_snr). By Jensen's inequality this bounds the
-    per-user ergodic rate E[log2(1 + average_snr * X / K_t)], where X / K_t
-    is the unit-mean normalized row power. With the type's own allocation it
-    equals the closed form exactly. Pass `snr` when the caller already holds
-    average_snr(cfg, ris_type, alloc, budget).
+def upper_bound(snr) -> float:
+    """Averaged-channel bound on the ergodic sum rate: the sum over users of
+    log2(1 + snr). By Jensen's inequality this bounds each user's ergodic
+    rate E[log2(1 + snr * X / K_t)], where X / K_t is the unit-mean
+    normalized row power. With the type's own allocation it equals the
+    closed form exactly.
     """
-    if snr is None:
-        snr = average_snr(cfg, ris_type, alloc, budget)
     return float(np.sum(np.log1p(snr)) / LN2)
 
 
-def ergodic_rate_exact(cfg: ScenarioConfig, ris_type: RisType,
-                       alloc: PowerAllocation, budget: LinkBudget,
-                       points: int = 256, *, snr=None) -> float:
+def ergodic_rate_exact(snr, bs_antennas: int) -> float:
     """Ergodic sum rate under i.i.d. complex Gaussian fading, without sampling.
 
     Each user's element sum is exactly complex normal for any phase grid, so
-    the row power over K_t antennas is a scaled Gamma(K_t, 1) variate X and
-    the rate is sum over users of E[log2(1 + average_snr * X / K_t)] (the
-    Gamma-SNR ergodic capacity integral of Alouini and Goldsmith, IEEE TVT
-    1999). The expectation is taken over u = ln X with the trapezoid rule on
-    `points` evenly spaced nodes. Both factors of the integrand are analytic
-    in a strip around the real u axis whose width does not depend on the SNR,
-    so the error falls exponentially in `points` for every SNR and K_t; at
-    the default it is at the level of float rounding for K_t up to 1024.
-    Pass `snr` when the caller already holds the average_snr vector.
+    the row power over K_t = bs_antennas antennas is a scaled Gamma(K_t, 1)
+    variate X and the rate is the sum over users of
+    E[log2(1 + snr * X / K_t)] (the Gamma-SNR ergodic capacity integral of
+    Alouini and Goldsmith, IEEE TVT 1999). The expectation is taken over
+    u = ln X with the trapezoid rule on EXACT_POINTS evenly spaced nodes.
+    Both factors of the integrand are analytic in a strip around the real u
+    axis whose width does not depend on the SNR, so the error falls
+    exponentially in the node count for every SNR and K_t; at 256 nodes it
+    is at the level of float rounding for K_t up to 1024.
     """
-    if points < 2:
-        raise ValueError("points must be at least 2")
-    k = cfg.bs_antennas
+    k = bs_antennas
     # The density of ln X decays like exp(K_t u) to the left of the mode and
     # like exp(-e^u) to the right; beyond these limits it is below e^-40.
     lo = math.log(k) - 40.0 / math.sqrt(k)
     hi = math.log(k + 12.0 * math.sqrt(k) + 40.0)
-    u, step = np.linspace(lo, hi, points, retstep=True)
+    u, step = np.linspace(lo, hi, EXACT_POINTS, retstep=True)
     x = np.exp(u)
     weights = np.exp(k * u - x - math.lgamma(k)) * step
-    if snr is None:
-        snr = average_snr(cfg, ris_type, alloc, budget)
     return float(np.sum(np.log1p(np.outer(snr / k, x)) @ weights) / LN2)
 
 
-SAMPLERS = ("element", "aggregate")
-
-
-def monte_carlo_capacity(cfg: ScenarioConfig, ris_type: RisType,
-                         alloc: PowerAllocation, budget: LinkBudget, trials: int,
-                         base_seed, fading="gaussian", sampler="element", *,
-                         snr=None) -> CapacityReport:
-    """Estimate the ergodic sum rate by averaging over channel draws.
-
-    Each trial draws an independent channel and computes the sum over users
-    of log2(1 + (P_T / sigma^2) * share_s * row_power_s), with row_power_s
-    the squared norm of the user's channel row; the report carries the
-    sample mean and standard error. Trial t uses the generator seeded by
-    base_seed + (t,) (an int base_seed counts as a 1-tuple), so runs are
-    reproducible and trials could be farmed out in parallel without changing
-    the result; the final reduction is a fixed-order sum over the per-trial
-    array.
-
-    `sampler` selects what a trial draws:
-
-    * "element" (any fading law) draws the full (S, K_t, M N) fading block
-      and sums it over the panel, as prepare_sampler's draw does.
-    * "aggregate" (Gaussian fading only) uses that, under i.i.d. complex
-      Gaussian fading, each panel sum is exactly complex normal for any
-      phase grid, so row_power_s is beta_zone * amplitude_zone^2 * M N * X_s
-      with X_s ~ Gamma(K_t, 1), independent over users. A trial draws one
-      standard_gamma(K_t, size=S) vector, and its rate is the sum over
-      users of log2(1 + average_snr_s * X_s / K_t). The law is that of
-      "element" and the cost does not grow with the panel, but the stream
-      differs.
-
-    The report's bound and the aggregate scale read one average_snr vector;
-    pass it as `snr` when the caller already holds it.
-    """
+def _trial_base(trials: int, base_seed) -> tuple:
+    """The key that trial t extends by (t,); an int base_seed is a 1-tuple."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}; known samplers: "
-                         f"{', '.join(SAMPLERS)}")
-    if sampler == "aggregate" and fading != "gaussian":
-        raise ValueError("the aggregate sampler requires gaussian fading; "
-                         f"got {fading!r}")
-    base = base_seed if isinstance(base_seed, tuple) else (base_seed,)
-    if snr is None:
-        snr = average_snr(cfg, ris_type, alloc, budget)
-    if sampler == "aggregate":
-        k, users = cfg.bs_antennas, cfg.users_total
-        scale = snr / k
-        row_gamma = np.empty((trials, users))
-        for t in range(trials):
-            row_gamma[t] = rng_for_seed(base + (t,)).standard_gamma(k, size=users)
-        rates = np.sum(np.log1p(scale * row_gamma), axis=1) / LN2
-    else:
-        gain = (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue
-        draw = prepare_sampler(cfg, ris_type, budget, fading)
-        rates = np.empty(trials)
-        for t in range(trials):
-            entries = draw(base + (t,))
-            row_power = np.sum(entries.real ** 2 + entries.imag ** 2, axis=1)
-            rates[t] = float(np.sum(np.log1p(gain * row_power)) / LN2)
-    mean = float(rates.mean())
+    return base_seed if isinstance(base_seed, tuple) else (base_seed,)
+
+
+def _mean_and_stderr(rates: np.ndarray) -> tuple:
+    """Mean and standard error (0 for one trial) of the per-trial rates."""
+    trials = len(rates)
     stderr = float(rates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return CapacityReport(
-        closed_form=closed_form_rate(cfg, ris_type, budget),
-        upper_bound=upper_bound(cfg, ris_type, alloc, budget, snr=snr),
-        monte_carlo_mean=mean,
-        monte_carlo_stderr=stderr,
-        trials=trials,
-        ris_type=ris_type,
-    )
+    return float(rates.mean()), stderr
+
+
+def monte_carlo_capacity(snr, bs_antennas: int, trials: int, base_seed) -> tuple:
+    """Monte Carlo ergodic sum rate under i.i.d. complex Gaussian fading:
+    (mean, standard error) over `trials` draws.
+
+    Each panel sum is exactly complex normal for any phase grid, so user s's
+    row power is its averaged power times X_s / K_t with X_s ~ Gamma(K_t, 1),
+    independent over users. Trial t draws one standard_gamma(K_t, size=S)
+    vector from the generator seeded by base_seed + (t,), and its rate is
+    the sum over users of log2(1 + snr_s * X_s / K_t). The law is that of
+    element_monte_carlo with Gaussian fading and the cost does not grow with
+    the panel, but the stream differs. ergodic_rate_exact is its oracle.
+    """
+    base = _trial_base(trials, base_seed)
+    k = bs_antennas
+    scale = snr / k
+    row_gamma = np.empty((trials, len(scale)))
+    for t in range(trials):
+        row_gamma[t] = rng_for_seed(base + (t,)).standard_gamma(k, size=len(scale))
+    return _mean_and_stderr(np.sum(np.log1p(scale * row_gamma), axis=1) / LN2)
+
+
+def element_monte_carlo(cfg: ScenarioConfig, ris_type: RisType,
+                        alloc: PowerAllocation, budget: LinkBudget, trials: int,
+                        base_seed, fading="gaussian") -> tuple:
+    """Per-element Monte Carlo ergodic sum rate under any fading law:
+    (mean, standard error) over `trials` draws.
+
+    Trial t draws the full (S, K_t, M N) fading block from the generator
+    seeded by base_seed + (t,) and sums it over the panel, as
+    prepare_sampler's draw does; its rate is the sum over users of
+    log2(1 + (P_T / sigma^2) * share_s * row_power_s), with row_power_s the
+    squared norm of the user's channel row.
+    """
+    base = _trial_base(trials, base_seed)
+    gain = (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue
+    draw = prepare_sampler(cfg, ris_type, budget, fading)
+    rates = np.empty(trials)
+    for t in range(trials):
+        entries = draw(base + (t,))
+        row_power = np.sum(entries.real ** 2 + entries.imag ** 2, axis=1)
+        rates[t] = float(np.sum(np.log1p(gain * row_power)) / LN2)
+    return _mean_and_stderr(rates)

@@ -45,11 +45,6 @@ _STAT_CHUNK = 128
 # values. Blocks smaller than this are finished on the calling thread, where
 # a thread handoff (about 0.1 ms) would cost more than it saves.
 _BLOCK_VALUES = 1 << 16
-# Worker threads that finish blocks beside the calling thread, which draws
-# every block and finishes one itself whenever the worker is busy. One worker
-# keeps both cores of a 2-core host busy; a second one only adds cache
-# traffic, and more so when a core is taken by another process.
-_WORKERS = 1
 # The worker takes over only when finishing a block costs at least this
 # share of drawing it (uniform_phase: ~13; sign: ~0.7; gaussian: ~0.08).
 # Below that, overlapping the finish with the next draw saves less than the
@@ -266,10 +261,11 @@ def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np
 
 def _pipeline(draw, finish, rng, blocks, out) -> None:
     """Draw each block here and hand it to a new worker thread that finishes
-    and reduces it while the next one is drawn, with at most _WORKERS blocks
-    in flight. When every worker is still busy, this thread finishes the
-    block itself rather than wait. A worker's exception is re-raised here
-    once every worker has stopped.
+    and reduces it while the next one is drawn, with at most one worker at a
+    time: with this thread it keeps both cores of a 2-core host busy, and a
+    second worker only adds cache traffic. When the worker is still busy,
+    this thread finishes the block itself rather than wait. A worker's
+    exception is re-raised here once the worker has stopped.
     """
     errors = []
 
@@ -279,21 +275,19 @@ def _pipeline(draw, finish, rng, blocks, out) -> None:
         except Exception as exc:
             errors.append(exc)
 
-    running = []
+    worker = None
     try:
         for shape, coeff, scale, index in blocks:
             raw = draw(rng, shape)
-            running = [worker for worker in running if worker.is_alive()]
             if errors:
                 break
-            if len(running) < _WORKERS:
+            if worker is None or not worker.is_alive():
                 worker = threading.Thread(target=work, args=(raw, coeff, scale, index))
                 worker.start()
-                running.append(worker)
             else:
                 work(raw, coeff, scale, index)
     finally:
-        for worker in running:
+        if worker is not None:
             worker.join()
     if errors:
         raise errors[0]
@@ -358,15 +352,6 @@ class GainStatistics:
     trials: int
 
 
-@dataclass(frozen=True)
-class AggregatedGainReport:
-    reflect: GainStatistics
-    transmit: GainStatistics
-    ris_type: RisType
-    element_count: int
-    fading: str
-
-
 def _excess_kurtosis(x: np.ndarray) -> float:
     m2 = float(np.mean(x * x))
     if m2 == 0.0:
@@ -403,7 +388,16 @@ def _zone_statistics(coeff, mn, trials, law, seed, expected) -> GainStatistics:
 def zone_gain_statistics(cfg: ScenarioConfig, ris_type: RisType,
                          reflection_zone: bool, trials: int,
                          fading="gaussian", seed=0) -> GainStatistics:
-    """Aggregated-gain moments for a single zone; see aggregated_gain_statistics."""
+    """Moments of (sum over elements of g * coefficient) / sqrt(M N) toward
+    one zone, from the stream seeded by seed + (0,) for the reflection zone
+    and seed + (1,) for the transmission zone (an int seed counts as a
+    1-tuple).
+
+    For a large panel the aggregate tends to a complex normal with mean 0 and
+    variance equal to the squared response amplitude of the zone, whatever the
+    unit-variance fading law; the kurtosis columns let tests check the
+    normality claim for non-Gaussian laws. Requires trials >= 100.
+    """
     if trials < 100:
         raise ValueError("trials must be at least 100 for stable statistics")
     law = resolve_fading(fading)
@@ -414,23 +408,3 @@ def zone_gain_statistics(cfg: ScenarioConfig, ris_type: RisType,
     zone_seed = base + (0 if reflection_zone else 1,)
     return _zone_statistics(coeff, panel.element_count, trials, law,
                             zone_seed, expected)
-
-
-def aggregated_gain_statistics(cfg: ScenarioConfig, ris_type: RisType, trials: int,
-                               fading="gaussian", seed=0) -> AggregatedGainReport:
-    """Moments of (sum over elements of g * coefficient) / sqrt(M N) per zone.
-
-    For a large panel the aggregate tends to a complex normal with mean 0 and
-    variance equal to the squared response amplitude of the zone, whatever the
-    unit-variance fading law; the kurtosis columns let tests check the
-    normality claim for non-Gaussian laws. Requires trials >= 100.
-    """
-    return AggregatedGainReport(
-        reflect=zone_gain_statistics(cfg, ris_type, True, trials, fading, seed),
-        transmit=zone_gain_statistics(cfg, ris_type, False, trials, fading, seed),
-        ris_type=ris_type,
-        element_count=cfg.panel.element_count,
-        fading=fading if isinstance(fading, str) else next(
-            (name for name, law in FADING_LAWS.items() if law is fading),
-            getattr(fading, "__name__", "custom")),
-    )

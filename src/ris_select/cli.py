@@ -13,8 +13,9 @@ type index i (fixed type order R, T, H) is seeded (base_seed, a, i), and a
 single evaluation is axis 0 of the same scheme, seeding type i with
 (seed, 0, i). Trial t then draws from (seed, a, i, t): every key has four
 words, and seeds must lie in [0, 2**32) so each is one SeedSequence word and
-no two keys alias. Fading is always Gaussian here, so Monte Carlo uses the
-exact Gamma row-power sampler ("aggregate").
+no two keys alias. Fading is always Gaussian here, so Monte Carlo is
+capacity.monte_carlo_capacity, the exact Gamma row-power sampler (recorded
+as "aggregate" in evaluate.json).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .selection import (
 SEED_ENV_VAR = "RIS_SELECT_SEED"
 SEED_LIMIT = 2 ** 32
 DEFAULT_TRIALS = 100
-MC_SAMPLER = "aggregate"
 SWEEP_AXES = ("transmit_power_dbm", "users_transmission", "ris_rows_cols", "distances")
 INTEGER_AXES = ("users_transmission", "ris_rows_cols")
 SWEEP_OUTPUTS = ("closed_form", "upper_bound", "monte_carlo", "decision", "diagnostics")
@@ -152,15 +152,14 @@ def parse_sweep_spec(text: str, trials: int | None = None,
 
 def _with_panel_size(cfg: ScenarioConfig, rows: int, cols: int) -> ScenarioConfig:
     panel = cfg.panel
-    new_grids = {}
+    phases = {}
     for name in ("phase_reflect", "phase_transmit"):
-        grid = getattr(panel, name)
-        levels = np.unique(grid)
+        levels = np.unique(getattr(panel, name))
         if levels.size > 1:
             raise ConfigError("cannot resize a panel with a non-constant "
                               f"{name} grid")
-        new_grids[name] = np.full((rows, cols), levels[0] if levels.size else 0.0)
-    return replace(cfg, panel=replace(panel, rows=rows, cols=cols, **new_grids))
+        phases[name] = levels[0]
+    return replace(cfg, panel=replace(panel, rows=rows, cols=cols, **phases))
 
 
 def apply_overrides(cfg: ScenarioConfig, overrides: dict) -> ScenarioConfig:
@@ -275,8 +274,8 @@ EVALUATE_OUTPUTS = ("monte_carlo", "exact", "decision", "diagnostics")
 class _Cell:
     """Every number one deployment yields; the serializers pick theirs.
 
-    `reports` and `exact` are keyed by type; the reports' Monte Carlo fields
-    are None when Monte Carlo was not asked for. When the condition table
+    `reports` is keyed by type; a report's Monte Carlo and exact-rate fields
+    are None when they were not asked for. When the condition table
     breaks down, `violation` holds the RegimeViolationError in place of
     `decision`; `winner` is the brute-force verdict either way.
     """
@@ -284,7 +283,6 @@ class _Cell:
     budget: LinkBudget
     regime: RegimeReport
     reports: dict
-    exact: dict
     decision: SelectionDecision | None
     violation: RegimeViolationError | None
     winner: RisType | None
@@ -296,26 +294,26 @@ def _evaluate_cell(cfg: ScenarioConfig, outputs, trials: int, seed: tuple) -> _C
 
     The link budget is computed once; each type's allocation, averaged SNR,
     closed form, bound and (when asked for) Monte Carlo estimate and exact
-    rate once. The bound, the exact rate and the regime check (under the
-    hybrid allocation) all read that one SNR vector. Type i draws its Monte
-    Carlo trials from seed + (i,). Raises DegenerateGeometryError.
+    rate once. The bound, the exact rate, the Monte Carlo estimate and the
+    regime check (under the hybrid allocation) all read that one SNR vector,
+    and this is the one place a CapacityReport is built. Type i draws its
+    Monte Carlo trials from seed + (i,). Raises DegenerateGeometryError.
     """
     budget = link_budget(cfg)
-    reports, exact = {}, {}
+    monte_carlo = "monte_carlo" in outputs
+    reports = {}
     for index, ris_type in enumerate(RisType):
         alloc = allocate_power(cfg, ris_type, budget)
         snr = average_snr(cfg, ris_type, alloc, budget)
-        if "monte_carlo" in outputs:
-            reports[ris_type] = monte_carlo_capacity(
-                cfg, ris_type, alloc, budget, trials, base_seed=seed + (index,),
-                sampler=MC_SAMPLER, snr=snr)
-        else:
-            reports[ris_type] = CapacityReport(
-                closed_form_rate(cfg, ris_type, budget),
-                upper_bound(cfg, ris_type, alloc, budget, snr=snr), None, None, 0,
-                ris_type)
+        mean = stderr = exact = None
+        if monte_carlo:
+            mean, stderr = monte_carlo_capacity(snr, cfg.bs_antennas, trials,
+                                                seed + (index,))
         if "exact" in outputs:
-            exact[ris_type] = ergodic_rate_exact(cfg, ris_type, alloc, budget, snr=snr)
+            exact = ergodic_rate_exact(snr, cfg.bs_antennas)
+        reports[ris_type] = CapacityReport(
+            closed_form_rate(cfg, ris_type, budget), upper_bound(snr), mean, stderr,
+            trials if monte_carlo else 0, ris_type, exact)
         if ris_type is RisType.HYBRID:
             regime = validate_approximation_regime(cfg, snr)
 
@@ -328,8 +326,7 @@ def _evaluate_cell(cfg: ScenarioConfig, outputs, trials: int, seed: tuple) -> _C
             violation, (winner, _) = exc, brute_force_optimal(cfg, budget)
     if "diagnostics" in outputs and 1 <= cfg.users_transmission <= cfg.users_total - 1:
         diagnostics = asymptotic_checks(cfg, budget)
-    return _Cell(budget, regime, reports, exact, decision, violation, winner,
-                 diagnostics)
+    return _Cell(budget, regime, reports, decision, violation, winner, diagnostics)
 
 
 def _strict_failure(cell: _Cell) -> RegimeViolationError | None:
@@ -381,11 +378,10 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         "scenario_file": str(scenario_path),
         "trials": trials,
         "seed": seed,
-        "sampler": MC_SAMPLER,
+        "sampler": "aggregate",
         "link_budget": _jsonable(cell.budget),
         "regime": _jsonable(cell.regime),
-        "capacity": {t.value: {**_jsonable(report), "ergodic_exact": cell.exact[t]}
-                     for t, report in cell.reports.items()},
+        "capacity": {t.value: _jsonable(report) for t, report in cell.reports.items()},
     }
     decision = cell.decision
     if decision is not None:

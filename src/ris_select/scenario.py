@@ -80,10 +80,19 @@ def _require_finite(obj, names) -> None:
 
 
 def _frozen_grid(obj, name: str, rows: int, cols: int):
+    """Store attribute `name` as a read-only rows x cols float grid. A scalar
+    fills the grid with that phase, and None with zeros; a panel too large
+    to allocate is a ConfigValidationError."""
     grid = getattr(obj, name)
-    if grid is None:
-        grid = np.zeros((rows, cols))
-    grid = np.array(grid, dtype=float)
+    if grid is None or np.ndim(grid) == 0:
+        phase = 0.0 if grid is None else float(grid)
+        try:
+            grid = np.full((rows, cols), phase)
+        except (MemoryError, ValueError):  # numpy: cannot allocate, or "too big"
+            raise ConfigValidationError(
+                f"a {rows}x{cols} panel is too large to allocate") from None
+    else:
+        grid = np.array(grid, dtype=float)
     if grid.shape != (rows, cols):
         raise ConfigValidationError(
             f"{name} must hold exactly {rows}x{cols} entries, got shape {grid.shape}"
@@ -100,8 +109,8 @@ class RisPanel:
     radiation constants of one element toward each zone; both must lie in
     (0, 1] but no ordering between them is enforced (near-equality is checked
     separately by `validate_approximation_regime`). Phase grids default to all
-    zeros; the aggregated-channel statistics are independent of any
-    deterministic grid.
+    zeros, and a scalar phase fills the whole grid; the aggregated-channel
+    statistics are independent of any deterministic grid.
     """
 
     rows: int
@@ -111,8 +120,8 @@ class RisPanel:
     element_gain: float = 1.0
     radiation_reflect: float = 1.0
     radiation_transmit: float = 1.0
-    phase_reflect: np.ndarray | None = None
-    phase_transmit: np.ndarray | None = None
+    phase_reflect: np.ndarray | float | None = None
+    phase_transmit: np.ndarray | float | None = None
 
     def __post_init__(self):
         _require_finite(self, ("element_width", "element_height", "element_gain",
@@ -324,16 +333,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
     cols = take("ris_cols", want_int=True)
     if rows < 1 or cols < 1:
         raise ConfigValidationError("ris_rows and ris_cols must be positive integers")
-    grids = {}
-    for key, attr in (("phase_reflect_rad", "phase_reflect"),
-                      ("phase_transmit_rad", "phase_transmit")):
-        grids[attr] = np.full((rows, cols), take(key)) if key in seen else None
-
     panel = RisPanel(
         rows=rows,
         cols=cols,
         **{attr: take(key) for key, attr in _PANEL_FLOAT_FIELDS.items()},
-        **grids,
+        phase_reflect=take("phase_reflect_rad") if "phase_reflect_rad" in seen else None,
+        phase_transmit=take("phase_transmit_rad") if "phase_transmit_rad" in seen else None,
     )
     kwargs = {attr: take(key, want_int=True) for key, attr in _INT_FIELDS.items()}
     kwargs.update({attr: take(key) for key, attr in _FLOAT_FIELDS.items() if key in seen})

@@ -13,12 +13,14 @@ from ris_select import (
     allocate_power,
     closed_form_rate,
     dbm_to_watts,
+    element_monte_carlo,
     ergodic_rate_exact,
     link_budget,
     monte_carlo_capacity,
     prepare_sampler,
     upper_bound,
 )
+from ris_select import capacity
 from ris_select.capacity import average_snr
 
 LN2 = math.log(2.0)
@@ -144,7 +146,7 @@ def test_upper_bound_zero_allocation_is_zero():
     budget = link_budget(cfg)
     alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
                             scheme=RisType.HYBRID)
-    assert upper_bound(cfg, RisType.HYBRID, alloc, budget) == 0.0
+    assert upper_bound(average_snr(cfg, RisType.HYBRID, alloc, budget)) == 0.0
 
 
 def test_upper_bound_with_own_allocation_matches_closed_form():
@@ -156,7 +158,7 @@ def test_upper_bound_with_own_allocation_matches_closed_form():
             budget = link_budget(cfg)
             for ris_type in RisType:
                 alloc = allocate_power(cfg, ris_type, budget)
-                bound = upper_bound(cfg, ris_type, alloc, budget)
+                bound = upper_bound(average_snr(cfg, ris_type, alloc, budget))
                 closed = closed_form_rate(cfg, ris_type, budget)
                 assert abs(bound - closed) <= 1e-10 * max(abs(closed), 1e-30)
 
@@ -183,7 +185,7 @@ def test_hybrid_uniform_split_isotropic_bound():
     budget = link_budget(cfg)
     alloc = PowerAllocation(per_ue=np.full(10, 0.1), reflect_fraction=0.1,
                             scheme=RisType.HYBRID)
-    bound = upper_bound(cfg, RisType.HYBRID, alloc, budget)
+    bound = upper_bound(average_snr(cfg, RisType.HYBRID, alloc, budget))
     snr = (cfg.transmit_power / cfg.noise_variance) * 0.1 \
         * budget.avg_pathloss_reflect * 12 * 2500 * 0.5
     assert bound == pytest.approx(10.0 * math.log2(1.0 + snr), rel=1e-12)
@@ -194,7 +196,8 @@ def test_monte_carlo_matches_scalar_brute_force():
                       users_transmission=1)
     budget = link_budget(cfg)
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
-    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=1, base_seed=5)
+    mean, stderr = element_monte_carlo(cfg, RisType.HYBRID, alloc, budget, trials=1,
+                                       base_seed=5)
 
     entries = prepare_sampler(cfg, RisType.HYBRID, budget)((5, 0))
     expected = 0.0
@@ -202,27 +205,29 @@ def test_monte_carlo_matches_scalar_brute_force():
         row_power = sum(abs(entries[s, k]) ** 2 for k in range(1))
         gain = cfg.transmit_power / cfg.noise_variance * alloc.per_ue[s]
         expected += math.log2(1.0 + gain * row_power)
-    assert report.monte_carlo_mean == pytest.approx(expected, rel=1e-12)
-    assert report.monte_carlo_stderr == 0.0
-    assert report.trials == 1
+    assert mean == pytest.approx(expected, rel=1e-12)
+    assert stderr == 0.0
 
 
 def test_monte_carlo_zero_allocation():
     cfg = make_config(rows=2, cols=2)
     alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
                             scheme=RisType.HYBRID)
-    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, link_budget(cfg), trials=4,
-                                  base_seed=0)
-    assert report.monte_carlo_mean == 0.0
-    assert report.monte_carlo_stderr == 0.0
+    mean, stderr = element_monte_carlo(cfg, RisType.HYBRID, alloc, link_budget(cfg),
+                                       trials=4, base_seed=0)
+    assert mean == 0.0
+    assert stderr == 0.0
 
 
 def test_monte_carlo_requires_a_trial():
     cfg = make_config(rows=2, cols=2)
     alloc = _alloc(cfg, RisType.HYBRID)
     with pytest.raises(ValueError):
-        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, link_budget(cfg), trials=0,
-                             base_seed=0)
+        element_monte_carlo(cfg, RisType.HYBRID, alloc, link_budget(cfg), trials=0,
+                            base_seed=0)
+    with pytest.raises(ValueError):
+        monte_carlo_capacity(average_snr(cfg, RisType.HYBRID, alloc, link_budget(cfg)),
+                             cfg.bs_antennas, trials=0, base_seed=0)
 
 
 def test_monte_carlo_below_bound_all_types():
@@ -230,10 +235,11 @@ def test_monte_carlo_below_bound_all_types():
     budget = link_budget(cfg)
     for ris_type in RisType:
         alloc = allocate_power(cfg, ris_type, budget)
-        report = monte_carlo_capacity(cfg, ris_type, alloc, budget, trials=60, base_seed=3)
-        assert report.monte_carlo_mean \
-            <= report.upper_bound + 2.0 * report.monte_carlo_stderr
-        assert report.upper_bound == pytest.approx(report.closed_form, rel=1e-10)
+        mean, stderr = element_monte_carlo(cfg, ris_type, alloc, budget, trials=60,
+                                           base_seed=3)
+        bound = upper_bound(average_snr(cfg, ris_type, alloc, budget))
+        assert mean <= bound + 2.0 * stderr
+        assert bound == pytest.approx(closed_form_rate(cfg, ris_type, budget), rel=1e-10)
 
 
 def test_bound_gap_shrinks_with_antennas_times_elements():
@@ -243,10 +249,10 @@ def test_bound_gap_shrinks_with_antennas_times_elements():
         cfg = make_config(rows=20, cols=20, bs_antennas=kt)
         budget = link_budget(cfg)
         alloc = allocate_power(cfg, RisType.REFLECTIVE, budget)
-        report = monte_carlo_capacity(cfg, RisType.REFLECTIVE, alloc, budget,
+        mean, _ = element_monte_carlo(cfg, RisType.REFLECTIVE, alloc, budget,
                                       trials=trials, base_seed=13)
-        gaps.append((report.upper_bound - report.monte_carlo_mean)
-                    / report.upper_bound)
+        bound = upper_bound(average_snr(cfg, RisType.REFLECTIVE, alloc, budget))
+        gaps.append((bound - mean) / bound)
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -258,7 +264,8 @@ def test_upper_bound_increasing_concave_in_power():
     values = []
     for p in powers:
         cfg_p = make_config(transmit_power=float(p))
-        values.append(upper_bound(cfg_p, RisType.HYBRID, alloc, link_budget(cfg_p)))
+        values.append(upper_bound(average_snr(cfg_p, RisType.HYBRID, alloc,
+                                              link_budget(cfg_p))))
     first = np.diff(values)
     second = np.diff(first)
     assert np.all(first > 0.0)
@@ -274,9 +281,13 @@ def _exact_and_mc(cfg, trials, seed, sampler):
     budget = link_budget(cfg)
     for index, ris_type in enumerate(RisType):
         alloc = allocate_power(cfg, ris_type, budget)
-        report = monte_carlo_capacity(cfg, ris_type, alloc, budget, trials=trials,
-                                      base_seed=(seed, index), sampler=sampler)
-        yield ris_type, ergodic_rate_exact(cfg, ris_type, alloc, budget), report
+        snr = average_snr(cfg, ris_type, alloc, budget)
+        if sampler == "aggregate":
+            estimate = monte_carlo_capacity(snr, cfg.bs_antennas, trials, (seed, index))
+        else:
+            estimate = element_monte_carlo(cfg, ris_type, alloc, budget, trials,
+                                           (seed, index))
+        yield ris_type, ergodic_rate_exact(snr, cfg.bs_antennas), estimate
 
 
 def test_exact_rate_reference_values():
@@ -286,24 +297,24 @@ def test_exact_rate_reference_values():
                 RisType.HYBRID: 50.61113132}
     for ris_type, value in expected.items():
         alloc = allocate_power(cfg, ris_type, budget)
-        exact = ergodic_rate_exact(cfg, ris_type, alloc, budget)
+        snr = average_snr(cfg, ris_type, alloc, budget)
+        exact = ergodic_rate_exact(snr, cfg.bs_antennas)
         assert exact == pytest.approx(value, abs=1e-8)
         # Jensen: strictly below the averaged-channel bound
-        assert exact < upper_bound(cfg, ris_type, alloc, budget)
+        assert exact < upper_bound(snr)
 
 
 def test_aggregate_monte_carlo_matches_exact_rate():
-    for ris_type, exact, report in _exact_and_mc(make_config(), 4000, 17, "aggregate"):
-        assert abs(report.monte_carlo_mean - exact) <= 3.0 * report.monte_carlo_stderr, \
-            (ris_type, report.monte_carlo_mean, exact)
+    for ris_type, exact, (mean, stderr) in _exact_and_mc(make_config(), 4000, 17,
+                                                         "aggregate"):
+        assert abs(mean - exact) <= 3.0 * stderr, (ris_type, mean, exact)
 
 
 def test_element_monte_carlo_matches_exact_rate():
     # the row-power law is exact for any panel size, so a small panel suffices
     cfg = make_config(rows=4, cols=4)
-    for ris_type, exact, report in _exact_and_mc(cfg, 2000, 23, "element"):
-        assert abs(report.monte_carlo_mean - exact) <= 3.0 * report.monte_carlo_stderr, \
-            (ris_type, report.monte_carlo_mean, exact)
+    for ris_type, exact, (mean, stderr) in _exact_and_mc(cfg, 2000, 23, "element"):
+        assert abs(mean - exact) <= 3.0 * stderr, (ris_type, mean, exact)
 
 
 def test_rate_invariants_over_random_deployments():
@@ -320,31 +331,32 @@ def test_rate_invariants_over_random_deployments():
             budget = link_budget(cfg)
             tol = mc_tolerance(cfg, trials)
             for index, ris_type in enumerate(RisType):
-                alloc = allocate_power(cfg, ris_type, budget)
-                bound = upper_bound(cfg, ris_type, alloc, budget)
-                exact = ergodic_rate_exact(cfg, ris_type, alloc, budget)
-                report = monte_carlo_capacity(cfg, ris_type, alloc, budget,
-                                              trials=trials,
-                                              base_seed=(deployment, index),
-                                              sampler="aggregate")
+                snr = average_snr(cfg, ris_type, allocate_power(cfg, ris_type, budget),
+                                  budget)
+                bound = upper_bound(snr)
+                exact = ergodic_rate_exact(snr, cfg.bs_antennas)
+                mean, _ = monte_carlo_capacity(snr, cfg.bs_antennas, trials,
+                                               (deployment, index))
                 assert exact <= bound, (deployment, ris_type, exact, bound)
                 assert bound == pytest.approx(
                     closed_form_rate(cfg, ris_type, budget), rel=1e-10)
-                assert abs(report.monte_carlo_mean - exact) <= tol, (
-                    deployment, ris_type, report.monte_carlo_mean, exact)
+                assert abs(mean - exact) <= tol, (deployment, ris_type, mean, exact)
 
 
 @pytest.mark.parametrize("bs_antennas", [1, 12, 64])
 @pytest.mark.parametrize("transmit_power", [1e-12, 20.0, 1e4, 1e8])
-def test_exact_rate_converges_in_node_count(bs_antennas, transmit_power):
+def test_exact_rate_converges_in_node_count(monkeypatch, bs_antennas, transmit_power):
     # 20 W and 10 kW put the per-user scale near 3 and 1e3; with one antenna
     # the log singularity at x = -1/scale then sits next to the Gamma(1)
     # mass at 0, where Gauss-Laguerre in x converges only like 1/n
     cfg = make_config(bs_antennas=bs_antennas, transmit_power=transmit_power)
     budget = link_budget(cfg)
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
-    values = [ergodic_rate_exact(cfg, RisType.HYBRID, alloc, budget, points=n)
-              for n in (256, 512, 1024)]
+    snr = average_snr(cfg, RisType.HYBRID, alloc, budget)
+    values = []
+    for n in (256, 512, 1024):
+        monkeypatch.setattr(capacity, "EXACT_POINTS", n)
+        values.append(ergodic_rate_exact(snr, bs_antennas))
     for coarse, fine in zip(values, values[1:]):
         assert fine == pytest.approx(coarse, rel=1e-12)
 
@@ -366,13 +378,13 @@ def test_aggregate_sampler_is_deterministic():
     cfg = make_config()
     budget = link_budget(cfg)
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
-    first, second = (monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=50,
-                                          base_seed=(4, 2), sampler="aggregate")
+    snr = average_snr(cfg, RisType.HYBRID, alloc, budget)
+    first, second = (monte_carlo_capacity(snr, cfg.bs_antennas, trials=50,
+                                          base_seed=(4, 2))
                      for _ in range(2))
     assert first == second
-    other = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=50,
-                                 base_seed=(5, 2), sampler="aggregate")
-    assert other.monte_carlo_mean != first.monte_carlo_mean
+    other = monte_carlo_capacity(snr, cfg.bs_antennas, trials=50, base_seed=(5, 2))
+    assert other[0] != first[0]
 
 
 def test_element_sampler_uses_the_given_budget(monkeypatch):
@@ -381,15 +393,15 @@ def test_element_sampler_uses_the_given_budget(monkeypatch):
     cfg = make_config(rows=3, cols=3)
     budget = link_budget(cfg)
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
-    expected = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=3,
-                                    base_seed=4)
+    expected = element_monte_carlo(cfg, RisType.HYBRID, alloc, budget, trials=3,
+                                   base_seed=4)
 
     def recomputed(cfg):
         raise AssertionError("link_budget computed again")
 
     monkeypatch.setattr(channel, "link_budget", recomputed)
-    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=3,
-                                  base_seed=4)
+    report = element_monte_carlo(cfg, RisType.HYBRID, alloc, budget, trials=3,
+                                 base_seed=4)
     assert report == expected
 
 
@@ -398,22 +410,9 @@ def test_aggregate_sampler_zero_allocation():
     budget = link_budget(cfg)
     alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
                             scheme=RisType.HYBRID)
-    report = monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=4, base_seed=0,
-                                  sampler="aggregate")
-    assert report.monte_carlo_mean == 0.0
-    assert report.monte_carlo_stderr == 0.0
-    assert ergodic_rate_exact(cfg, RisType.HYBRID, alloc, budget) == 0.0
+    snr = average_snr(cfg, RisType.HYBRID, alloc, budget)
+    mean, stderr = monte_carlo_capacity(snr, cfg.bs_antennas, trials=4, base_seed=0)
+    assert mean == 0.0
+    assert stderr == 0.0
+    assert ergodic_rate_exact(snr, cfg.bs_antennas) == 0.0
 
-
-def test_sampler_and_quadrature_arguments_are_validated():
-    cfg = make_config(rows=2, cols=2)
-    budget = link_budget(cfg)
-    alloc = allocate_power(cfg, RisType.HYBRID, budget)
-    with pytest.raises(ValueError, match="points"):
-        ergodic_rate_exact(cfg, RisType.HYBRID, alloc, budget, points=1)
-    with pytest.raises(ValueError, match="gaussian"):
-        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=2, base_seed=0,
-                             fading="sign", sampler="aggregate")
-    with pytest.raises(ValueError, match="unknown sampler"):
-        monte_carlo_capacity(cfg, RisType.HYBRID, alloc, budget, trials=2, base_seed=0,
-                             sampler="bogus")

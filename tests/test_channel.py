@@ -12,7 +12,6 @@ from ris_select import (
     FADING_LAWS,
     FadingLaw,
     RisType,
-    aggregated_gain_statistics,
     link_budget,
     prepare_sampler,
     zone_gain_statistics,
@@ -195,9 +194,9 @@ def test_magnitude_distribution_ignores_phase_grid():
 @pytest.mark.parametrize("law", sorted(FADING_LAWS))
 def test_aggregated_variance_matches_amplitude(law):
     cfg = make_config(rows=8, cols=8)
-    report = aggregated_gain_statistics(cfg, RisType.HYBRID, trials=4000,
-                                        fading=law, seed=11)
-    for stats in (report.reflect, report.transmit):
+    for reflection in (True, False):
+        stats = zone_gain_statistics(cfg, RisType.HYBRID, reflection, trials=4000,
+                                     fading=law, seed=11)
         assert stats.expected_variance == pytest.approx(0.5, rel=1e-12)
         assert abs(stats.variance - stats.expected_variance) <= 3.0 * stats.variance_stderr
         assert abs(stats.mean) <= 4.0 * math.sqrt(stats.expected_variance / stats.trials)
@@ -205,12 +204,14 @@ def test_aggregated_variance_matches_amplitude(law):
 
 def test_aggregated_gain_normality_for_large_panels():
     cfg = make_config(rows=50, cols=50)
-    report = aggregated_gain_statistics(cfg, RisType.TRANSMISSIVE, trials=3000,
-                                        fading="uniform_phase", seed=4)
-    assert abs(report.transmit.kurtosis_real) < 0.25
-    assert abs(report.transmit.kurtosis_imag) < 0.25
+    transmit, reflect = (zone_gain_statistics(cfg, RisType.TRANSMISSIVE, reflection,
+                                              trials=3000, fading="uniform_phase",
+                                              seed=4)
+                         for reflection in (False, True))
+    assert abs(transmit.kurtosis_real) < 0.25
+    assert abs(transmit.kurtosis_imag) < 0.25
     # the dead zone of a single-function surface carries no energy at all
-    assert report.reflect.variance == 0.0
+    assert reflect.variance == 0.0
 
 
 def test_single_element_keeps_fading_law_shape():
@@ -222,21 +223,9 @@ def test_single_element_keeps_fading_law_shape():
     assert stats.kurtosis_real < -1.0
 
 
-def test_report_names_the_fading_law():
-    cfg = make_config(rows=2, cols=2)
-
-    def custom_law(rng, shape):
-        return gaussian_fading(rng, shape)
-
-    for fading, name in (("sign", "sign"), (uniform_phase_fading, "uniform_phase"),
-                         (custom_law, "custom_law")):
-        report = aggregated_gain_statistics(cfg, RisType.HYBRID, 100, fading=fading)
-        assert report.fading == name
-
-
 def test_statistics_require_enough_trials():
     with pytest.raises(ValueError):
-        aggregated_gain_statistics(make_config(rows=2, cols=2), RisType.HYBRID, 99)
+        zone_gain_statistics(make_config(rows=2, cols=2), RisType.HYBRID, True, 99)
 
 
 def test_unknown_fading_law_rejected():

@@ -173,8 +173,9 @@ def test_sweep_from_file(tmp_path):
         cell = replace(base, users_transmission=int(row[0]))
         ris_type = next(t for t in RisType if t.letter == row[1])
         budget = link_budget(cell)
-        exact = ergodic_rate_exact(cell, ris_type, allocate_power(cell, ris_type, budget),
-                                   budget)
+        exact = ergodic_rate_exact(
+            average_snr(cell, ris_type, allocate_power(cell, ris_type, budget), budget),
+            cell.bs_antennas)
         assert abs(mc_mean - exact) <= tol
         assert mc_mean <= ub + tol
 
@@ -474,9 +475,9 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     seen = {}
     real = cli.monte_carlo_capacity
 
-    def spy(cfg, ris_type, alloc, budget, trials, base_seed, **kwargs):
+    def spy(snr, bs_antennas, trials, base_seed):
         seen.setdefault(current, []).append(base_seed)
-        return real(cfg, ris_type, alloc, budget, trials, base_seed, **kwargs)
+        return real(snr, bs_antennas, trials, base_seed)
 
     monkeypatch.setattr(cli, "monte_carlo_capacity", spy)
     spec = tmp_path / "sweep.cfg"
@@ -500,10 +501,10 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     cell = replace(load_scenario(REFERENCE_SCENARIO), users_transmission=5)
     budget = link_budget(cell)
     alloc = allocate_power(cell, RisType.REFLECTIVE, budget)
-    other = real(cell, RisType.REFLECTIVE, alloc, budget, 4, seen[10][0],
-                 sampler="aggregate")
+    other, _ = real(average_snr(cell, RisType.REFLECTIVE, alloc, budget),
+                    cell.bs_antennas, 4, seen[10][0])
     assert csvs[9][3][:2] == ["5", "R"]
-    assert float(csvs[9][3][4]) != pytest.approx(other.monte_carlo_mean, rel=1e-9)
+    assert float(csvs[9][3][4]) != pytest.approx(other, rel=1e-9)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -541,6 +542,28 @@ def test_bad_sweep_value_is_rejected(tmp_path, capsys, axis, values, message):
                  "--out", str(out)]) == 1
     assert message in _single_error_line(capsys)
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["scenario", "sweep"])
+def test_oversized_panel_gives_one_error_line(tmp_path, capsys, mode):
+    # a 10**10 x 10**10 grid is beyond numpy's largest array, so asking for
+    # it fails at once without allocating anything
+    side = 10 ** 10
+    scenario, argv = REFERENCE_SCENARIO, []
+    if mode == "scenario":
+        scenario = tmp_path / "huge.cfg"
+        scenario.write_text(REFERENCE_SCENARIO.read_text()
+                            .replace("ris_rows = 50", f"ris_rows = {side}")
+                            .replace("ris_cols = 50", f"ris_cols = {side}"))
+    else:
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(f"axis = ris_rows_cols\nvalues = 10, {side}\n"
+                        "outputs = closed_form, upper_bound, decision\n")
+        argv = ["--sweep", str(spec)]
+    out = tmp_path / "out"
+    assert main(["--scenario", str(scenario), "--out", str(out)] + argv) == 1
+    assert "too large to allocate" in _single_error_line(capsys)
+    assert not (out / "evaluate.json").exists() and not (out / "sweep.csv").exists()
 
 
 def test_evaluate_and_one_point_sweep_agree(tmp_path):

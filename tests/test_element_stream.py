@@ -82,10 +82,8 @@ def test_element_outputs_ignore_the_block_size(monkeypatch, block_rows):
     assert element_stream(("odd_3x3",)) == _golden(("odd_3x3",))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_element_outputs_ignore_the_worker_count(monkeypatch, workers):
+def test_element_outputs_ignore_the_pipeline(monkeypatch):
     # the 3x3 draws go through the worker pipeline, one user row per block
     monkeypatch.setattr(channel, "_BLOCK_VALUES", 0)
     monkeypatch.setattr(channel, "_HANDOFF_RATIO", 0.0)
-    monkeypatch.setattr(channel, "_WORKERS", workers)
     assert element_stream(("odd_3x3",)) == _golden(("odd_3x3",))
