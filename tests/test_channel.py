@@ -121,6 +121,44 @@ def test_sampling_is_bit_deterministic():
     assert not np.array_equal(a, c)
 
 
+def _raw(bit_generator, n=16):
+    return bit_generator.random_raw(n)
+
+
+def test_rng_for_seed_is_sfc64_over_seed_sequence():
+    # every key selects the stream of SFC64(SeedSequence(key)): random keys
+    # of 1-6 words, the edge words, plain ints, numpy ints and the keys
+    # that leave [0, 2**32)
+    rng = np.random.default_rng(17)
+    keys = [tuple(int(w) for w in rng.integers(0, 2 ** 32, size=n))
+            for n in range(1, 7) for _ in range(20)]
+    keys += [(0,), (1,), (2 ** 32 - 1,), (0, 0, 0, 0), (2 ** 32 - 1, 0, 1, 2 ** 32 - 1),
+             (7, 1, 2 ** 32 - 1, 0, 1, 5)]
+    keys += [0, 1, 9, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, (2 ** 32, 1), (True, 2),
+             (np.uint32(3), 2), np.int64(5)]
+    for key in keys:
+        expected = np.random.SFC64(np.random.SeedSequence(key))
+        assert np.array_equal(_raw(rng_for_seed(key).bit_generator),
+                              _raw(expected)), key
+
+
+def test_rng_for_seed_keeps_aliases_and_errors():
+    def stream(key):
+        return _raw(rng_for_seed(key).bit_generator)
+
+    # SeedSequence splits 2**32 into the words (0, 1) and pads short keys
+    assert np.array_equal(stream(2 ** 32), stream((0, 1)))
+    assert np.array_equal(stream(9), stream((9, 0)))
+    assert not np.array_equal(stream((9, 1)), stream((9, 0)))
+    for negative in (-1, (3, -1), (-2 ** 40,)):
+        with pytest.raises(ValueError):
+            rng_for_seed(negative)
+    # a uint32 conversion would truncate these silently
+    for fractional in (5.5, (1, 5.5), (5.0, 2), (1, np.float64(2.0))):
+        with pytest.raises(TypeError):
+            rng_for_seed(fractional)
+
+
 def test_tuple_seeds_give_distinct_streams():
     cfg = make_config(rows=6, cols=6)
     draw = prepare_sampler(cfg, RisType.HYBRID, link_budget(cfg))
