@@ -67,19 +67,23 @@ def type_curves(cfg: ScenarioConfig, budget: LinkBudget):
 
 @functools.lru_cache(maxsize=32)
 def _type_curves(s, eps_r, eps_t, big_l):
-    def single_zone(reflective: bool):
-        eps = eps_r if reflective else eps_t
+    # Each rate is one straight-line closure: find_thresholds calls them a
+    # few hundred times per search. hybrid_rate writes hybrid_shares out
+    # (hybrid_share's formula and the clamp) with the same operations in the
+    # same order, so its values are bit-identical to the nested form.
+    def reflect_rate(x):
+        n = s - x
+        return n * (math.log1p(eps_r / (big_l * n)) / LN2) if n > 0.0 else 0.0
 
-        def rate(x):
-            n = s - x if reflective else x
-            return n * (math.log1p(eps / (big_l * n)) / LN2) if n > 0.0 else 0.0
+    def reflect_shares(x):
+        n = s - x
+        return (1.0 / n if n > 0.0 else 0.0), 0.0
 
-        def shares(x):
-            n = s - x if reflective else x
-            share = 1.0 / n if n > 0.0 else 0.0
-            return (share, 0.0) if reflective else (0.0, share)
+    def transmit_rate(x):
+        return x * (math.log1p(eps_t / (big_l * x)) / LN2) if x > 0.0 else 0.0
 
-        return rate, shares
+    def transmit_shares(x):
+        return 0.0, (1.0 / x if x > 0.0 else 0.0)
 
     def hybrid_shares(x):
         n_r = s - x
@@ -88,19 +92,25 @@ def _type_curves(s, eps_r, eps_t, big_l):
             lam = min(max(hybrid_share(x, s, eps_r, eps_t, big_l), 0.0), 1.0 / n_r)
         return lam, ((1.0 - n_r * lam) / x if x > 0.0 else 0.0)
 
+    gap, inv_s, two_l = 1.0 / eps_t - 1.0 / eps_r, 1.0 / s, 2.0 * big_l
+
     def hybrid_rate(x):
-        lam, share = hybrid_shares(x)
         n_r = s - x
-        total = 0.0
+        lam = total = 0.0
         if n_r > 0.0:
-            total += n_r * (math.log1p(eps_r * lam / (2.0 * big_l)) / LN2)
+            lam = big_l * (2.0 * x / s) * gap + inv_s
+            if lam < 0.0:
+                lam = 0.0
+            elif lam > 1.0 / n_r:
+                lam = 1.0 / n_r
+            total += n_r * (math.log1p(eps_r * lam / two_l) / LN2)
         if x > 0.0:
-            total += x * (math.log1p(eps_t * share / (2.0 * big_l)) / LN2)
+            total += x * (math.log1p(eps_t * ((1.0 - n_r * lam) / x) / two_l) / LN2)
         return total
 
     return MappingProxyType({
-        RisType.REFLECTIVE: single_zone(True),
-        RisType.TRANSMISSIVE: single_zone(False),
+        RisType.REFLECTIVE: (reflect_rate, reflect_shares),
+        RisType.TRANSMISSIVE: (transmit_rate, transmit_shares),
         RisType.HYBRID: (hybrid_rate, hybrid_shares),
     })
 
@@ -233,10 +243,18 @@ def _trial_base(trials: int, base_seed) -> tuple:
 
 
 def _mean_and_stderr(rates: np.ndarray) -> tuple:
-    """Mean and standard error (0 for one trial) of the per-trial rates."""
+    """Mean and standard error (0 for one trial) of the per-trial rates.
+
+    The reductions of rates.mean() and rates.std(ddof=1), bit for bit,
+    without their Python wrappers (which cost more than the arithmetic).
+    """
     trials = len(rates)
-    stderr = float(rates.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(rates.mean()), stderr
+    mean = np.add.reduce(rates) / trials
+    if trials < 2:
+        return float(mean), 0.0
+    dev = rates - mean
+    std = math.sqrt(np.add.reduce(dev * dev) / (trials - 1))
+    return float(mean), std / math.sqrt(trials)
 
 
 def monte_carlo_capacity(snr, bs_antennas: int, trials: int, base_seed) -> tuple:

@@ -193,7 +193,17 @@ def rng_for_seed(seed) -> np.random.Generator:
     (four-word trial keys, seeds below 2**32). SFC64 is the fastest
     generator shipped with numpy, which keeps large Monte Carlo sweeps
     inside their wall-clock budgets.
+
+    A key of ints in [0, 2**32) reaches SeedSequence as a uint32 array,
+    which holds the same words (so the same stream) and builds faster; any
+    other key goes as it is and keeps its stream or its error.
     """
+    key = seed if type(seed) is tuple else (seed,)
+    if set(map(type, key)) == {int}:
+        try:
+            seed = np.array(key, dtype=np.uint32)
+        except OverflowError:
+            pass
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 

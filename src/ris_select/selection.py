@@ -13,6 +13,7 @@ to trust.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,21 +106,17 @@ def _sign_pattern_monotone(values, increasing: bool) -> bool:
 
     Zeros are skipped; any NaN makes the pattern non-monotone.
     """
-    previous = None
-    for v in values:
-        if math.isnan(v):
-            return False
-        if v == 0.0:
-            continue
-        positive = v > 0.0
-        if previous is not None and positive != previous and positive != increasing:
-            return False
-        previous = positive
-    return True
+    if any(map(math.isnan, values)):
+        return False
+    signs = [v > 0.0 for v in values if v != 0.0]
+    # the one allowed change leads to `increasing`; nothing may follow it
+    return increasing not in signs \
+        or (not increasing) not in signs[signs.index(increasing):]
 
 
-def _bisect(func, lo: float, hi: float) -> float | None:
-    flo, fhi = func(lo), func(hi)
+def _bisect(first, second, lo: float, hi: float, flo: float, fhi: float) -> float | None:
+    """Root of first(x) - second(x) on [lo, hi], whose values at lo and hi
+    are flo and fhi."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -130,7 +127,7 @@ def _bisect(func, lo: float, hi: float) -> float | None:
         mid = 0.5 * (lo + hi)
         if hi - lo <= ROOT_TOL:
             return mid
-        fm = func(mid)
+        fm = first(mid) - second(mid)
         if fm == 0.0:
             return mid
         if (fm > 0.0) == (flo > 0.0):
@@ -154,31 +151,27 @@ def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresho
         raise ValueError("threshold search needs at least two users")
     c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
     lo, hi = 1.0, float(cfg.users_total - 1)
-    grid = np.linspace(lo, hi, SCAN_POINTS).tolist()
-    reflect = [c_reflect(x) for x in grid]
-    transmit = [c_transmit(x) for x in grid]
-    hybrid = [c_hybrid(x) for x in grid]
+    grid = np.linspace(lo, hi, SCAN_POINTS).tolist()  # ends exactly at lo, hi
+    reflect = list(map(c_reflect, grid))
+    transmit = list(map(c_transmit, grid))
+    hybrid = list(map(c_hybrid, grid))
 
     differences = (
-        ("transmissive minus reflective",
-         lambda x: c_transmit(x) - c_reflect(x),
-         [t - r for t, r in zip(transmit, reflect)], True),
-        ("reflective minus hybrid",
-         lambda x: c_reflect(x) - c_hybrid(x),
-         [r - h for r, h in zip(reflect, hybrid)], False),
-        ("transmissive minus hybrid",
-         lambda x: c_transmit(x) - c_hybrid(x),
-         [t - h for t, h in zip(transmit, hybrid)], True),
+        ("transmissive minus reflective", c_transmit, c_reflect, transmit, reflect,
+         True),
+        ("reflective minus hybrid", c_reflect, c_hybrid, reflect, hybrid, False),
+        ("transmissive minus hybrid", c_transmit, c_hybrid, transmit, hybrid, True),
     )
     roots = []
-    for name, diff, values, increasing in differences:
+    for name, first, second, first_values, second_values, increasing in differences:
+        values = list(map(operator.sub, first_values, second_values))
         if not _sign_pattern_monotone(values, increasing):
             raise RegimeViolationError(
                 f"approximation regime violated: the {name} difference is not "
                 f"monotone over the user split",
                 regime=_regime_report(cfg, budget),
             )
-        roots.append(_bisect(diff, lo, hi))
+        roots.append(_bisect(first, second, lo, hi, values[0], values[-1]))
 
     split_rt, split_rh, split_th = roots
     rate_eq = c_reflect(split_rt) if split_rt is not None else None
@@ -434,9 +427,14 @@ class AsymptoticDiagnostics:
     """Element-count threshold for hybrid dominance plus slope diagnostics.
 
     `element_count_scale` is the link constant stripped of the panel size
-    (so it equals link_constant * M N). The hybrid type beats both
-    single-zone types whenever the panel size exceeds
-    element_count_scale * 2 ** max(reflect_exponent, transmit_exponent).
+    (so it equals link_constant * M N). `hybrid_favored` says the panel
+    size exceeds element_count_scale * 2 ** max(reflect_exponent,
+    transmit_exponent), the high-SNR threshold above which the hybrid type
+    beats both single-zone types. That prediction holds only where the
+    regime report holds (near-isotropic radiation, high SNR); elsewhere a
+    favored cell can lose to a single-zone type by whole b/s/Hz. Even in
+    the regime the threshold drops 1/SNR terms, so within about 10% of it
+    the flag can be wrong by a small margin.
     `hybrid_vs_transmit_approx` is the high-SNR estimate of the hybrid minus
     transmissive rate gap.
 

@@ -2,6 +2,7 @@
 the Monte Carlo tolerance."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from ris_select import (
@@ -97,6 +98,18 @@ def random_config(rng) -> ScenarioConfig:
         transmit_power=dbm_to_watts(float(rng.uniform(10.0, 50.0))),
         noise_variance=dbm_to_watts(float(rng.uniform(-110.0, -70.0))),
     )
+
+
+def near_isotropic_config(rng) -> ScenarioConfig:
+    """A random_config deployment with eps_t within 4% of eps_r, transmit
+    power 10-70 dBm and noise -120 to -70 dBm: about one interior split in
+    eight passes the regime report (random_config's 0.02-1 radiation range
+    almost never does)."""
+    cfg = random_config(rng)
+    eps_t = min(1.0, cfg.panel.radiation_reflect * float(rng.uniform(0.96, 1.04)))
+    return replace(cfg, panel=replace(cfg.panel, radiation_transmit=eps_t),
+                   transmit_power=dbm_to_watts(float(rng.uniform(10.0, 70.0))),
+                   noise_variance=dbm_to_watts(float(rng.uniform(-120.0, -70.0))))
 
 
 def mc_tolerance(cfg, trials):

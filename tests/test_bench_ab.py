@@ -1,0 +1,85 @@
+"""tools/bench_ab.py: the paired summary of two checkouts' benchmark runs."""
+
+import importlib.util
+import json
+
+import pytest
+
+from conftest import REPO_ROOT
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_ab", REPO_ROOT / "tools" / "bench_ab.py")
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+SPECS = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def _result(work_per_s, setup_s=0.14, failed=0, digests=None):
+    values = {"setup_s": setup_s, "work_per_s": work_per_s, "call_p50_ms": 1e4 / work_per_s,
+              "call_p90_ms": 2e4 / work_per_s, "peak_rss_mb": 47.0}
+    return {"metrics": {name: {"value": value, "unit": "u"} for name, value in values.items()},
+            "failed": failed, "attempted": 20,
+            "digests": {"round": "a"} if digests is None else digests}
+
+
+def _pairs(parent_rates, change_rates, **change_extra):
+    return [{"parent": _result(p), "change": _result(c, **change_extra)}
+            for p, c in zip(parent_rates, change_rates)]
+
+
+def test_quartiles_of_one_and_several_values():
+    assert bench_ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert bench_ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 3.0, 4.5)
+
+
+def test_summary_of_a_clear_gain():
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0]
+    change = [120.0, 119.0, 97.0, 121.0, 118.0]  # one pair lost
+    summary = bench_ab.summarize(_pairs(parent, change), SPECS)
+    assert summary["pairs"] == 5
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["attempted"] == {"parent": 100, "change": 100}
+    assert summary["digests_equal_pairs"] == 5
+    rate = summary["metrics"]["work_per_s"]
+    assert rate["parent"]["median"] == 100.0
+    assert rate["change"]["median"] == 119.0
+    assert rate["relative_change"] == pytest.approx(0.19)
+    assert rate["change_wins"] == 4
+    assert rate["clears_parent_iqr"] and rate["within_bound"]
+    # lower-is-better metrics count a smaller value as a win
+    p50 = summary["metrics"]["call_p50_ms"]
+    assert p50["change_wins"] == 4 and p50["relative_change"] < 0.0
+    assert p50["clears_parent_iqr"] and p50["within_bound"]
+    # equal values neither win nor clear the spread
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == 0 and not rss["clears_parent_iqr"]
+    assert rss["within_bound"]
+
+
+def test_summary_flags_a_loss_outside_the_bound_failures_and_digests():
+    parent = [100.0, 100.0, 100.0]
+    change = [80.0, 81.0, 79.0]  # -20% against a 15% bound
+    pairs = _pairs(parent, change, setup_s=0.5, failed=2, digests={"round": "b"})
+    summary = bench_ab.summarize(pairs, SPECS)
+    assert summary["failed"] == {"parent": 0, "change": 6}
+    assert summary["digests_equal_pairs"] == 0
+    rate = summary["metrics"]["work_per_s"]
+    assert rate["change_wins"] == 0
+    assert not rate["clears_parent_iqr"] and not rate["within_bound"]
+    assert not summary["metrics"]["setup_s"]["within_bound"]
+    text = bench_ab.format_summary("mc_sweep", summary)
+    assert text.splitlines()[0] == ("mc_sweep: 3 pairs, failed 0/60 parent, 6/60 change, "
+                                    "output digests equal in 0/3 pairs")
+    assert text.count("OUTSIDE BOUND") == 4  # setup_s, work_per_s, call_p50/p90
+
+
+def test_bad_arguments_are_rejected(capsys):
+    with pytest.raises(SystemExit):
+        bench_ab.parse_args(["a", "b", "--pairs", "0"])
+    assert "--pairs" in capsys.readouterr().err
+
+
+def test_missing_checkout_exits_1(tmp_path, capsys):
+    assert bench_ab.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read BENCHMARK.json")

@@ -230,6 +230,18 @@ def test_monte_carlo_requires_a_trial():
                              cfg.bs_antennas, trials=0, base_seed=0)
 
 
+def test_mean_and_stderr_are_numpys_bit_for_bit():
+    # the estimators' summary replays rates.mean() and rates.std(ddof=1)
+    rng = np.random.default_rng(41)
+    for trials in list(range(1, 40)) + [127, 128, 129, 1000]:
+        for _ in range(5):
+            rates = rng.gamma(3.0, rng.uniform(0.1, 50.0), size=trials)
+            expected_stderr = (float(rates.std(ddof=1) / math.sqrt(trials))
+                               if trials > 1 else 0.0)
+            assert capacity._mean_and_stderr(rates) == (float(rates.mean()),
+                                                        expected_stderr), trials
+
+
 def test_monte_carlo_below_bound_all_types():
     cfg = make_config(rows=20, cols=20)
     budget = link_budget(cfg)

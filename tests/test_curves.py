@@ -104,9 +104,9 @@ def _rate_from_shares(x, s, eps_r, eps_t, big_l, lam, share):
 
 
 def test_hybrid_curve_matches_the_public_share_formula():
-    # the hybrid curve writes hybrid_share's formula and its clamp out: where
-    # the reflection share is not clamped, shares(x) must equal hybrid_share
-    # bit for bit, and everywhere rate(x) must be the rate at shares(x)
+    # the hybrid rate writes hybrid_share's formula and its clamp out: it
+    # must equal the rate at shares(x) bit for bit everywhere, and shares(x)
+    # must equal hybrid_share wherever the reflection share is not clamped
     rng = np.random.default_rng(11)
     unclamped = 0
     for cfg in _deployments().values():
