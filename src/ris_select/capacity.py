@@ -70,7 +70,7 @@ def _type_curves(s, eps_r, eps_t, big_l):
     # Each rate is one straight-line closure: find_thresholds calls them a
     # few hundred times per search. hybrid_rate writes hybrid_shares out
     # (hybrid_share's formula and the clamp) with the same operations in the
-    # same order, so its values are bit-identical to the nested form.
+    # same order, so it equals the rate at hybrid_shares(x) bit for bit.
     def reflect_rate(x):
         n = s - x
         return n * (math.log1p(eps_r / (big_l * n)) / LN2) if n > 0.0 else 0.0

@@ -432,9 +432,9 @@ class AsymptoticDiagnostics:
     transmit_exponent), the high-SNR threshold above which the hybrid type
     beats both single-zone types. That prediction holds only where the
     regime report holds (near-isotropic radiation, high SNR); elsewhere a
-    favored cell can lose to a single-zone type by whole b/s/Hz. Even in
-    the regime the threshold drops 1/SNR terms, so within about 10% of it
-    the flag can be wrong by a small margin.
+    favored cell can lose to a single-zone type by more than 1 b/s/Hz.
+    Even in the regime the threshold drops 1/SNR terms, so within about 10%
+    of it the flag can be wrong by a small margin.
     `hybrid_vs_transmit_approx` is the high-SNR estimate of the hybrid minus
     transmissive rate gap.
 

@@ -16,7 +16,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from conftest import REFERENCE_SCENARIO, REPO_ROOT, random_config
 from ris_select import (
@@ -124,17 +123,3 @@ def test_hybrid_curve_matches_the_public_share_formula():
                 unclamped += 1
     assert unclamped > 500
 
-
-@pytest.mark.parametrize("ris_type", list(RisType))
-def test_curves_are_zero_at_an_empty_served_set(ris_type):
-    # the documented continuous extension at n = 0
-    cfg = random_config(np.random.default_rng(3))
-    rate, shares = type_curves(cfg, link_budget(cfg))[ris_type]
-    s = float(cfg.users_total)
-    if ris_type is RisType.REFLECTIVE:
-        assert rate(s) == 0.0 and shares(s) == (0.0, 0.0)
-    elif ris_type is RisType.TRANSMISSIVE:
-        assert rate(0.0) == 0.0 and shares(0.0) == (0.0, 0.0)
-    else:
-        assert shares(0.0) == (1.0 / s, 0.0)
-        assert shares(s) == (0.0, 1.0 / s)

@@ -521,8 +521,8 @@ def test_asymptotics_need_both_zones():
 
 # hybrid_favored compares the panel size with a high-SNR threshold; within
 # this factor of it the terms the threshold drops can decide (seen in
-# near-isotropic scratch samples: hybrid lost at M N / threshold of 1.005
-# to 1.056, every time by under 0.02 b/s/Hz).
+# near-isotropic samples: hybrid lost at M N / threshold of 1.005 to 1.056,
+# by 0.004 to 0.13 b/s/Hz).
 THRESHOLD_MARGIN = 1.1
 
 
