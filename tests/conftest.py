@@ -1,5 +1,5 @@
-"""Shared helpers: reference scenario path, a config factory, the regime report,
-the Monte Carlo tolerance."""
+"""Shared helpers: reference scenario path, a config factory, scenario text,
+the regime report, the Monte Carlo tolerance."""
 
 import math
 from dataclasses import replace
@@ -59,6 +59,36 @@ def make_config(**overrides) -> ScenarioConfig:
         else:
             raise TypeError(f"unknown override {key!r}")
     return ScenarioConfig(panel=RisPanel(**panel_kwargs), **config_kwargs)
+
+
+def scenario_text(cfg: ScenarioConfig) -> str:
+    """Scenario-file text that loads back to `cfg` exactly (powers in watts,
+    floats as repr); phase grids are left at their all-zero default."""
+    panel = cfg.panel
+    values = {
+        "bs_antennas": cfg.bs_antennas,
+        "bs_ris_distance_m": cfg.bs_ris_distance,
+        "ris_ue_distance_m": cfg.ris_ue_distance,
+        "bs_height_m": cfg.bs_height,
+        "ris_height_m": cfg.ris_height,
+        "users_total": cfg.users_total,
+        "users_transmission": cfg.users_transmission,
+        "transmit_power_w": cfg.transmit_power,
+        "noise_w": cfg.noise_variance,
+        "wavelength_m": cfg.wavelength,
+        "antenna_gain": cfg.antenna_gain,
+        "pathloss_exponent": cfg.pathloss_exponent,
+        "ris_rows": panel.rows,
+        "ris_cols": panel.cols,
+        "element_width_m": panel.element_width,
+        "element_height_m": panel.element_height,
+        "element_gain": panel.element_gain,
+        "radiation_reflect": panel.radiation_reflect,
+        "radiation_transmit": panel.radiation_transmit,
+        "iso_tol": cfg.iso_tol,
+        "snr_floor": cfg.snr_floor,
+    }
+    return "".join(f"{key} = {value!r}\n" for key, value in values.items())
 
 
 def regime_report(cfg: ScenarioConfig):
