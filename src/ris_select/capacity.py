@@ -117,6 +117,17 @@ def _type_curves(s, eps_r, eps_t, big_l):
 
 # --- allocation ----------------------------------------------------------------
 
+def _served_shares(cfg: ScenarioConfig, ris_type: RisType, shares) -> tuple:
+    """A type's (reflection, transmission) per-user shares at the configured
+    split; warns, on behalf of the caller's caller, when nobody is served."""
+    share_r, share_t = shares(cfg.users_transmission)
+    if share_r == share_t == 0.0:
+        zone = "reflection" if ris_type is RisType.REFLECTIVE else "transmission"
+        warnings.warn(f"no served UEs: {ris_type.value} surface with an empty "
+                      f"{zone} zone", stacklevel=3)
+    return share_r, share_t
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
     """Per-user fractions of the total transmit power (they sum to 1 when
@@ -144,11 +155,7 @@ def allocate_power(cfg: ScenarioConfig, ris_type: RisType,
     set yields the all-zero allocation and a warning.
     """
     _, shares = type_curves(cfg, budget)[ris_type]
-    share_r, share_t = shares(cfg.users_transmission)
-    if share_r == share_t == 0.0:
-        zone = "reflection" if ris_type is RisType.REFLECTIVE else "transmission"
-        warnings.warn(f"no served UEs: {ris_type.value} surface with an empty "
-                      f"{zone} zone", stacklevel=2)
+    share_r, share_t = _served_shares(cfg, ris_type, shares)
     return PowerAllocation(
         per_ue=[share_r] * cfg.users_reflection + [share_t] * cfg.users_transmission,
         reflect_fraction=share_r if ris_type is RisType.HYBRID else None,
@@ -183,6 +190,13 @@ def closed_form_rate(cfg: ScenarioConfig, ris_type: RisType,
     return rate(cfg.users_transmission)
 
 
+def _snr_product(power_ratio, shares, pathloss, antennas, elements, gamma_sq):
+    """The averaged-SNR product, written once for a vector and for a block:
+    every factor is an array broadcast to the output's shape, or a scalar,
+    and numpy rounds each elementwise product the same way in either case."""
+    return power_ratio * shares * pathloss * antennas * elements * gamma_sq
+
+
 def average_snr(cfg: ScenarioConfig, ris_type: RisType, alloc: PowerAllocation,
                 budget: LinkBudget) -> np.ndarray:
     """Per-user received SNR averaged over the fading.
@@ -196,18 +210,61 @@ def average_snr(cfg: ScenarioConfig, ris_type: RisType, alloc: PowerAllocation,
     beta = np.where(mask, budget.avg_pathloss_reflect, budget.avg_pathloss_transmit)
     gamma_sq = np.where(mask, ris_type.amplitude(True) ** 2,
                         ris_type.amplitude(False) ** 2)
-    return (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue * beta \
-        * cfg.bs_antennas * cfg.panel.element_count * gamma_sq
+    return _snr_product(cfg.transmit_power / cfg.noise_variance, alloc.per_ue, beta,
+                        cfg.bs_antennas, cfg.panel.element_count, gamma_sq)
 
 
-def upper_bound(snr) -> float:
+# Squared amplitudes toward each zone, one row per type in RisType order.
+_GAIN_SQ_REFLECT = np.array([[t.amplitude(True) ** 2] for t in RisType])
+_GAIN_SQ_TRANSMIT = np.array([[t.amplitude(False) ** 2] for t in RisType])
+
+
+def average_snr_block(cfgs, budgets) -> np.ndarray:
+    """Averaged SNR of every cell, type and user in one array pass.
+
+    `cfgs` share users_total S and `budgets[a]` is link_budget(cfgs[a]).
+    Returns a (cells, 3, S) array whose [a, i] row is, bit for bit,
+    average_snr(cfgs[a], t, allocate_power(cfgs[a], t, budgets[a]),
+    budgets[a]) for the i-th type t in RisType order: the shares come from
+    type_curves per cell and the product is _snr_product's. Warns once per
+    cell and type with an empty served set, as allocate_power does.
+    """
+    s = cfgs[0].users_total
+    if any(cfg.users_total != s for cfg in cfgs):
+        raise ValueError("the cells of a block must share users_total")
+    shares = []
+    for cfg, budget in zip(cfgs, budgets):
+        for ris_type, (_, type_shares) in type_curves(cfg, budget).items():
+            shares.append(_served_shares(cfg, ris_type, type_shares))
+    shares = np.array(shares).reshape(len(cfgs), len(RisType), 2)
+    mask = np.arange(s) < np.array([cfg.users_reflection for cfg in cfgs])[:, None]
+    zone = mask[:, None, :]
+    per_ue = np.where(zone, shares[:, :, :1], shares[:, :, 1:])
+    beta = np.where(mask, np.array([b.avg_pathloss_reflect for b in budgets])[:, None],
+                    np.array([b.avg_pathloss_transmit for b in budgets])[:, None])
+    gamma_sq = np.where(zone, _GAIN_SQ_REFLECT, _GAIN_SQ_TRANSMIT)
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None, None]
+
+    return _snr_product(
+        column([cfg.transmit_power / cfg.noise_variance for cfg in cfgs]), per_ue,
+        beta[:, None, :], column([cfg.bs_antennas for cfg in cfgs]),
+        column([cfg.panel.element_count for cfg in cfgs]), gamma_sq)
+
+
+def upper_bound(snr):
     """Averaged-channel bound on the ergodic sum rate: the sum over users of
     log2(1 + snr). By Jensen's inequality this bounds each user's ergodic
     rate E[log2(1 + snr * X / K_t)], where X / K_t is the unit-mean
     normalized row power. With the type's own allocation it equals the
     closed form exactly.
+
+    Users run along the last axis: a vector gives a float, and a block an
+    array of the same sums bit for bit (one pairwise sum per row).
     """
-    return float(np.sum(np.log1p(snr)) / LN2)
+    bound = np.sum(np.log1p(snr), axis=-1) / LN2
+    return float(bound) if np.ndim(bound) == 0 else bound
 
 
 def ergodic_rate_exact(snr, bs_antennas: int) -> float:
@@ -243,18 +300,31 @@ def _trial_base(trials: int, base_seed) -> tuple:
 
 
 def _mean_and_stderr(rates: np.ndarray) -> tuple:
-    """Mean and standard error (0 for one trial) of the per-trial rates.
+    """Mean and standard error (0 for one trial) of the per-trial rates,
+    which run along the last axis.
 
-    The reductions of rates.mean() and rates.std(ddof=1), bit for bit,
-    without their Python wrappers (which cost more than the arithmetic).
+    The reductions of rates.mean(-1) and rates.std(-1, ddof=1), bit for
+    bit, without their Python wrappers (which cost more than the arithmetic).
     """
-    trials = len(rates)
-    mean = np.add.reduce(rates) / trials
+    trials = rates.shape[-1]
+    mean = np.add.reduce(rates, axis=-1) / trials
     if trials < 2:
-        return float(mean), 0.0
-    dev = rates - mean
-    std = math.sqrt(np.add.reduce(dev * dev) / (trials - 1))
-    return float(mean), std / math.sqrt(trials)
+        return mean, np.zeros_like(mean)
+    dev = rates - np.expand_dims(mean, -1)
+    std = np.sqrt(np.add.reduce(dev * dev, axis=-1) / (trials - 1))
+    return mean, std / math.sqrt(trials)
+
+
+def _gamma_rates(snr_rows: np.ndarray, antennas, trials: int, bases) -> np.ndarray:
+    """Per-trial Gamma sum rates, shape (rows, trials): row r, with K_t =
+    antennas[r], draws trial t from the generator seeded by bases[r] + (t,)."""
+    rows, users = snr_rows.shape
+    scale = snr_rows / np.array(antennas, dtype=float)[:, None]
+    row_gamma = np.empty((rows, trials, users))
+    for r, (base, k) in enumerate(zip(bases, antennas)):
+        for t in range(trials):
+            row_gamma[r, t] = rng_for_seed(base + (t,)).standard_gamma(k, size=users)
+    return np.sum(np.log1p(scale[:, None, :] * row_gamma), axis=-1) / LN2
 
 
 def monte_carlo_capacity(snr, bs_antennas: int, trials: int, base_seed) -> tuple:
@@ -270,12 +340,27 @@ def monte_carlo_capacity(snr, bs_antennas: int, trials: int, base_seed) -> tuple
     the panel, but the stream differs. ergodic_rate_exact is its oracle.
     """
     base = _trial_base(trials, base_seed)
-    k = bs_antennas
-    scale = snr / k
-    row_gamma = np.empty((trials, len(scale)))
-    for t in range(trials):
-        row_gamma[t] = rng_for_seed(base + (t,)).standard_gamma(k, size=len(scale))
-    return _mean_and_stderr(np.sum(np.log1p(scale * row_gamma), axis=1) / LN2)
+    snr = np.asarray(snr, dtype=float)
+    mean, stderr = _mean_and_stderr(_gamma_rates(snr[None], [bs_antennas], trials,
+                                                 [base])[0])
+    return float(mean), float(stderr)
+
+
+def monte_carlo_block(snr: np.ndarray, antennas, trials: int, base_seed) -> tuple:
+    """monte_carlo_capacity over a (cells, types, S) SNR block in one pass.
+
+    Returns (mean, stderr) arrays of shape (cells, types). Cell a has
+    antennas[a] base-station antennas, and its type i draws trial t from
+    base_seed + (a, i, t): entry [a, i] equals monte_carlo_capacity(snr[a, i],
+    antennas[a], trials, base_seed + (a, i)) bit for bit.
+    """
+    base = _trial_base(trials, base_seed)
+    cells, types, users = snr.shape
+    rates = _gamma_rates(snr.reshape(cells * types, users),
+                         [k for k in antennas for _ in range(types)], trials,
+                         [base + (a, i) for a in range(cells) for i in range(types)])
+    mean, stderr = _mean_and_stderr(rates)
+    return mean.reshape(cells, types), stderr.reshape(cells, types)
 
 
 def element_monte_carlo(cfg: ScenarioConfig, ris_type: RisType,
@@ -298,4 +383,5 @@ def element_monte_carlo(cfg: ScenarioConfig, ris_type: RisType,
         entries = draw(base + (t,))
         row_power = np.sum(entries.real ** 2 + entries.imag ** 2, axis=1)
         rates[t] = float(np.sum(np.log1p(gain * row_power)) / LN2)
-    return _mean_and_stderr(rates)
+    mean, stderr = _mean_and_stderr(rates)
+    return float(mean), float(stderr)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import (
+    ConfigValidationError,
     RisType,
     ScenarioConfig,
     incident_angle_factor,
@@ -83,20 +84,36 @@ def link_budget(cfg: ScenarioConfig) -> LinkBudget:
         / (P_T lambda^2 G l_M l_N G_I cos^2(theta) K_t M N)
 
     The two are tied by L * beta_zone * P_T * K_t * M * N = sigma^2 * eps_zone.
+    Raises DegenerateGeometryError at grazing incidence, and
+    ConfigValidationError when the pathloss or L over- or underflows a
+    float (so that it is zero or infinite).
     """
-    cos_sq = incident_angle_factor(cfg)
+    try:
+        cos_sq = incident_angle_factor(cfg)
+    except ZeroDivisionError:  # D^2 underflows to zero
+        cos_sq = math.nan
     if cos_sq <= 0.0:
         raise DegenerateGeometryError(
             "grazing incidence: bs_ris_distance equals the BS/RIS height offset"
         )
     panel = cfg.panel
-    base = (cfg.wavelength ** 2 * cfg.antenna_gain * panel.element_width
-            * panel.element_height) / _PATHLOSS_DENOM
-    spread = (cfg.bs_ris_distance * cfg.ris_ue_distance) ** cfg.pathloss_exponent
-    beta_common = base * panel.element_gain * cos_sq / spread
-    link_constant = cfg.noise_variance / (
-        cfg.transmit_power * cfg.bs_antennas * panel.element_count * beta_common
-    )
+    try:
+        base = (cfg.wavelength ** 2 * cfg.antenna_gain * panel.element_width
+                * panel.element_height) / _PATHLOSS_DENOM
+        spread = (cfg.bs_ris_distance * cfg.ris_ue_distance) ** cfg.pathloss_exponent
+        beta_common = base * panel.element_gain * cos_sq / spread
+        link_constant = cfg.noise_variance / (
+            cfg.transmit_power * cfg.bs_antennas * panel.element_count * beta_common
+        )
+    except (OverflowError, ZeroDivisionError):
+        link_constant = 0.0
+    # Over- or underflow leaves a NaN incidence factor (D^2 is 0 or inf) or an
+    # L of 0 or inf; a NaN field set behind validation passes through.
+    if math.isnan(cos_sq) or link_constant in (0.0, math.inf):
+        raise ConfigValidationError(
+            "link budget out of floating-point range: the pathloss or the link "
+            "constant over- or underflows; check wavelength_m, the distances and "
+            "pathloss_exponent")
     return LinkBudget(
         avg_pathloss_reflect=beta_common * panel.radiation_reflect,
         avg_pathloss_transmit=beta_common * panel.radiation_transmit,

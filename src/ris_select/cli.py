@@ -1,13 +1,22 @@
 """Batch front-end: single evaluations, parameter sweeps, figure presets.
 
-Every deployment, a single evaluation or one sweep cell, goes through one
-function, `_evaluate_cell`: it computes the link budget once, each type's
-allocation, closed form, bound and Monte Carlo estimate once, then the regime
-check, the decision and the diagnostics. `run_evaluate` serializes the cell to
-evaluate.json, and `run_sweep` to CSV rows.
+Every deployment goes through one evaluator, `_evaluate_cells`, which takes
+all cells of a sweep at once; a single evaluation is a one-cell sweep. Per
+cell it computes the link budget, each type's power shares and closed form
+as scalars. It then builds one (cells, 3, S) averaged-SNR block and takes
+the bounds, the regime's minimum served SNR and the Monte Carlo estimates
+from it in one array pass each. The block's numbers equal the per-vector
+functions' (average_snr, upper_bound, monte_carlo_capacity) bit for bit:
+every elementwise product is rounded alike, and each user or trial sum runs
+along a contiguous last axis, where numpy sums a block row exactly as it
+sums that row alone. Decisions and diagnostics stay per cell, and the rate
+curves and threshold search stay on scalar math.log1p, whose last bits
+np.log1p does not always match. `run_evaluate` serializes the cell to
+evaluate.json, and `run_sweep` the cells to CSV rows.
 
-Exit codes: 0 success, 1 ingestion/validation failure, 2 regime or geometry
-diagnostic failure under --strict. Sweep CSVs are bit-identical across runs
+Exit codes: 0 success, 1 ingestion/validation failure (including a link
+budget that over- or underflows a float), 2 regime or geometry diagnostic
+failure under --strict. Sweep CSVs are bit-identical across runs
 for a fixed (scenario, spec, seed); the Monte Carlo cell at axis index a and
 type index i (fixed type order R, T, H) is seeded (base_seed, a, i), and a
 single evaluation is axis 0 of the same scheme, seeding type i with
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -32,11 +42,10 @@ import numpy as np
 
 from .capacity import (
     CapacityReport,
-    allocate_power,
-    average_snr,
-    closed_form_rate,
+    average_snr_block,
     ergodic_rate_exact,
-    monte_carlo_capacity,
+    monte_carlo_block,
+    type_curves,
     upper_bound,
 )
 from .channel import DegenerateGeometryError, LinkBudget, link_budget
@@ -49,8 +58,9 @@ from .scenario import (
     config_digest,
     dbm_to_watts,
     _iter_config_lines,
+    approximation_regime,
     load_scenario,
-    validate_approximation_regime,
+    min_served_snr,
 )
 from .selection import (
     AsymptoticDiagnostics,
@@ -59,6 +69,7 @@ from .selection import (
     asymptotic_checks,
     brute_force_optimal,
     decide_type,
+    find_thresholds,
 )
 
 SEED_ENV_VAR = "RIS_SELECT_SEED"
@@ -264,10 +275,11 @@ def _threshold_text(thresholds) -> str:
             f"T|H={one(thresholds.split_transmit_hybrid)}")
 
 
-# --- one cell -----------------------------------------------------------------------
+# --- the evaluator -------------------------------------------------------------------
 
 # What a single evaluation computes; a sweep computes what its spec's outputs ask.
 EVALUATE_OUTPUTS = ("monte_carlo", "exact", "decision", "diagnostics")
+_HYBRID_INDEX = list(RisType).index(RisType.HYBRID)
 
 
 @dataclass(frozen=True)
@@ -289,44 +301,88 @@ class _Cell:
     diagnostics: AsymptoticDiagnostics | None
 
 
-def _evaluate_cell(cfg: ScenarioConfig, outputs, trials: int, seed: tuple) -> _Cell:
-    """Evaluate one deployment, deriving each number once.
+def _decide(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
+            searches: dict):
+    """(decision, violation, winner) of one cell. `searches` holds the
+    sweep's threshold searches by the tuple the crossings depend on; a
+    RegimeViolationError is never stored, so each cell raises its own."""
+    try:
+        thresholds = None
+        if 0 < cfg.users_transmission < cfg.users_total:
+            panel = cfg.panel
+            key = (cfg.users_total, panel.radiation_reflect, panel.radiation_transmit,
+                   budget.link_constant)
+            thresholds = searches.get(key)
+            if thresholds is None:
+                thresholds = searches[key] = find_thresholds(cfg, budget)
+        decision = decide_type(cfg, budget, regime, thresholds)
+    except RegimeViolationError as exc:
+        winner, _ = brute_force_optimal(cfg, budget)
+        return None, exc, winner
+    return decision, None, decision.brute_force_optimal
 
-    The link budget is computed once; each type's allocation, averaged SNR,
-    closed form, bound and (when asked for) Monte Carlo estimate and exact
-    rate once. The bound, the exact rate, the Monte Carlo estimate and the
-    regime check (under the hybrid allocation) all read that one SNR vector,
-    and this is the one place a CapacityReport is built. Type i draws its
-    Monte Carlo trials from seed + (i,). Raises DegenerateGeometryError.
+
+def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
+    """Evaluate the cells of one sweep, deriving each number once.
+
+    `cfgs` is an iterable of deployments sharing users_total. Returns
+    (cells, error): when building a config or its link budget raises
+    ConfigError or DegenerateGeometryError, `error` is that exception and
+    `cells` holds the cells before it, so a caller meets the failures in
+    cell order. Per cell, the link budget, the closed forms, the regime
+    report, the decision and the diagnostics are computed once. The
+    averaged SNR of every (cell, type, user) is one block; the bounds, the
+    regime's minimum served SNR and (when asked for) the Monte Carlo
+    estimates are one array pass over it, and the exact rates read its
+    rows. Cell a, type i draws its Monte Carlo trials from (seed, a, i, t).
+    This is the one place a CapacityReport is built.
     """
-    budget = link_budget(cfg)
-    monte_carlo = "monte_carlo" in outputs
-    reports = {}
-    for index, ris_type in enumerate(RisType):
-        alloc = allocate_power(cfg, ris_type, budget)
-        snr = average_snr(cfg, ris_type, alloc, budget)
-        mean = stderr = exact = None
-        if monte_carlo:
-            mean, stderr = monte_carlo_capacity(snr, cfg.bs_antennas, trials,
-                                                seed + (index,))
-        if "exact" in outputs:
-            exact = ergodic_rate_exact(snr, cfg.bs_antennas)
-        reports[ris_type] = CapacityReport(
-            closed_form_rate(cfg, ris_type, budget), upper_bound(snr), mean, stderr,
-            trials if monte_carlo else 0, ris_type, exact)
-        if ris_type is RisType.HYBRID:
-            regime = validate_approximation_regime(cfg, snr)
+    staged, error = [], None
+    try:
+        for cfg in cfgs:
+            staged.append((cfg, link_budget(cfg)))
+    except (ConfigError, DegenerateGeometryError) as exc:
+        error = exc
+    if not staged:
+        return [], error
+    cfgs, budgets = zip(*staged)
 
-    decision = violation = winner = diagnostics = None
-    if "decision" in outputs:
-        try:
-            decision = decide_type(cfg, budget, regime)
-            winner = decision.brute_force_optimal
-        except RegimeViolationError as exc:
-            violation, (winner, _) = exc, brute_force_optimal(cfg, budget)
-    if "diagnostics" in outputs and 1 <= cfg.users_transmission <= cfg.users_total - 1:
-        diagnostics = asymptotic_checks(cfg, budget)
-    return _Cell(budget, regime, reports, decision, violation, winner, diagnostics)
+    snr = average_snr_block(cfgs, budgets)
+    bounds = upper_bound(snr).tolist()
+    min_snr = min_served_snr(snr[:, _HYBRID_INDEX]).tolist()
+    monte_carlo = "monte_carlo" in outputs
+    if monte_carlo:
+        means, stderrs = (block.tolist() for block in monte_carlo_block(
+            snr, [cfg.bs_antennas for cfg in cfgs], trials, (seed,)))
+
+    cells, searches = [], {}
+    for a, (cfg, budget) in enumerate(staged):
+        x = cfg.users_transmission
+        reports = {}
+        for i, (ris_type, (rate, _)) in enumerate(type_curves(cfg, budget).items()):
+            reports[ris_type] = CapacityReport(
+                rate(x), bounds[a][i],
+                means[a][i] if monte_carlo else None,
+                stderrs[a][i] if monte_carlo else None,
+                trials if monte_carlo else 0, ris_type,
+                ergodic_rate_exact(snr[a, i], cfg.bs_antennas)
+                if "exact" in outputs else None)
+        regime = approximation_regime(cfg, min_snr[a])
+        decision = violation = winner = diagnostics = None
+        if "decision" in outputs:
+            decision, violation, winner = _decide(cfg, budget, regime, searches)
+        if "diagnostics" in outputs and 1 <= x <= cfg.users_total - 1:
+            diagnostics = asymptotic_checks(cfg, budget)
+        cells.append(_Cell(budget, regime, reports, decision, violation, winner,
+                           diagnostics))
+    return cells, error
+
+
+def _error_exit(exc: Exception, strict: bool) -> int:
+    """The exit code of a failure: 2 for a geometry or regime diagnostic
+    under --strict, 1 for everything else."""
+    diagnostic = isinstance(exc, (DegenerateGeometryError, RegimeViolationError))
+    return 2 if strict and diagnostic else 1
 
 
 def _strict_failure(cell: _Cell) -> RegimeViolationError | None:
@@ -362,11 +418,11 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
     cfg = _load(scenario_path)
     if cfg is None:
         return 1
-    try:
-        cell = _evaluate_cell(cfg, EVALUATE_OUTPUTS, trials, (seed, 0))
-    except DegenerateGeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if strict else 1
+    cells, error = _evaluate_cells([cfg], EVALUATE_OUTPUTS, trials, seed)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return _error_exit(error, strict)
+    cell, = cells
 
     failure = _strict_failure(cell) if strict else None
     if failure is not None:
@@ -430,9 +486,10 @@ def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
     rows = []
     diagnostics_rows = []
     outputs = spec.outputs
-    for axis_index, value in enumerate(spec.values):
-        cell = _evaluate_cell(apply_axis_value(cfg, spec.axis, value), outputs,
-                              spec.trials, (spec.base_seed, axis_index))
+    cells, error = _evaluate_cells(
+        (apply_axis_value(cfg, spec.axis, value) for value in spec.values), outputs,
+        spec.trials, spec.base_seed)
+    for value, cell in zip(spec.values, cells):
         failure = _strict_failure(cell) if strict else None
         if failure is not None:
             raise failure
@@ -448,6 +505,8 @@ def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
             ]))
         if "diagnostics" in outputs:
             diagnostics_rows.append(_diagnostics_row(value, cell.diagnostics))
+    if error is not None:
+        raise error
     return rows, diagnostics_rows
 
 
@@ -471,8 +530,7 @@ def run_sweep(scenario_path: Path, variants: list[SweepVariant], out_dir: Path,
             rows, diagnostics_rows = _sweep_rows(base_cfg, variant.spec, strict)
         except (ConfigError, DegenerateGeometryError, RegimeViolationError) as exc:
             print(f"error [{variant.name}]: {exc}", file=sys.stderr)
-            return 2 if strict and isinstance(
-                exc, (DegenerateGeometryError, RegimeViolationError)) else 1
+            return _error_exit(exc, strict)
         outputs = [(out_dir / f"{variant.name}.csv", CSV_HEADER, rows)]
         if diagnostics_rows:
             outputs.append((out_dir / f"{variant.name}_diagnostics.csv",
@@ -513,8 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call rather than at import; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.sweep is not None and args.preset is not None:
         print("error: pass either --sweep or --preset, not both", file=sys.stderr)
         return 1

@@ -393,20 +393,22 @@ class RegimeReport:
         return self.isotropic and self.high_snr
 
 
-def validate_approximation_regime(cfg: ScenarioConfig, hybrid_snr) -> RegimeReport:
-    """Report whether the closed-form selection machinery is trustworthy here.
+def min_served_snr(snr):
+    """Smallest positive SNR along the last axis (users), 0.0 where nobody
+    is served: a float for a vector, an array for a block."""
+    snr = np.asarray(snr)
+    served = snr > 0.0
+    low = np.where(served.any(axis=-1), np.min(np.where(served, snr, np.inf), axis=-1),
+                   0.0)
+    return float(low) if low.ndim == 0 else low
 
-    `hybrid_snr` is the per-user averaged SNR under the hybrid power split,
-    as `capacity.average_snr` gives it; a user with a positive SNR is served.
-    """
+
+def approximation_regime(cfg: ScenarioConfig, min_snr: float) -> RegimeReport:
+    """The regime report of `cfg` whose smallest served hybrid-split SNR is
+    `min_snr` (min_served_snr of the hybrid SNR vector)."""
     eps_r = cfg.panel.radiation_reflect
     eps_t = cfg.panel.radiation_transmit
     ratio = abs(eps_r - eps_t) / eps_r
-
-    snr = np.asarray(hybrid_snr)
-    served = snr > 0.0
-    min_snr = float(snr[served].min()) if served.any() else 0.0
-
     return RegimeReport(
         isotropic=ratio <= cfg.iso_tol,
         isotropy_ratio=float(ratio),
@@ -415,3 +417,12 @@ def validate_approximation_regime(cfg: ScenarioConfig, hybrid_snr) -> RegimeRepo
         min_received_snr=min_snr,
         snr_floor=cfg.snr_floor,
     )
+
+
+def validate_approximation_regime(cfg: ScenarioConfig, hybrid_snr) -> RegimeReport:
+    """Report whether the closed-form selection machinery is trustworthy here.
+
+    `hybrid_snr` is the per-user averaged SNR under the hybrid power split,
+    as `capacity.average_snr` gives it; a user with a positive SNR is served.
+    """
+    return approximation_regime(cfg, min_served_snr(hybrid_snr))

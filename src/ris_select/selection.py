@@ -236,25 +236,9 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-# (key, thresholds) of the last threshold search decide_type ran; see there.
-_last_thresholds = None
-
-
-def _thresholds_for(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresholds:
-    global _last_thresholds
-    panel = cfg.panel
-    key = (cfg.users_total, panel.radiation_reflect, panel.radiation_transmit,
-           budget.link_constant)
-    slot = _last_thresholds
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    thresholds = find_thresholds(cfg, budget)
-    _last_thresholds = (key, thresholds)
-    return thresholds
-
-
 def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None,
-                regime: RegimeReport | None = None) -> SelectionDecision:
+                regime: RegimeReport | None = None,
+                thresholds: SelectionThresholds | None = None) -> SelectionDecision:
     """Pick the best surface type for a deployment.
 
     Boundary splits (no users on one side) go straight to the single-zone
@@ -267,14 +251,9 @@ def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None,
 
     The crossings depend only on (users_total, radiation_reflect,
     radiation_transmit, link_constant), none of which moves along a
-    user-split sweep. A one-slot module cache holds the key and thresholds
-    of the last search as one tuple, replaced by a single assignment, so a
-    concurrent caller never pairs one key with another key's thresholds.
-    When a call's key equals the stored key, the stored (immutable)
-    thresholds are reused; otherwise find_thresholds runs and replaces the
-    slot. A RegimeViolationError is never stored: it is raised afresh,
-    carrying the cell's own regime report. find_thresholds itself is not
-    cached.
+    user-split sweep. Pass `thresholds` when the caller already holds
+    find_thresholds' result for that tuple; otherwise the search runs here
+    (boundary splits need none).
     """
     if budget is None:
         budget = link_budget(cfg)
@@ -294,7 +273,8 @@ def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None,
                                  regime=regime, brute_force_optimal=brute,
                                  agrees=verdict is brute)
 
-    thresholds = _thresholds_for(cfg, budget)
+    if thresholds is None:
+        thresholds = find_thresholds(cfg, budget)
     c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
     advisory = not regime.ok
     note = "" if regime.ok else "regime report failed; trust the brute-force verdict"

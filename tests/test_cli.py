@@ -80,19 +80,33 @@ def test_evaluate_reference(tmp_path, capsys):
 
 def test_evaluation_computes_each_types_snr_once(tmp_path, monkeypatch):
     # the bound, the exact rate, the Monte Carlo scale and the regime check
-    # of a cell all read one averaged-SNR vector per type
-    calls = []
+    # of a cell all read one averaged-SNR vector per type: the evaluator
+    # builds one (cells, types, users) block per run, and nothing computes
+    # a type's vector again
+    blocks, vectors = [], []
+
+    def counted_block(cfgs, budgets):
+        snr = capacity.average_snr_block(cfgs, budgets)
+        blocks.append(snr.shape)
+        return snr
 
     def counted(*args):
-        calls.append(args[1])
+        vectors.append(args[1])
         return average_snr(*args)
 
-    for module in (capacity, cli, selection):
+    monkeypatch.setattr(cli, "average_snr_block", counted_block)
+    for module in (capacity, selection):
         monkeypatch.setattr(module, "average_snr", counted)
     rc = main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path),
                "--trials", "10", "--seed", "3"])
     assert rc == 0
-    assert calls == list(RisType)
+    assert blocks == [(1, len(RisType), 10)]
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(SMALL_SWEEP)
+    assert main(["--scenario", str(REFERENCE_SCENARIO), "--sweep", str(spec),
+                 "--out", str(tmp_path)]) == 0
+    assert blocks == [(1, len(RisType), 10), (2, len(RisType), 10)]
+    assert vectors == []
 
 
 def test_evaluate_missing_scenario(tmp_path, capsys):
@@ -336,7 +350,7 @@ def test_evaluate_survives_threshold_breakdown(tmp_path, monkeypatch, capsys):
     import ris_select.cli as cli
     from ris_select import RegimeViolationError
 
-    def broken(cfg, budget=None, regime=None):
+    def broken(cfg, budget=None, regime=None, thresholds=None):
         raise RegimeViolationError("approximation regime violated: stub", regime)
 
     monkeypatch.setattr(cli, "decide_type", broken)
@@ -358,7 +372,7 @@ def test_sweep_survives_threshold_breakdown(tmp_path, monkeypatch):
     import ris_select.cli as cli
     from ris_select import RegimeViolationError
 
-    def broken(cfg, budget=None, regime=None):
+    def broken(cfg, budget=None, regime=None, thresholds=None):
         raise RegimeViolationError("approximation regime violated: stub", regime)
 
     monkeypatch.setattr(cli, "decide_type", broken)
@@ -470,16 +484,16 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     # Under base_seed XOR cell_index, cell 3 of a seed-9 sweep drew the
     # stream of cell 0 of a seed-10 sweep. Record the trial-0 key of every
     # Monte Carlo cell and require all of their streams to differ.
-    import ris_select.cli as cli
-
     seen = {}
-    real = cli.monte_carlo_capacity
+    real_rng = capacity.rng_for_seed
+    real = capacity.monte_carlo_capacity
 
-    def spy(snr, bs_antennas, trials, base_seed):
-        seen.setdefault(current, []).append(base_seed)
-        return real(snr, bs_antennas, trials, base_seed)
+    def spy(key):
+        if key[-1] == 0:  # trial 0 of a (cell, type)
+            seen.setdefault(current, []).append(key[:-1])
+        return real_rng(key)
 
-    monkeypatch.setattr(cli, "monte_carlo_capacity", spy)
+    monkeypatch.setattr(capacity, "rng_for_seed", spy)
     spec = tmp_path / "sweep.cfg"
     spec.write_text(SMALL_SWEEP)
     csvs = {}
@@ -489,7 +503,7 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
                      "--out", str(out), "--seed", str(current)]) == 0
         csvs[current] = _rows(out / "sweep.csv")
 
-    keys = [key if isinstance(key, tuple) else (key,) for key in seen[9] + seen[10]]
+    keys = seen[9] + seen[10]
     assert len(keys) == 12
     states = {np.random.SeedSequence(key + (0,)).generate_state(4).tobytes()
               for key in keys}
@@ -606,3 +620,53 @@ def test_non_utf8_input_gives_one_error_line(tmp_path, capsys, mode):
     line = _single_error_line(capsys)
     assert str(bad) in line and "UTF-8" in line
     assert not (tmp_path / "out").exists()
+
+
+# Scenario edits that put the link budget outside the float range: the
+# pathloss (D d)^alpha overflows, the wavelength squared underflows to zero,
+# and D d underflows to zero (with equal heights, so D is not grazing).
+OUT_OF_RANGE_BUDGETS = {
+    "pathloss_exponent": [("pathloss_exponent = 2", "pathloss_exponent = 300")],
+    "wavelength": [("wavelength_m = 0.1", "wavelength_m = 1e-300")],
+    "distances": [("bs_ris_distance_m = 50", "bs_ris_distance_m = 1e-200"),
+                  ("ris_ue_distance_m = 50", "ris_ue_distance_m = 1e-200"),
+                  ("bs_height_m = 30", "bs_height_m = 15")],
+}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("mode", ["evaluate", "sweep"])
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_BUDGETS))
+def test_out_of_range_link_budget_gives_one_error_line(tmp_path, capsys, case, mode,
+                                                       strict):
+    text = REFERENCE_SCENARIO.read_text()
+    for old, new in OUT_OF_RANGE_BUDGETS[case]:
+        assert old in text
+        text = text.replace(old, new)
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    argv = ["--scenario", str(scenario), "--out", str(out), "--trials", "2"]
+    if mode == "sweep":
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(SMALL_SWEEP)
+        argv += ["--sweep", str(spec)]
+    assert main(argv + (["--strict"] if strict else [])) == 1
+    assert "link budget out of floating-point range" in _single_error_line(capsys)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_out_of_range_axis_value_fails_after_the_cells_before_it(tmp_path, capsys):
+    # the first cell fails --strict's regime check before the second cell's
+    # link budget overflows, so the regime failure is reported (exit 2);
+    # without --strict the overflow is (exit 1)
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("axis = distances\nvalues = 500, 1e300\n"
+                    "outputs = closed_form, upper_bound, decision\n")
+    argv = ["--scenario", str(REFERENCE_SCENARIO), "--sweep", str(spec),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ["--strict"]) == 2
+    assert "regime" in _single_error_line(capsys)
+    assert main(argv) == 1
+    assert "link budget out of floating-point range" in _single_error_line(capsys)
+    assert not (tmp_path / "out" / "sweep.csv").exists()

@@ -135,8 +135,8 @@ def test_nan_power_raises_regime_violation():
 
 
 def test_decide_type_thresholds_never_stale():
-    # decide_type reuses the crossings of the previous call when the inputs
-    # they depend on match; each cell must still see its own thresholds.
+    # decide_type searches for the crossings of each call itself (a caller
+    # may pass them in); each cell must see its own thresholds.
     from conftest import random_config
     import ris_select.selection as selection
 

@@ -68,8 +68,9 @@ def test_split_sweeps_match_golden_files(tmp_path):
 
 def _evaluate(cfgs, outputs, trials, seed):
     """The sweep evaluator's cells for `cfgs` under base seed `seed`."""
-    return [cli._evaluate_cell(cfg, outputs, trials, (seed, a))
-            for a, cfg in enumerate(cfgs)]
+    cells, error = cli._evaluate_cells(cfgs, outputs, trials, seed)
+    assert error is None
+    return cells
 
 
 def _axis_values(rng, cfg, axis):
