@@ -5,11 +5,9 @@ from .capacity import (
     PowerAllocation,
     allocate_power,
     average_snr,
-    average_snr_block,
     closed_form_rate,
     element_monte_carlo,
     ergodic_rate_exact,
-    monte_carlo_block,
     monte_carlo_capacity,
     type_curves,
     upper_bound,
@@ -31,12 +29,10 @@ from .scenario import (
     RisPanel,
     RisType,
     ScenarioConfig,
-    approximation_regime,
     config_digest,
     dbm_to_watts,
     incident_angle_factor,
     load_scenario,
-    min_served_snr,
     parse_scenario,
     validate_approximation_regime,
 )

@@ -315,19 +315,7 @@ def _mean_and_stderr(rates: np.ndarray) -> tuple:
     return mean, std / math.sqrt(trials)
 
 
-def _gamma_rates(snr_rows: np.ndarray, antennas, trials: int, bases) -> np.ndarray:
-    """Per-trial Gamma sum rates, shape (rows, trials): row r, with K_t =
-    antennas[r], draws trial t from the generator seeded by bases[r] + (t,)."""
-    rows, users = snr_rows.shape
-    scale = snr_rows / np.array(antennas, dtype=float)[:, None]
-    row_gamma = np.empty((rows, trials, users))
-    for r, (base, k) in enumerate(zip(bases, antennas)):
-        for t in range(trials):
-            row_gamma[r, t] = rng_for_seed(base + (t,)).standard_gamma(k, size=users)
-    return np.sum(np.log1p(scale[:, None, :] * row_gamma), axis=-1) / LN2
-
-
-def monte_carlo_capacity(snr, bs_antennas: int, trials: int, base_seed) -> tuple:
+def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
     """Monte Carlo ergodic sum rate under i.i.d. complex Gaussian fading:
     (mean, standard error) over `trials` draws.
 
@@ -338,29 +326,28 @@ def monte_carlo_capacity(snr, bs_antennas: int, trials: int, base_seed) -> tuple
     the sum over users of log2(1 + snr_s * X_s / K_t). The law is that of
     element_monte_carlo with Gaussian fading and the cost does not grow with
     the panel, but the stream differs. ergodic_rate_exact is its oracle.
+
+    Users run along the last axis. A vector gives two floats; a block gives
+    two arrays over its leading axes in one pass, where the vector at index
+    idx, with K_t = bs_antennas broadcast to the leading axes at idx, draws
+    from base_seed + idx + (t,) and equals its own estimate bit for bit.
     """
     base = _trial_base(trials, base_seed)
     snr = np.asarray(snr, dtype=float)
-    mean, stderr = _mean_and_stderr(_gamma_rates(snr[None], [bs_antennas], trials,
-                                                 [base])[0])
-    return float(mean), float(stderr)
-
-
-def monte_carlo_block(snr: np.ndarray, antennas, trials: int, base_seed) -> tuple:
-    """monte_carlo_capacity over a (cells, types, S) SNR block in one pass.
-
-    Returns (mean, stderr) arrays of shape (cells, types). Cell a has
-    antennas[a] base-station antennas, and its type i draws trial t from
-    base_seed + (a, i, t): entry [a, i] equals monte_carlo_capacity(snr[a, i],
-    antennas[a], trials, base_seed + (a, i)) bit for bit.
-    """
-    base = _trial_base(trials, base_seed)
-    cells, types, users = snr.shape
-    rates = _gamma_rates(snr.reshape(cells * types, users),
-                         [k for k in antennas for _ in range(types)], trials,
-                         [base + (a, i) for a in range(cells) for i in range(types)])
-    mean, stderr = _mean_and_stderr(rates)
-    return mean.reshape(cells, types), stderr.reshape(cells, types)
+    lead, users = snr.shape[:-1], snr.shape[-1]
+    antennas = np.broadcast_to(bs_antennas, lead).ravel().tolist()
+    rows = snr.reshape(-1, users)
+    row_gamma = np.empty((len(rows), trials, users))
+    for r, (index, k) in enumerate(zip(np.ndindex(lead), antennas)):
+        for t in range(trials):
+            row_gamma[r, t] = rng_for_seed(base + index + (t,)).standard_gamma(
+                k, size=users)
+    scale = rows / np.array(antennas, dtype=float)[:, None]
+    mean, stderr = _mean_and_stderr(
+        np.sum(np.log1p(scale[:, None, :] * row_gamma), axis=-1) / LN2)
+    if not lead:
+        return float(mean[0]), float(stderr[0])
+    return mean.reshape(lead), stderr.reshape(lead)
 
 
 def element_monte_carlo(cfg: ScenarioConfig, ris_type: RisType,

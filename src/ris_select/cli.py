@@ -1,18 +1,15 @@
 """Batch front-end: single evaluations, parameter sweeps, figure presets.
 
 Every deployment goes through one evaluator, `_evaluate_cells`, which takes
-all cells of a sweep at once; a single evaluation is a one-cell sweep. Per
-cell it computes the link budget, each type's power shares and closed form
-as scalars. It then builds one (cells, 3, S) averaged-SNR block and takes
-the bounds, the regime's minimum served SNR and the Monte Carlo estimates
-from it in one array pass each. The block's numbers equal the per-vector
-functions' (average_snr, upper_bound, monte_carlo_capacity) bit for bit:
-every elementwise product is rounded alike, and each user or trial sum runs
-along a contiguous last axis, where numpy sums a block row exactly as it
-sums that row alone. Decisions and diagnostics stay per cell, and the rate
-curves and threshold search stay on scalar math.log1p, whose last bits
-np.log1p does not always match. `run_evaluate` serializes the cell to
-evaluate.json, and `run_sweep` the cells to CSV rows.
+all cells of a sweep at once; a single evaluation is a one-cell sweep. Link
+budgets, closed forms, decisions and diagnostics are per cell. The averaged
+SNR of every (cell, type, user) is one block, and the bounds, the regime's
+minimum served SNR and the Monte Carlo estimates are one array pass each
+over it. These equal the per-vector functions' results bit for bit: numpy
+rounds each elementwise operation alike whatever the array's shape, and
+sums a row of a block along its contiguous last axis exactly as it sums the
+row alone. `run_evaluate` serializes the cell to evaluate.json, and
+`run_sweep` the cells to CSV rows.
 
 Exit codes: 0 success, 1 ingestion/validation failure (including a link
 budget that over- or underflows a float), 2 regime or geometry diagnostic
@@ -44,7 +41,7 @@ from .capacity import (
     CapacityReport,
     average_snr_block,
     ergodic_rate_exact,
-    monte_carlo_block,
+    monte_carlo_capacity,
     type_curves,
     upper_bound,
 )
@@ -329,13 +326,8 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     (cells, error): when building a config or its link budget raises
     ConfigError or DegenerateGeometryError, `error` is that exception and
     `cells` holds the cells before it, so a caller meets the failures in
-    cell order. Per cell, the link budget, the closed forms, the regime
-    report, the decision and the diagnostics are computed once. The
-    averaged SNR of every (cell, type, user) is one block; the bounds, the
-    regime's minimum served SNR and (when asked for) the Monte Carlo
-    estimates are one array pass over it, and the exact rates read its
-    rows. Cell a, type i draws its Monte Carlo trials from (seed, a, i, t).
-    This is the one place a CapacityReport is built.
+    cell order. Cell a, type i draws its Monte Carlo trials from
+    (seed, a, i, t). This is the one place a CapacityReport is built.
     """
     staged, error = [], None
     try:
@@ -352,8 +344,9 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     min_snr = min_served_snr(snr[:, _HYBRID_INDEX]).tolist()
     monte_carlo = "monte_carlo" in outputs
     if monte_carlo:
-        means, stderrs = (block.tolist() for block in monte_carlo_block(
-            snr, [cfg.bs_antennas for cfg in cfgs], trials, (seed,)))
+        antennas = np.array([cfg.bs_antennas for cfg in cfgs])[:, None]
+        means, stderrs = (block.tolist() for block in monte_carlo_capacity(
+            snr, antennas, trials, seed))
 
     cells, searches = [], {}
     for a, (cfg, budget) in enumerate(staged):

@@ -22,6 +22,7 @@ from ris_select import (
 )
 from ris_select import capacity
 from ris_select.capacity import average_snr
+from ris_select.scenario import min_served_snr
 
 LN2 = math.log(2.0)
 
@@ -240,6 +241,26 @@ def test_mean_and_stderr_are_numpys_bit_for_bit():
                                if trials > 1 else 0.0)
             assert capacity._mean_and_stderr(rates) == (float(rates.mean()),
                                                         expected_stderr), trials
+
+
+def test_block_estimates_equal_the_per_vector_ones():
+    # a (cells, types, users) block with one K_t per cell and unserved users
+    # (one row serves nobody): every entry is its vector's own result
+    rng = np.random.default_rng(23)
+    snr = rng.uniform(0.0, 50.0, size=(3, 2, 7)) * (rng.uniform(size=(3, 2, 7)) > 0.3)
+    snr[1, 0] = 0.0
+    antennas = np.array([[1], [4], [12]])
+    bounds, lows = upper_bound(snr), min_served_snr(snr)
+    for trials in (1, 2, 17, 100):
+        mean, stderr = monte_carlo_capacity(snr, antennas, trials, (5,))
+        for a in range(3):
+            for i in range(2):
+                k = int(antennas[a, 0])
+                assert (mean[a, i], stderr[a, i]) == monte_carlo_capacity(
+                    snr[a, i], k, trials, (5, a, i))
+                assert bounds[a, i] == upper_bound(snr[a, i])
+                assert lows[a, i] == min_served_snr(snr[a, i])
+    assert lows[1, 0] == 0.0
 
 
 def test_monte_carlo_below_bound_all_types():
