@@ -23,6 +23,7 @@ thread count or the timing.
 from __future__ import annotations
 
 import math
+import queue
 import threading
 import time
 from collections.abc import Callable
@@ -41,7 +42,11 @@ from .scenario import (
 _PATHLOSS_DENOM = 64.0 * math.pi ** 3
 # Rows per zone_gain_statistics draw block. The draw stays in stream order
 # whatever the block size, so this sets memory and handoff granularity only.
-_STAT_CHUNK = 128
+# A block is the step by which the peak resident memory can vary with the
+# thread timing (a worker's allocator arena keeps its free blocks), so it is
+# kept small: at 2500 elements a block holds 80000 values, just above
+# _BLOCK_VALUES, and its arrays 1.28 MB at most.
+_STAT_CHUNK = 32
 # prepare_sampler groups whole user rows into blocks of about this many
 # values. Blocks smaller than this are finished on the calling thread, where
 # a thread handoff (about 0.1 ms) would cost more than it saves.
@@ -278,6 +283,7 @@ def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np
         raw = draw(rng, shape)
         drawn = time.perf_counter()
         _panel_sum(finish(raw), coeff, scale, out[index])
+        del raw
         if time.perf_counter() - drawn >= _HANDOFF_RATIO * (drawn - started):
             _pipeline(draw, finish, rng, rest, out)
             return out
@@ -287,35 +293,50 @@ def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np
 
 
 def _pipeline(draw, finish, rng, blocks, out) -> None:
-    """Draw each block here and hand it to a new worker thread that finishes
-    and reduces it while the next one is drawn, with at most one worker at a
-    time: with this thread it keeps both cores of a 2-core host busy, and a
-    second worker only adds cache traffic. When the worker is still busy,
-    this thread finishes the block itself rather than wait. A worker's
-    exception is re-raised here once the worker has stopped.
+    """Draw each block here and hand it to one worker thread that finishes
+    and reduces it while the next one is drawn: with this thread it keeps
+    both cores of a 2-core host busy, and a second worker only adds cache
+    traffic. When the worker is still busy, this thread finishes the block
+    itself rather than wait. The worker lives for the whole call, not for
+    one block: a thread started per block can start while the one before
+    is still exiting, find the allocator's per-thread arena taken and open
+    another, which raises the peak resident memory of the process by a
+    block at random times. Neither thread holds a block past its panel sum.
+    A worker's exception is re-raised here once the worker has stopped.
     """
     errors = []
+    jobs = queue.SimpleQueue()  # None tells the worker to stop
+    idle = threading.Event()
+    idle.set()
 
-    def work(raw, coeff, scale, index):
-        try:
-            _panel_sum(finish(raw), coeff, scale, out[index])
-        except Exception as exc:
-            errors.append(exc)
+    def work():
+        while (job := jobs.get()) is not None:
+            raw, coeff, scale, index = job
+            job = None
+            try:
+                _panel_sum(finish(raw), coeff, scale, out[index])
+            except Exception as exc:
+                errors.append(exc)
+                return
+            raw = None
+            idle.set()
 
-    worker = None
+    worker = threading.Thread(target=work)
+    worker.start()
     try:
         for shape, coeff, scale, index in blocks:
             raw = draw(rng, shape)
             if errors:
                 break
-            if worker is None or not worker.is_alive():
-                worker = threading.Thread(target=work, args=(raw, coeff, scale, index))
-                worker.start()
+            if idle.is_set():
+                idle.clear()
+                jobs.put((raw, coeff, scale, index))
             else:
-                work(raw, coeff, scale, index)
+                _panel_sum(finish(raw), coeff, scale, out[index])
+            raw = None
     finally:
-        if worker is not None:
-            worker.join()
+        jobs.put(None)
+        worker.join()
     if errors:
         raise errors[0]
 

@@ -306,7 +306,7 @@ def _run_with_watchdog(call, seconds=60.0):
 
 @pytest.fixture
 def handoff(monkeypatch):
-    # 2500 elements: every 128-row block after the first goes to a worker
+    # 2500 elements: every 32-row block after the first goes to a worker
     monkeypatch.setattr(channel, "_HANDOFF_RATIO", 0.0)
 
 
@@ -346,6 +346,22 @@ def test_draw_failure_with_blocks_in_flight_leaves_no_thread(handoff):
     assert isinstance(error, FinishFailed)
     assert len(calls) == 4
     assert threading.active_count() == before
+
+
+def test_one_worker_thread_finishes_every_handed_block(handoff):
+    # A thread per block can start while the one before is still exiting and
+    # open a fresh allocator arena, which raises the peak memory at random.
+    cfg = make_config()
+    finished_on = []
+
+    def finish(raw):
+        finished_on.append(threading.current_thread())
+        return uniform_phase_fading.finish(raw)
+
+    law = FadingLaw(uniform_phase_fading.draw, finish)
+    zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law)
+    assert len(finished_on) == len(channel._row_bounds(1000, channel._STAT_CHUNK)) - 1
+    assert len(set(finished_on) - {threading.current_thread()}) == 1
 
 
 def test_plain_callable_law_matches_an_inline_reference():
