@@ -67,8 +67,9 @@ def type_curves(cfg: ScenarioConfig, budget: LinkBudget):
 
 @functools.lru_cache(maxsize=32)
 def _type_curves(s, eps_r, eps_t, big_l):
-    # Each rate is one straight-line closure: find_thresholds calls them a
-    # few hundred times per search. hybrid_rate writes hybrid_shares out
+    # Each rate is one straight-line closure: find_thresholds' bisections
+    # call them about two hundred times per search (type_rate_arrays is the
+    # scan's array form). hybrid_rate writes hybrid_shares out
     # (hybrid_share's formula and the clamp) with the same operations in the
     # same order, so it equals the rate at hybrid_shares(x) bit for bit.
     def reflect_rate(x):
@@ -113,6 +114,27 @@ def _type_curves(s, eps_r, eps_t, big_l):
         RisType.TRANSMISSIVE: (transmit_rate, transmit_shares),
         RisType.HYBRID: (hybrid_rate, hybrid_shares),
     })
+
+
+def type_rate_arrays(s, eps_r, eps_t, big_l, x):
+    """The rates of _type_curves(s, eps_r, eps_t, big_l) at splits x, as
+    arrays (reflective, transmissive, hybrid); the arguments broadcast.
+
+    Valid for 0 < x < s, where no zone is empty. Each rate does the
+    closure's operations in the same order, but np.log1p may differ from
+    math.log1p by an ulp, so a value can differ from the closure's in its
+    last bits (a few 1e-16 relative); a caller needing the closure's bits
+    re-evaluates with it.
+    """
+    n_r = s - x
+    reflect = n_r * (np.log1p(eps_r / (big_l * n_r)) / LN2)
+    transmit = x * (np.log1p(eps_t / (big_l * x)) / LN2)
+    two_l = 2.0 * big_l
+    lam = big_l * (2.0 * x / s) * (1.0 / eps_t - 1.0 / eps_r) + 1.0 / s
+    lam = np.minimum(np.maximum(lam, 0.0), 1.0 / n_r)
+    hybrid = n_r * (np.log1p(eps_r * lam / two_l) / LN2) \
+        + x * (np.log1p(eps_t * ((1.0 - n_r * lam) / x) / two_l) / LN2)
+    return reflect, transmit, hybrid
 
 
 # --- allocation ----------------------------------------------------------------

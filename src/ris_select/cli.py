@@ -49,6 +49,7 @@ from .channel import DegenerateGeometryError, LinkBudget, link_budget
 from .scenario import (
     ConfigError,
     ConfigSyntaxError,
+    ConfigValidationError,
     RegimeReport,
     RisType,
     ScenarioConfig,
@@ -65,8 +66,10 @@ from .selection import (
     SelectionDecision,
     asymptotic_checks,
     brute_force_optimal,
+    crossing_key,
     decide_type,
     find_thresholds,
+    scan_differences,
 )
 
 SEED_ENV_VAR = "RIS_SELECT_SEED"
@@ -276,7 +279,8 @@ def _threshold_text(thresholds) -> str:
 
 # What a single evaluation computes; a sweep computes what its spec's outputs ask.
 EVALUATE_OUTPUTS = ("monte_carlo", "exact", "decision", "diagnostics")
-_HYBRID_INDEX = list(RisType).index(RisType.HYBRID)
+_TYPES = tuple(RisType)
+_HYBRID_INDEX = _TYPES.index(RisType.HYBRID)
 
 
 @dataclass(frozen=True)
@@ -299,19 +303,18 @@ class _Cell:
 
 
 def _decide(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
-            searches: dict):
-    """(decision, violation, winner) of one cell. `searches` holds the
-    sweep's threshold searches by the tuple the crossings depend on; a
-    RegimeViolationError is never stored, so each cell raises its own."""
+            scans: dict, searches: dict):
+    """(decision, violation, winner) of one cell. `scans` holds the sweep's
+    scan rows and `searches` the crossings found so far, both by the tuple
+    the crossings depend on; a RegimeViolationError is never stored, so
+    each cell raises its own, with its own regime report."""
     try:
         thresholds = None
         if 0 < cfg.users_transmission < cfg.users_total:
-            panel = cfg.panel
-            key = (cfg.users_total, panel.radiation_reflect, panel.radiation_transmit,
-                   budget.link_constant)
+            key = crossing_key(cfg, budget)
             thresholds = searches.get(key)
             if thresholds is None:
-                thresholds = searches[key] = find_thresholds(cfg, budget)
+                thresholds = searches[key] = find_thresholds(cfg, budget, scans[key])
         decision = decide_type(cfg, budget, regime, thresholds)
     except RegimeViolationError as exc:
         winner, _ = brute_force_optimal(cfg, budget)
@@ -324,10 +327,13 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
 
     `cfgs` is an iterable of deployments sharing users_total. Returns
     (cells, error): when building a config or its link budget raises
-    ConfigError or DegenerateGeometryError, `error` is that exception and
-    `cells` holds the cells before it, so a caller meets the failures in
-    cell order. Cell a, type i draws its Monte Carlo trials from
-    (seed, a, i, t). This is the one place a CapacityReport is built.
+    ConfigError or DegenerateGeometryError, or a cell's averaged SNR, closed
+    forms, bounds or estimates are not finite (a ConfigValidationError),
+    `error` is that exception and `cells` holds the cells before it, so a
+    caller meets the failures in cell order. Cell a, type i draws its Monte
+    Carlo trials from (seed, a, i, t). The threshold searches of the
+    interior cells share one scan_differences pass. This is the one place
+    a CapacityReport is built.
     """
     staged, error = [], None
     try:
@@ -339,31 +345,59 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
         return [], error
     cfgs, budgets = zip(*staged)
 
-    snr = average_snr_block(cfgs, budgets)
-    bounds = upper_bound(snr).tolist()
-    min_snr = min_served_snr(snr[:, _HYBRID_INDEX]).tolist()
-    monte_carlo = "monte_carlo" in outputs
+    monte_carlo, exact = "monte_carlo" in outputs, "exact" in outputs
+    # Out-of-range numbers come out inf or NaN; their cells are rejected
+    # below, so numpy's warnings about them would only repeat the error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = average_snr_block(cfgs, budgets)
+        closed = np.array([[rate(cfg.users_transmission)
+                            for rate, _ in type_curves(cfg, budget).values()]
+                           for cfg, budget in staged])
+        bounds = upper_bound(snr)
+        blocks = [snr, closed, bounds]
+        if monte_carlo:
+            antennas = np.array([cfg.bs_antennas for cfg in cfgs])[:, None]
+            means, stderrs = monte_carlo_capacity(snr, antennas, trials, seed)
+            blocks += [means, stderrs]
+        if exact:
+            exact_rates = np.array([[ergodic_rate_exact(row, cfg.bs_antennas)
+                                     for row in rows] for cfg, rows in zip(cfgs, snr)])
+            blocks.append(exact_rates)
+    finite = np.isfinite(np.concatenate(
+        [block.reshape(len(staged), -1) for block in blocks], axis=1))
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        staged = staged[:bad[0]]
+        error = ConfigValidationError(
+            f"results out of floating-point range: the averaged SNR, a rate or "
+            f"an estimate is not finite (link constant "
+            f"{budgets[bad[0]].link_constant:.4g}); check the powers and the noise")
+    closed, bounds = closed.tolist(), bounds.tolist()
     if monte_carlo:
-        antennas = np.array([cfg.bs_antennas for cfg in cfgs])[:, None]
-        means, stderrs = (block.tolist() for block in monte_carlo_capacity(
-            snr, antennas, trials, seed))
+        means, stderrs = means.tolist(), stderrs.tolist()
+    if exact:
+        exact_rates = exact_rates.tolist()
+    min_snr = min_served_snr(snr[:len(staged), _HYBRID_INDEX]).tolist()
 
-    cells, searches = [], {}
+    scans, searches = {}, {}
+    if "decision" in outputs:
+        keys = list(dict.fromkeys(crossing_key(cfg, budget) for cfg, budget in staged
+                                  if 0 < cfg.users_transmission < cfg.users_total))
+        if keys:
+            scans = dict(zip(keys, scan_differences(keys)))
+    cells = []
     for a, (cfg, budget) in enumerate(staged):
         x = cfg.users_transmission
-        reports = {}
-        for i, (ris_type, (rate, _)) in enumerate(type_curves(cfg, budget).items()):
-            reports[ris_type] = CapacityReport(
-                rate(x), bounds[a][i],
-                means[a][i] if monte_carlo else None,
-                stderrs[a][i] if monte_carlo else None,
-                trials if monte_carlo else 0, ris_type,
-                ergodic_rate_exact(snr[a, i], cfg.bs_antennas)
-                if "exact" in outputs else None)
+        reports = {ris_type: CapacityReport(
+            closed[a][i], bounds[a][i],
+            means[a][i] if monte_carlo else None,
+            stderrs[a][i] if monte_carlo else None,
+            trials if monte_carlo else 0, ris_type,
+            exact_rates[a][i] if exact else None) for i, ris_type in enumerate(_TYPES)}
         regime = approximation_regime(cfg, min_snr[a])
         decision = violation = winner = diagnostics = None
         if "decision" in outputs:
-            decision, violation, winner = _decide(cfg, budget, regime, searches)
+            decision, violation, winner = _decide(cfg, budget, regime, scans, searches)
         if "diagnostics" in outputs and 1 <= x <= cfg.users_total - 1:
             diagnostics = asymptotic_checks(cfg, budget)
         cells.append(_Cell(budget, regime, reports, decision, violation, winner,

@@ -12,8 +12,8 @@ to trust.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,7 @@ from .capacity import (
     average_snr,
     hybrid_share,
     type_curves,
+    type_rate_arrays,
 )
 from .channel import LinkBudget, link_budget
 from .scenario import (
@@ -35,6 +36,11 @@ from .scenario import (
 
 ROOT_TOL = 1e-9
 SCAN_POINTS = 100
+# A scanned difference no larger than this fraction of its two rates' sizes
+# (or NaN) is re-evaluated with the rate closures. The array rates differ
+# from the closures' by a few 1e-16 relative, so every other scanned sign is
+# the closures' sign.
+SCAN_GUARD = 1e-12
 BISECT_MAX_ITERS = 200
 FD_STEP = 1e-6
 
@@ -137,44 +143,113 @@ def _bisect(first, second, lo: float, hi: float, flo: float, fhi: float) -> floa
     return 0.5 * (lo + hi)
 
 
-def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresholds:
+# The differences the search samples, as (name, first, second, increasing)
+# with the curves indexed in RisType order (R, T, H).
+_DIFFERENCES = (
+    ("transmissive minus reflective", 1, 0, True),
+    ("reflective minus hybrid", 0, 2, False),
+    ("transmissive minus hybrid", 1, 2, True),
+)
+
+
+def crossing_key(cfg: ScenarioConfig, budget: LinkBudget) -> tuple:
+    """The (S, eps_r, eps_t, L) tuple the crossings depend on; none of its
+    entries moves along a user-split sweep."""
+    panel = cfg.panel
+    return (cfg.users_total, panel.radiation_reflect, panel.radiation_transmit,
+            budget.link_constant)
+
+
+@functools.lru_cache(maxsize=32)
+def _scan_grid(users_total: int) -> np.ndarray:
+    """The threshold search's grid on [1, S-1] (read-only)."""
+    grid = np.linspace(1.0, users_total - 1.0, SCAN_POINTS)  # ends exactly at 1, S-1
+    grid.flags.writeable = False
+    return grid
+
+
+def scan_differences(keys) -> np.ndarray:
+    """The signs of the three rate differences on the threshold-search grid
+    of every crossing_key tuple in `keys` (each with S >= 2), in one array
+    pass.
+
+    Returns a (len(keys), 3, SCAN_POINTS) array: row [k, j] holds the sign
+    (1.0 or -1.0) of difference j of _DIFFERENCES at np.linspace(1, S - 1,
+    SCAN_POINTS) for keys[k], taken from capacity.type_rate_arrays, and NaN
+    where the array rates cannot vouch for the closures' sign: where the
+    difference is no larger than SCAN_GUARD times its rates' sizes, or NaN.
+    find_thresholds evaluates those points with the closures.
+    """
+    x = np.array([_scan_grid(key[0]) for key in keys])
+    columns = np.array(keys, dtype=float)
+    s, eps_r, eps_t, big_l = (columns[:, k:k + 1] for k in range(4))
+    # out-of-range rates come out inf or NaN and are left to the closures
+    with np.errstate(all="ignore"):
+        curves = np.array(type_rate_arrays(s, eps_r, eps_t, big_l, x))
+        first = curves[[i for _, i, _, _ in _DIFFERENCES]]
+        second = curves[[j for _, _, j, _ in _DIFFERENCES]]
+        diff = first - second
+        sure = np.abs(diff) > SCAN_GUARD * (np.abs(first) + np.abs(second))
+    return np.where(sure, np.sign(diff), np.nan).transpose(1, 0, 2)
+
+
+def _fill_from_closures(row, first, second, users_total: int) -> list:
+    """A scanned sign row with each NaN entry replaced by the closures'
+    first(x) - second(x) at that grid point."""
+    values = row.tolist()
+    grid = _scan_grid(users_total).tolist()
+    for k in np.flatnonzero(np.isnan(row)).tolist():
+        values[k] = first(grid[k]) - second(grid[k])
+    return values
+
+
+def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget,
+                    scan: np.ndarray | None = None) -> SelectionThresholds:
     """Locate the pairwise crossings of the three rate curves on [1, S-1].
 
-    Each curve is first evaluated once at 100 grid points and each
-    difference is sampled from those values; a sign pattern that is not
-    monotone means the closed-form comparisons cannot be trusted and a
+    Each difference is sampled at SCAN_POINTS grid points. `scan` is this
+    config's row of scan_differences (computed here when not given), and
+    the points it leaves NaN are evaluated with the rate closures, so every
+    sampled sign is the closures' own. A sign pattern that is not monotone
+    means the closed-form comparisons cannot be trusted and a
     RegimeViolationError (carrying the regime report) is raised. Otherwise
-    each crossing is bisected to within 1e-9 in the continuous split, or
-    reported absent when the difference never changes sign.
+    each crossing is bisected with the closures to within 1e-9 in the
+    continuous split, or reported absent when the difference never changes
+    sign.
     """
     if cfg.users_total < 2:
         raise ValueError("threshold search needs at least two users")
-    c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
+    curves = _curves(cfg, budget)
+    if scan is None:
+        scan = scan_differences([crossing_key(cfg, budget)])[0]
     lo, hi = 1.0, float(cfg.users_total - 1)
-    grid = np.linspace(lo, hi, SCAN_POINTS).tolist()  # ends exactly at lo, hi
-    reflect = list(map(c_reflect, grid))
-    transmit = list(map(c_transmit, grid))
-    hybrid = list(map(c_hybrid, grid))
+    # A row without NaN holds nonzero signs only; its pattern is monotone
+    # when its signs never fall (rise) along the grid.
+    unsure = np.isnan(scan).any(axis=1).tolist()
+    rising = (scan[:, 1:] >= scan[:, :-1]).all(axis=1).tolist()
+    falling = (scan[:, 1:] <= scan[:, :-1]).all(axis=1).tolist()
+    ends = scan[:, [0, -1]].tolist()
 
-    differences = (
-        ("transmissive minus reflective", c_transmit, c_reflect, transmit, reflect,
-         True),
-        ("reflective minus hybrid", c_reflect, c_hybrid, reflect, hybrid, False),
-        ("transmissive minus hybrid", c_transmit, c_hybrid, transmit, hybrid, True),
-    )
     roots = []
-    for name, first, second, first_values, second_values, increasing in differences:
-        values = list(map(operator.sub, first_values, second_values))
-        if not _sign_pattern_monotone(values, increasing):
+    for k, (name, i, j, increasing) in enumerate(_DIFFERENCES):
+        first, second = curves[i], curves[j]
+        if unsure[k]:
+            values = _fill_from_closures(scan[k], first, second, cfg.users_total)
+            monotone = _sign_pattern_monotone(values, increasing)
+            ends[k] = values[0], values[-1]
+        else:
+            monotone = rising[k] if increasing else falling[k]
+        if not monotone:
             raise RegimeViolationError(
                 f"approximation regime violated: the {name} difference is not "
                 f"monotone over the user split",
                 regime=_regime_report(cfg, budget),
             )
-        roots.append(_bisect(first, second, lo, hi, values[0], values[-1]))
+        # the bisection reads only the signs (and zeros) of its end values
+        roots.append(_bisect(first, second, lo, hi, *ends[k]))
 
     split_rt, split_rh, split_th = roots
-    rate_eq = c_reflect(split_rt) if split_rt is not None else None
+    rate_eq = curves[0](split_rt) if split_rt is not None else None
     return SelectionThresholds(
         split_reflect_transmit=split_rt,
         split_reflect_hybrid=split_rh,

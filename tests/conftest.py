@@ -99,6 +99,31 @@ def regime_report(cfg: ScenarioConfig):
         cfg, average_snr(cfg, RisType.HYBRID, alloc, budget))
 
 
+def wiggle_hybrid_curve(monkeypatch):
+    """Add 40 sin(3 pi x) to the hybrid rate that the threshold search
+    reads, in both the closures and the array form, so that its sampled
+    sign patterns break and it raises RegimeViolationError."""
+    import numpy as np
+
+    import ris_select.selection as selection
+
+    closures, arrays = selection.type_curves, selection.type_rate_arrays
+
+    def wiggly(cfg, budget):
+        curves = dict(closures(cfg, budget))
+        rate, shares = curves[RisType.HYBRID]
+        curves[RisType.HYBRID] = (
+            lambda x: rate(x) + 40.0 * math.sin(3.0 * math.pi * x), shares)
+        return curves
+
+    def wiggly_arrays(s, eps_r, eps_t, big_l, x):
+        reflect, transmit, hybrid = arrays(s, eps_r, eps_t, big_l, x)
+        return reflect, transmit, hybrid + 40.0 * np.sin(3.0 * np.pi * x)
+
+    monkeypatch.setattr(selection, "type_curves", wiggly)
+    monkeypatch.setattr(selection, "type_rate_arrays", wiggly_arrays)
+
+
 def random_config(rng) -> ScenarioConfig:
     """Draw a random valid deployment; spans extreme radiation ratios."""
     import numpy as np

@@ -1,14 +1,18 @@
 """Command-line front-end: evaluation records, sweeps, presets, exit codes."""
 
 import json
+import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_SCENARIO, REPO_ROOT, mc_tolerance
+from conftest import REFERENCE_SCENARIO, REPO_ROOT, mc_tolerance, random_config
 from ris_select import (
+    ConfigError,
+    ConfigValidationError,
     RisType,
     allocate_power,
     average_snr,
@@ -670,3 +674,83 @@ def test_out_of_range_axis_value_fails_after_the_cells_before_it(tmp_path, capsy
     assert main(argv) == 1
     assert "link budget out of floating-point range" in _single_error_line(capsys)
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def _scenario_with_noise(tmp_path, noise_w):
+    text = REFERENCE_SCENARIO.read_text()
+    assert "noise_dbm = -96" in text
+    scenario = tmp_path / "noise.cfg"
+    scenario.write_text(text.replace("noise_dbm = -96", f"noise_w = {noise_w!r}"))
+    return scenario
+
+
+def _numbers_finite(cell) -> bool:
+    """Whether a cell's averaged-SNR-derived numbers and closed forms are all
+    finite (for EVALUATE_OUTPUTS, which asks for every one of them)."""
+    return all(math.isfinite(value) for report in cell.reports.values()
+               for value in (report.closed_form, report.upper_bound,
+                             report.monte_carlo_mean, report.monte_carlo_stderr,
+                             report.ergodic_exact))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("mode", ["evaluate", "sweep", "preset"])
+def test_non_finite_results_give_one_error_line(tmp_path, capsys, mode, strict):
+    # A subnormal noise power leaves the link constant positive (5.7e-311),
+    # so the budget passes its range check, but P / sigma^2 overflows: the
+    # closed forms come out inf and the bounds and Monte Carlo NaN.
+    out = tmp_path / "out"
+    argv = ["--scenario", str(_scenario_with_noise(tmp_path, 1e-320)),
+            "--out", str(out), "--trials", "2"]
+    if mode == "sweep":
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(SMALL_SWEEP)
+        argv += ["--sweep", str(spec)]
+    elif mode == "preset":
+        argv += ["--preset", "fig2b"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy warning either
+        assert main(argv + (["--strict"] if strict else [])) == 1
+    assert "not finite" in _single_error_line(capsys)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_finite_cell_fails_after_the_cells_before_it(tmp_path, capsys):
+    # at 43 dBm over 1e-300 W every number is finite; at 290 dBm the link
+    # constant is subnormal and P / sigma^2 overflows
+    cfg = replace(load_scenario(REFERENCE_SCENARIO), noise_variance=1e-300)
+    cfgs = [cli.apply_axis_value(cfg, "transmit_power_dbm", p) for p in (43.0, 290.0)]
+    cells, error = cli._evaluate_cells(cfgs, cli.EVALUATE_OUTPUTS, 2, 0)
+    assert len(cells) == 1 and isinstance(error, ConfigValidationError)
+    assert _numbers_finite(cells[0])
+
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("axis = transmit_power_dbm\nvalues = 43, 290\n")
+    out = tmp_path / "out"
+    assert main(["--scenario", str(_scenario_with_noise(tmp_path, 1e-300)),
+                 "--sweep", str(spec), "--out", str(out), "--trials", "2"]) == 1
+    assert "not finite" in _single_error_line(capsys)
+    assert not (out / "sweep.csv").exists()
+
+
+def test_extreme_configs_give_finite_numbers_or_an_error():
+    # powers and noise far outside any real link: every cell the evaluator
+    # returns holds finite numbers, and the rest is one ConfigError
+    rng = np.random.default_rng(1320)
+    outcomes = {"finite": 0, "error": 0}
+    for _ in range(120):
+        cfg = replace(random_config(rng),
+                      transmit_power=10.0 ** rng.uniform(-3.0, 40.0),
+                      noise_variance=10.0 ** rng.uniform(-323.0, -250.0))
+        cfgs = [replace(cfg, users_transmission=x) for x in range(cfg.users_total + 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty served sets
+            warnings.simplefilter("error", RuntimeWarning)
+            cells, error = cli._evaluate_cells(cfgs, cli.EVALUATE_OUTPUTS, 2, 0)
+        assert error is None or isinstance(error, ConfigError)
+        assert (error is None) == (len(cells) == len(cfgs))
+        for cell in cells:
+            assert _numbers_finite(cell)
+            assert np.isfinite(cell.regime.min_received_snr)
+        outcomes["finite" if error is None else "error"] += 1
+    assert min(outcomes.values()) >= 20, outcomes

@@ -8,7 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_config, near_isotropic_config, random_config, regime_report
+from conftest import (
+    make_config,
+    near_isotropic_config,
+    random_config,
+    regime_report,
+    wiggle_hybrid_curve,
+)
 from ris_select import (
     RisType,
     asymptotic_checks,
@@ -187,16 +193,7 @@ def test_non_monotone_difference_raises_with_regime(monkeypatch):
     import ris_select.selection as selection
 
     cfg, budget = _cfg_and_budget()
-    reference = selection.type_curves
-
-    def wiggly(cfg, budget):
-        curves = dict(reference(cfg, budget))
-        rate, shares = curves[RisType.HYBRID]
-        curves[RisType.HYBRID] = (
-            lambda x: rate(x) + 40.0 * math.sin(3.0 * math.pi * x), shares)
-        return curves
-
-    monkeypatch.setattr(selection, "type_curves", wiggly)
+    wiggle_hybrid_curve(monkeypatch)
     with pytest.raises(selection.RegimeViolationError,
                        match="approximation regime violated") as excinfo:
         find_thresholds(cfg, budget)

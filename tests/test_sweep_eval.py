@@ -6,8 +6,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from conftest import random_config, regime_report, scenario_text
+from conftest import (
+    make_config,
+    random_config,
+    regime_report,
+    scenario_text,
+    wiggle_hybrid_curve,
+)
 from ris_select import (
     RegimeViolationError,
     RisType,
@@ -162,3 +169,57 @@ def test_sweep_reports_equal_the_scalar_functions():
             assert all(m.startswith("no served UEs: ") for m in messages), messages
             assert [m[len("no served UEs: "):] for m in messages] == expected_warnings
     assert sweeps == 120 and boundary_cells >= 60
+
+
+def _spy(monkeypatch, name, calls):
+    """Record each call of cli.<name> in `calls`, by name."""
+    real = getattr(cli, name)
+
+    def spy(*args):
+        calls.append((name, args))
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+
+
+@pytest.mark.filterwarnings("ignore:no served UEs")
+def test_a_sweep_scans_each_crossing_tuple_once(monkeypatch):
+    calls = []
+    for name in ("scan_differences", "find_thresholds"):
+        _spy(monkeypatch, name, calls)
+    # a power sweep moves the link constant: one tuple per interior cell,
+    # all scanned in one pass and searched once each
+    cfg = make_config()
+    powers = [cli.apply_axis_value(cfg, "transmit_power_dbm", p)
+              for p in range(20, 51, 2)]
+    cells = _evaluate(powers + powers[:3], ("decision",), 1, 0)
+    assert [name for name, _ in calls] == ["scan_differences"] + ["find_thresholds"] * 16
+    assert len(calls[0][1][0]) == 16
+    for cell, (_, (cell_cfg, budget, _row)) in zip(cells, calls[1:]):
+        assert cell.decision == decide_type(cell_cfg, budget)
+    # a split sweep keeps it: one tuple, searched once; boundary splits none
+    calls.clear()
+    _evaluate([replace(cfg, users_transmission=x) for x in range(11)], ("decision",),
+              1, 0)
+    assert [name for name, _ in calls] == ["scan_differences", "find_thresholds"]
+    calls.clear()
+    _evaluate([replace(cfg, users_transmission=x) for x in (0, 10)], ("decision",), 1, 0)
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:no served UEs")
+def test_a_violating_tuple_gives_each_interior_cell_its_own_violation(monkeypatch):
+    wiggle_hybrid_curve(monkeypatch)
+    cfgs = [make_config(users_transmission=x) for x in range(11)]
+    cells = _evaluate(cfgs, ("decision",), 1, 0)
+    for cell in cells[::10]:  # boundary splits need no search
+        assert cell.violation is None and cell.decision is not None
+    interior = cells[1:-1]
+    assert all(cell.decision is None for cell in interior)
+    violations = [cell.violation for cell in interior]
+    assert all(isinstance(v, RegimeViolationError) for v in violations)
+    assert len({id(v) for v in violations}) == len(violations)  # none is shared
+    for cfg, cell in zip(cfgs[1:-1], interior):
+        assert cell.violation.regime == regime_report(cfg) == cell.regime
+    # each report is the cell's own: they differ from split to split
+    assert len({cell.violation.regime.min_received_snr for cell in interior}) > 1
