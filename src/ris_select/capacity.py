@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .channel import LinkBudget, prepare_sampler, rng_for_seed
-from .scenario import RisType, ScenarioConfig, reflection_zone_mask
+from .scenario import ConfigValidationError, RisType, ScenarioConfig, reflection_zone_mask
 
 LN2 = math.log(2.0)
 
@@ -353,13 +353,18 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
     two arrays over its leading axes in one pass, where the vector at index
     idx, with K_t = bs_antennas broadcast to the leading axes at idx, draws
     from base_seed + idx + (t,) and equals its own estimate bit for bit.
+    A trial count too large to allocate is a ConfigValidationError.
     """
     base = _trial_base(trials, base_seed)
     snr = np.asarray(snr, dtype=float)
     lead, users = snr.shape[:-1], snr.shape[-1]
     antennas = np.broadcast_to(bs_antennas, lead).ravel().tolist()
     rows = snr.reshape(-1, users)
-    row_gamma = np.empty((len(rows), trials, users))
+    try:
+        row_gamma = np.empty((len(rows), trials, users))
+    except (MemoryError, ValueError):  # numpy: cannot allocate, or "too big"
+        raise ConfigValidationError(
+            f"{trials} Monte Carlo trials per cell are too large to allocate") from None
     for r, (index, k) in enumerate(zip(np.ndindex(lead), antennas)):
         for t in range(trials):
             row_gamma[r, t] = rng_for_seed(base + index + (t,)).standard_gamma(

@@ -13,11 +13,11 @@ replayable and safe to farm out in parallel.
 Each named fading law is a FadingLaw: an in-order `draw` that only calls
 the generator and a pure, row-wise `finish`. The per-element paths
 (prepare_sampler and zone_gain_statistics) draw blocks of rows in stream
-order on the calling thread. When a block's finish costs more than its
-draw, a worker thread finishes and reduces blocks while the calling thread
-draws the next one (and finishes that one too if the worker is still busy).
-A sample's bits depend only on the seed, never on the block size, the
-thread count or the timing.
+order on the calling thread. In a FadingLaw call of several blocks of at
+least _BLOCK_VALUES values, a worker thread finishes and reduces each block
+while the calling thread draws the next one (and finishes that one too if
+the worker is still busy); every other call runs inline. A sample's bits
+depend only on the seed, never on the block size, threads or timing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import queue
 import threading
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -48,14 +47,9 @@ _PATHLOSS_DENOM = 64.0 * math.pi ** 3
 # _BLOCK_VALUES, and its arrays 1.28 MB at most.
 _STAT_CHUNK = 32
 # prepare_sampler groups whole user rows into blocks of about this many
-# values. Blocks smaller than this are finished on the calling thread, where
-# a thread handoff (about 0.1 ms) would cost more than it saves.
+# values. Smaller blocks (the reference sampler's hold two 30000-value user
+# rows) run inline, where a handoff (about 0.1 ms) would cost more than it saves.
 _BLOCK_VALUES = 1 << 16
-# The worker takes over only when finishing a block costs at least this
-# share of drawing it (uniform_phase: ~13; sign: ~0.7; gaussian: ~0.08).
-# Below that, overlapping the finish with the next draw saves less than the
-# handoff and the cross-core cache traffic cost, measured on 2 cores.
-_HANDOFF_RATIO = 1.0
 
 
 class DegenerateGeometryError(ValueError):
@@ -136,8 +130,9 @@ class FadingLaw:
     `draw(rng, shape)` makes only generator calls, so draws must run in
     stream order; `finish(raw)` is pure and row-wise (it may overwrite
     `raw`) and turns the draw into complex samples of the given shape.
-    Calling the law runs both. Any other callable law(rng, shape) counts as
-    all draw: it runs whole on the calling thread.
+    Calling the law runs both. The type is the declaration: a FadingLaw's
+    large multi-block calls finish on a worker thread, while any other
+    callable law(rng, shape) runs whole on the calling thread.
     """
 
     draw: Callable
@@ -269,26 +264,16 @@ def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np
 
     Block (shape, coeff, scale, index) draws g = law(rng, shape), in list
     order on the calling thread, and sets out[index] = (g @ coeff) * scale.
-    When there is more than one block and blocks hold at least _BLOCK_VALUES
-    values, the first block is timed on the calling thread, and the rest go
-    through _pipeline if finishing it took at least _HANDOFF_RATIO times as
-    long as drawing it. Otherwise the calling thread does it all.
+    A FadingLaw call of more than one block, each of at least _BLOCK_VALUES
+    values, goes through _pipeline, the first block included; plain
+    callables, single blocks and smaller blocks run on the calling thread.
     """
-    draw, finish = (law.draw, law.finish) if isinstance(law, FadingLaw) \
-        else (law, np.asarray)
-    rest = iter(blocks)
-    if len(blocks) > 1 and math.prod(blocks[0][0]) >= _BLOCK_VALUES:
-        shape, coeff, scale, index = next(rest)
-        started = time.perf_counter()
-        raw = draw(rng, shape)
-        drawn = time.perf_counter()
-        _panel_sum(finish(raw), coeff, scale, out[index])
-        del raw
-        if time.perf_counter() - drawn >= _HANDOFF_RATIO * (drawn - started):
-            _pipeline(draw, finish, rng, rest, out)
-            return out
-    for shape, coeff, scale, index in rest:
-        _panel_sum(finish(draw(rng, shape)), coeff, scale, out[index])
+    if isinstance(law, FadingLaw) and len(blocks) > 1 \
+            and math.prod(blocks[0][0]) >= _BLOCK_VALUES:
+        _pipeline(law.draw, law.finish, rng, blocks, out)
+        return out
+    for shape, coeff, scale, index in blocks:
+        _panel_sum(np.asarray(law(rng, shape)), coeff, scale, out[index])
     return out
 
 

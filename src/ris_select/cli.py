@@ -56,6 +56,7 @@ from .scenario import (
     config_digest,
     dbm_to_watts,
     _iter_config_lines,
+    _parse_number,
     approximation_regime,
     load_scenario,
     min_served_snr,
@@ -132,10 +133,11 @@ def parse_sweep_spec(text: str, trials: int | None = None,
                      base_seed: int | None = None) -> SweepSpec:
     """Parse a sweep-spec file (same key = value format as scenarios)."""
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, key, value in _iter_config_lines(text):
         if key in entries:
             raise ConfigSyntaxError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = value
+        entries[key], lines[key] = value, lineno
     known = {"axis", "values", "trials", "base_seed", "outputs"}
     unknown = set(entries) - known
     if unknown:
@@ -144,7 +146,11 @@ def parse_sweep_spec(text: str, trials: int | None = None,
         if required not in entries:
             raise ConfigError(f"sweep spec missing required key {required!r}")
 
-    values = tuple(float(v) for v in entries["values"].split(",") if v.strip())
+    def whole(key, default):
+        return _parse_number(lines[key], key, entries[key], True) if key in entries else default
+
+    values = tuple(_parse_number(lines["values"], "values", v.strip(), want_int=False)
+                   for v in entries["values"].split(",") if v.strip())
     outputs = tuple(
         o.strip() for o in entries.get(
             "outputs", "closed_form,upper_bound,monte_carlo,decision").split(",")
@@ -153,8 +159,8 @@ def parse_sweep_spec(text: str, trials: int | None = None,
     return SweepSpec(
         axis=entries["axis"],
         values=values,
-        trials=trials if trials is not None else int(entries.get("trials", DEFAULT_TRIALS)),
-        base_seed=base_seed if base_seed is not None else int(entries.get("base_seed", 0)),
+        trials=trials if trials is not None else whole("trials", DEFAULT_TRIALS),
+        base_seed=base_seed if base_seed is not None else whole("base_seed", 0),
         outputs=outputs,
     )
 
@@ -330,10 +336,10 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     ConfigError or DegenerateGeometryError, or a cell's averaged SNR, closed
     forms, bounds or estimates are not finite (a ConfigValidationError),
     `error` is that exception and `cells` holds the cells before it, so a
-    caller meets the failures in cell order. Cell a, type i draws its Monte
-    Carlo trials from (seed, a, i, t). The threshold searches of the
-    interior cells share one scan_differences pass. This is the one place
-    a CapacityReport is built.
+    caller meets the failures in cell order (too many trials to allocate
+    fails with no cells). Cell a, type i draws its Monte Carlo trials from
+    (seed, a, i, t). The threshold searches of the interior cells share one
+    scan_differences pass. This is the one place a CapacityReport is built.
     """
     staged, error = [], None
     try:
@@ -357,7 +363,10 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
         blocks = [snr, closed, bounds]
         if monte_carlo:
             antennas = np.array([cfg.bs_antennas for cfg in cfgs])[:, None]
-            means, stderrs = monte_carlo_capacity(snr, antennas, trials, seed)
+            try:
+                means, stderrs = monte_carlo_capacity(snr, antennas, trials, seed)
+            except ConfigValidationError as exc:
+                return [], exc
             blocks += [means, stderrs]
         if exact:
             exact_rates = np.array([[ergodic_rate_exact(row, cfg.bs_antennas)

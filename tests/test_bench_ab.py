@@ -74,6 +74,23 @@ def test_summary_flags_a_loss_outside_the_bound_failures_and_digests():
     assert text.count("OUTSIDE BOUND") == 4  # setup_s, work_per_s, call_p50/p90
 
 
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    # parent quartiles 90 and 130 around 110: a 36% spread against a 15% bound
+    parent = [90.0, 130.0, 110.0, 80.0, 140.0]
+    overlapping = bench_ab.summarize(_pairs(parent, [120.0, 125.0, 85.0, 118.0, 122.0]),
+                                     SPECS)
+    assert overlapping["metrics"]["work_per_s"]["unresolved"]
+    assert "UNRESOLVED" in bench_ab.format_summary("gain_stats", overlapping)
+    # every change run better than every parent run resolves it
+    above = bench_ab.summarize(_pairs(parent, [141.0, 150.0, 160.0, 145.0, 155.0]),
+                               SPECS)["metrics"]
+    assert not above["work_per_s"]["unresolved"]
+    # a tight parent spread resolves it too, whatever the change reads
+    tight = bench_ab.summarize(_pairs([100.0, 102.0, 98.0, 101.0, 99.0],
+                                      [120.0, 125.0, 85.0, 118.0, 122.0]), SPECS)
+    assert not any(m["unresolved"] for m in tight["metrics"].values())
+
+
 def test_bad_arguments_are_rejected(capsys):
     with pytest.raises(SystemExit):
         bench_ab.parse_args(["a", "b", "--pairs", "0"])

@@ -6,13 +6,14 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import REFERENCE_SCENARIO, make_config
 from ris_select import (
     DegenerateGeometryError,
     FADING_LAWS,
     FadingLaw,
     RisType,
     link_budget,
+    load_scenario,
     prepare_sampler,
     zone_gain_statistics,
 )
@@ -304,32 +305,32 @@ def _run_with_watchdog(call, seconds=60.0):
     return outcome[0], caller
 
 
-@pytest.fixture
-def handoff(monkeypatch):
-    # 2500 elements: every 32-row block after the first goes to a worker
-    monkeypatch.setattr(channel, "_HANDOFF_RATIO", 0.0)
-
-
-def test_worker_failure_propagates_with_its_own_type(handoff):
+def test_worker_failure_propagates_with_its_own_type():
+    # 2500 elements: every 32-row block goes through the worker pipeline
     cfg = make_config()
     before = threading.active_count()
-    finished_on = []
+    callers, finished_on = [], []
 
     def finish(raw):
         finished_on.append(threading.current_thread())
-        if len(finished_on) > 1:  # the first block is timed on the caller
+        # The first block always goes to the idle worker, so the worker's
+        # first finish fails; finishes on the calling thread succeed.
+        if finished_on[-1] is not callers[0]:
             raise FinishFailed("finish failed")
         return gaussian_fading.finish(raw)
 
+    def call():
+        callers.append(threading.current_thread())
+        zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law)
+
     law = FadingLaw(gaussian_fading.draw, finish)
-    error, caller = _run_with_watchdog(
-        lambda: zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law))
+    error, caller = _run_with_watchdog(call)
     assert isinstance(error, FinishFailed)
-    assert any(thread is not caller for thread in finished_on[1:])
+    assert any(thread is not caller for thread in finished_on)
     assert threading.active_count() == before
 
 
-def test_draw_failure_with_blocks_in_flight_leaves_no_thread(handoff):
+def test_draw_failure_with_blocks_in_flight_leaves_no_thread():
     cfg = make_config()
     before = threading.active_count()
     calls = []
@@ -348,7 +349,7 @@ def test_draw_failure_with_blocks_in_flight_leaves_no_thread(handoff):
     assert threading.active_count() == before
 
 
-def test_one_worker_thread_finishes_every_handed_block(handoff):
+def test_one_worker_thread_finishes_every_handed_block():
     # A thread per block can start while the one before is still exiting and
     # open a fresh allocator arena, which raises the peak memory at random.
     cfg = make_config()
@@ -362,6 +363,36 @@ def test_one_worker_thread_finishes_every_handed_block(handoff):
     zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law)
     assert len(finished_on) == len(channel._row_bounds(1000, channel._STAT_CHUNK)) - 1
     assert len(set(finished_on) - {threading.current_thread()}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(FADING_LAWS))
+def test_route_follows_the_law_type_and_the_block_size(monkeypatch, name):
+    routed = []
+    pipeline = channel._pipeline
+
+    def spy(*args):
+        routed.append(args)
+        pipeline(*args)
+
+    monkeypatch.setattr(channel, "_pipeline", spy)
+    cfg = make_config()
+
+    def gain_calls(law):
+        for seed in range(10):
+            zone_gain_statistics(cfg, RisType.HYBRID, True, 1024, law, seed)
+
+    # 32-row blocks of 80000 values: a named law takes the worker every time
+    gain_calls(name)
+    assert len(routed) == 10
+    # a plain callable never does
+    gain_calls(lambda rng, shape: FADING_LAWS[name](rng, shape))
+    assert len(routed) == 10
+    # the reference sampler's two-user blocks hold 60000 values: inline
+    reference = load_scenario(REFERENCE_SCENARIO)
+    draw = prepare_sampler(reference, RisType.HYBRID, link_budget(reference), name)
+    for seed in range(10):
+        draw((seed,))
+    assert len(routed) == 10
 
 
 def test_plain_callable_law_matches_an_inline_reference():

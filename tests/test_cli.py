@@ -550,6 +550,9 @@ def test_non_finite_scenario_value_is_rejected(tmp_path, capsys, line, message):
     ("ris_rows_cols", "10, 20.5", "whole numbers; got 20.5"),
     ("transmit_power_dbm", "30, nan", "transmit_power must be finite"),
     ("transmit_power_dbm", "30, 1e10", "transmit_power must be finite"),
+    ("users_transmission", "1, x", "line 2: value for values must be a number, got 'x'"),
+    ("users_transmission", "1, 2\ntrials = 1e3",
+     "line 3: value for trials must be an integer, got '1e3'"),
 ])
 def test_bad_sweep_value_is_rejected(tmp_path, capsys, axis, values, message):
     spec = tmp_path / "sweep.cfg"
@@ -582,6 +585,24 @@ def test_oversized_panel_gives_one_error_line(tmp_path, capsys, mode):
     assert main(["--scenario", str(scenario), "--out", str(out)] + argv) == 1
     assert "too large to allocate" in _single_error_line(capsys)
     assert not (out / "evaluate.json").exists() and not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("mode, trials", [
+    ("evaluate", 10 ** 13), ("fig2a", 10 ** 20), ("sweep", 10 ** 13)])
+def test_oversized_trial_count_gives_one_error_line(tmp_path, capsys, mode, trials):
+    # at S = 10, 10**13 trials ask for 800 TB and 10**20 exceed numpy's
+    # largest array, so both fail at once without allocating anything
+    argv = ["--trials", str(trials)]
+    if mode == "fig2a":
+        argv += ["--preset", "fig2a"]
+    elif mode == "sweep":
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(f"axis = users_transmission\nvalues = 1, 9\ntrials = {trials}\n")
+        argv = ["--sweep", str(spec)]
+    out = tmp_path / "out"
+    assert main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(out)] + argv) == 1
+    assert "too large to allocate" in _single_error_line(capsys)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_evaluate_and_one_point_sweep_agree(tmp_path):

@@ -85,5 +85,4 @@ def test_element_outputs_ignore_the_block_size(monkeypatch, block_rows):
 def test_element_outputs_ignore_the_pipeline(monkeypatch):
     # the 3x3 draws go through the worker pipeline, one user row per block
     monkeypatch.setattr(channel, "_BLOCK_VALUES", 0)
-    monkeypatch.setattr(channel, "_HANDOFF_RATIO", 0.0)
     assert element_stream(("odd_3x3",)) == _golden(("odd_3x3",))

@@ -13,9 +13,12 @@ end-to-end metric (the `end_to_end` list of BENCHMARK.json in CHANGE_DIR),
 the summary gives both sides' median and quartiles, the relative change of
 the medians, the pairs the change won, whether the change of the medians
 clears the parent's interquartile range, and whether a worse median stays
-inside the metric's bound. It also counts failed operations per side and the
-pairs whose output digests are equal. The last line of standard output is
-the summary as one JSON object. Standard library only.
+inside the metric's bound. A metric is unresolved when the parent's
+interquartile range, relative to its median, is wider than the bound and not
+every change run reads better than every parent run: such a spread can hide
+a regression of the bound's size. It also counts failed operations per side
+and the pairs whose output digests are equal. The last line of standard
+output is the summary as one JSON object. Standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ def summarize_metric(spec: dict, parent: list, change: list) -> dict:
     p_q1, p_median, p_q3 = quartiles(parent)
     c_q1, c_median, c_q3 = quartiles(change)
     relative = (c_median - p_median) / p_median if p_median else 0.0
+    spread = (p_q3 - p_q1) / p_median if p_median else 0.0
+    all_better = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "unit": spec.get("unit"),
         "parent": {"median": p_median, "q1": p_q1, "q3": p_q3},
@@ -53,6 +58,7 @@ def summarize_metric(spec: dict, parent: list, change: list) -> dict:
         "pairs": len(parent),
         "clears_parent_iqr": sign * (c_median - p_median) > p_q3 - p_q1,
         "within_bound": sign * relative >= -spec["bound"],
+        "unresolved": spread > spec["bound"] and not all_better,
     }
 
 
@@ -93,7 +99,8 @@ def format_summary(workload: str, summary: dict) -> str:
             f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}  "
             f"{100.0 * m['relative_change']:+.1f}%  wins {m['change_wins']}/{m['pairs']}"
             f"{'  clears parent IQR' if m['clears_parent_iqr'] else ''}"
-            f"{'' if m['within_bound'] else '  OUTSIDE BOUND'}")
+            f"{'' if m['within_bound'] else '  OUTSIDE BOUND'}"
+            f"{'  UNRESOLVED' if m['unresolved'] else ''}")
     return "\n".join(lines)
 
 
