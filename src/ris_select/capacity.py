@@ -314,8 +314,8 @@ def ergodic_rate_exact(snr, bs_antennas: int) -> float:
     return float(np.sum(np.log1p(np.outer(snr / k, x)) @ weights) / LN2)
 
 
-def _trial_base(trials: int, base_seed) -> tuple:
-    """The key that trial t extends by (t,); an int base_seed is a 1-tuple."""
+def _base_key(trials: int, base_seed) -> tuple:
+    """base_seed as a tuple key (an int is a 1-tuple), once trials >= 1."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     return base_seed if isinstance(base_seed, tuple) else (base_seed,)
@@ -343,19 +343,20 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
 
     Each panel sum is exactly complex normal for any phase grid, so user s's
     row power is its averaged power times X_s / K_t with X_s ~ Gamma(K_t, 1),
-    independent over users. Trial t draws one standard_gamma(K_t, size=S)
-    vector from the generator seeded by base_seed + (t,), and its rate is
-    the sum over users of log2(1 + snr_s * X_s / K_t). The law is that of
+    independent over users. Trial t is row t of one
+    standard_gamma(K_t, size=(trials, S)) draw from the generator seeded by
+    base_seed (so a longer run extends a shorter one), and its rate is the
+    sum over users of log2(1 + snr_s * X_s / K_t). The law is that of
     element_monte_carlo with Gaussian fading and the cost does not grow with
     the panel, but the stream differs. ergodic_rate_exact is its oracle.
 
     Users run along the last axis. A vector gives two floats; a block gives
     two arrays over its leading axes in one pass, where the vector at index
     idx, with K_t = bs_antennas broadcast to the leading axes at idx, draws
-    from base_seed + idx + (t,) and equals its own estimate bit for bit.
+    from base_seed + idx and equals its own estimate bit for bit.
     A trial count too large to allocate is a ConfigValidationError.
     """
-    base = _trial_base(trials, base_seed)
+    base = _base_key(trials, base_seed)
     snr = np.asarray(snr, dtype=float)
     lead, users = snr.shape[:-1], snr.shape[-1]
     antennas = np.broadcast_to(bs_antennas, lead).ravel().tolist()
@@ -366,9 +367,7 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
         raise ConfigValidationError(
             f"{trials} Monte Carlo trials per cell are too large to allocate") from None
     for r, (index, k) in enumerate(zip(np.ndindex(lead), antennas)):
-        for t in range(trials):
-            row_gamma[r, t] = rng_for_seed(base + index + (t,)).standard_gamma(
-                k, size=users)
+        rng_for_seed(base + index).standard_gamma(k, out=row_gamma[r])
     scale = rows / np.array(antennas, dtype=float)[:, None]
     mean, stderr = _mean_and_stderr(
         np.sum(np.log1p(scale[:, None, :] * row_gamma), axis=-1) / LN2)
@@ -389,7 +388,7 @@ def element_monte_carlo(cfg: ScenarioConfig, ris_type: RisType,
     log2(1 + (P_T / sigma^2) * share_s * row_power_s), with row_power_s the
     squared norm of the user's channel row.
     """
-    base = _trial_base(trials, base_seed)
+    base = _base_key(trials, base_seed)
     gain = (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue
     draw = prepare_sampler(cfg, ris_type, budget, fading)
     rates = np.empty(trials)

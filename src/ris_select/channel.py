@@ -7,7 +7,7 @@ collapsed to their center values, so one averaged pathloss per zone multiplies
 the whole aggregate.
 
 Sampling is pure given (config, type, seed): seeds are ints or tuples of
-ints keyed through SeedSequence, so per-trial substreams are cheap,
+ints keyed through SeedSequence, so tuple-extended substreams are
 replayable and safe to farm out in parallel.
 
 Each named fading law is a FadingLaw: an in-order `draw` that only calls
@@ -201,15 +201,15 @@ def rng_for_seed(seed) -> np.random.Generator:
     """Deterministic generator for an int seed or a tuple of ints.
 
     SFC64 keyed through SeedSequence: substreams for tuple-extended seeds
-    are cheap to create and replayable, so per-trial streams can be farmed
-    out in parallel without coordination. Distinct keys give independent
+    are replayable, so streams can be farmed out in parallel without
+    coordination. Distinct keys give independent
     streams only when they have the same length and every word lies in
     [0, 2**32): SeedSequence pads its entropy with zeros and splits larger
     ints into 32-bit words, so (9, 0, 3) and (9, 0, 3, 0) are one stream,
     as are 9 and (9, 0), and 2**32 and (0, 1). The CLI keeps to that rule
-    (four-word trial keys, seeds below 2**32). SFC64 is the fastest
-    generator shipped with numpy, which keeps large Monte Carlo sweeps
-    inside their wall-clock budgets.
+    (three-word (seed, cell, type) keys, seeds below 2**32). SFC64 is the
+    fastest generator shipped with numpy, which keeps large Monte Carlo
+    sweeps inside their wall-clock budgets.
 
     A key of ints in [0, 2**32) reaches SeedSequence as a uint32 array,
     which holds the same words (so the same stream) and builds faster; any

@@ -15,11 +15,11 @@ Exit codes: 0 success, 1 ingestion/validation failure (including a link
 budget that over- or underflows a float), 2 regime or geometry diagnostic
 failure under --strict. Sweep CSVs are bit-identical across runs
 for a fixed (scenario, spec, seed); the Monte Carlo cell at axis index a and
-type index i (fixed type order R, T, H) is seeded (base_seed, a, i), and a
-single evaluation is axis 0 of the same scheme, seeding type i with
-(seed, 0, i). Trial t then draws from (seed, a, i, t): every key has four
-words, and seeds must lie in [0, 2**32) so each is one SeedSequence word and
-no two keys alias. Fading is always Gaussian here, so Monte Carlo is
+type index i (fixed type order R, T, H) draws all its trials from the one
+generator (base_seed, a, i), and a single evaluation is axis 0 of the same
+scheme, seeding type i with (seed, 0, i). Every key has three words, and
+seeds must lie in [0, 2**32) so each is one SeedSequence word and no two
+keys alias. Fading is always Gaussian here, so Monte Carlo is
 capacity.monte_carlo_capacity, the exact Gamma row-power sampler (recorded
 as "aggregate" in evaluate.json).
 """
@@ -337,8 +337,8 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     forms, bounds or estimates are not finite (a ConfigValidationError),
     `error` is that exception and `cells` holds the cells before it, so a
     caller meets the failures in cell order (too many trials to allocate
-    fails with no cells). Cell a, type i draws its Monte Carlo trials from
-    (seed, a, i, t). The threshold searches of the interior cells share one
+    fails with no cells). Cell a, type i's one Monte Carlo generator is
+    (seed, a, i). The threshold searches of the interior cells share one
     scan_differences pass. This is the one place a CapacityReport is built.
     """
     staged, error = [], None

@@ -263,6 +263,18 @@ def test_block_estimates_equal_the_per_vector_ones():
     assert lows[1, 0] == 0.0
 
 
+def test_a_shorter_run_is_the_head_of_a_longer_one():
+    # trial t is row t of one standard_gamma draw, so 37 trials replay the
+    # first 37 rows of a 1000-row draw from the same key
+    snr = np.random.default_rng(31).uniform(0.0, 50.0, size=10)
+    for k in (1, 2, 12, 64):
+        rows = capacity.rng_for_seed((3, 1, 2)).standard_gamma(k, size=(1000, 10))[:37]
+        rates = np.sum(np.log1p((snr / float(k)) * rows), axis=-1) / LN2
+        mean, stderr = capacity._mean_and_stderr(rates)
+        assert monte_carlo_capacity(snr, k, 37, (3, 1, 2)) == (float(mean),
+                                                               float(stderr)), k
+
+
 def test_monte_carlo_below_bound_all_types():
     cfg = make_config(rows=20, cols=20)
     budget = link_budget(cfg)

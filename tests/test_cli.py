@@ -486,15 +486,15 @@ def test_seed_of_two_to_the_32_is_rejected(tmp_path, monkeypatch, capsys, where)
 
 def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     # Under base_seed XOR cell_index, cell 3 of a seed-9 sweep drew the
-    # stream of cell 0 of a seed-10 sweep. Record the trial-0 key of every
-    # Monte Carlo cell and require all of their streams to differ.
+    # stream of cell 0 of a seed-10 sweep. Record every generator key the
+    # Monte Carlo builds: one (seed, a, i) per cell and type, whose streams
+    # must all differ.
     seen = {}
     real_rng = capacity.rng_for_seed
     real = capacity.monte_carlo_capacity
 
     def spy(key):
-        if key[-1] == 0:  # trial 0 of a (cell, type)
-            seen.setdefault(current, []).append(key[:-1])
+        seen.setdefault(current, []).append(key)
         return real_rng(key)
 
     monkeypatch.setattr(capacity, "rng_for_seed", spy)
@@ -507,11 +507,11 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
                      "--out", str(out), "--seed", str(current)]) == 0
         csvs[current] = _rows(out / "sweep.csv")
 
+    assert seen == {seed: [(seed, a, i) for a in range(2) for i in range(3)]
+                    for seed in (9, 10)}
     keys = seen[9] + seen[10]
-    assert len(keys) == 12
-    states = {np.random.SeedSequence(key + (0,)).generate_state(4).tobytes()
-              for key in keys}
-    assert len(states) == len(keys)
+    states = {np.random.SeedSequence(key).generate_state(4).tobytes() for key in keys}
+    assert len(states) == len(keys) == 12
 
     # The two cells are different deployments, so compare like with like:
     # seed-9 cell 3 (split 5, R) against the same cell drawn from the stream
@@ -523,6 +523,48 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
                     cell.bs_antennas, 4, seen[10][0])
     assert csvs[9][3][:2] == ["5", "R"]
     assert float(csvs[9][3][4]) != pytest.approx(other, rel=1e-9)
+
+
+def test_each_cell_and_type_builds_one_generator(tmp_path, monkeypatch):
+    # a cell's trials are rows of one draw, so the generator count does not
+    # grow with --trials: 16 cells x 3 types for fig2a, 3 for an evaluation
+    keys = []
+    real_rng = capacity.rng_for_seed
+
+    def spy(key):
+        keys.append(key)
+        return real_rng(key)
+
+    monkeypatch.setattr(capacity, "rng_for_seed", spy)
+    common = ["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path),
+              "--seed", "7"]
+    for trials in ("2", "50"):
+        keys.clear()
+        assert main(common + ["--preset", "fig2a", "--trials", trials]) == 0
+        assert keys == [(7, a, i) for a in range(16) for i in range(3)]
+    keys.clear()
+    assert main(common + ["--trials", "50"]) == 0
+    assert keys == [(7, 0, i) for i in range(3)]
+
+
+def test_fig2a_monte_carlo_at_scale_matches_the_exact_rate(tmp_path):
+    # 2000 trials per cell through the CLI: every cell's estimate lies
+    # within six standard deviations of the exact ergodic rate
+    trials = 2000
+    assert main(["--scenario", str(REFERENCE_SCENARIO), "--preset", "fig2a",
+                 "--out", str(tmp_path), "--trials", str(trials), "--seed", "7"]) == 0
+    rows = _rows(tmp_path / "fig2a.csv")
+    assert len(rows) == 48
+    (variant,) = cli.preset_variants("fig2a", trials, 7)
+    base = cli.apply_overrides(load_scenario(REFERENCE_SCENARIO), variant.overrides)
+    for row in rows:
+        cell = cli.apply_axis_value(base, variant.spec.axis, float(row[0]))
+        ris_type = next(t for t in RisType if t.letter == row[1])
+        budget = link_budget(cell)
+        exact = ergodic_rate_exact(
+            average_snr(cell, ris_type, allocate_power(cell, ris_type, budget), budget),
+            cell.bs_antennas)
+        assert abs(float(row[4]) - exact) <= mc_tolerance(cell, trials), row
 
 
 @pytest.mark.parametrize("line, message", [
