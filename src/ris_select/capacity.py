@@ -368,9 +368,9 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
             f"{trials} Monte Carlo trials per cell are too large to allocate") from None
     for r, (index, k) in enumerate(zip(np.ndindex(lead), antennas)):
         rng_for_seed(base + index).standard_gamma(k, out=row_gamma[r])
-    scale = rows / np.array(antennas, dtype=float)[:, None]
+    row_gamma *= (rows / np.array(antennas, dtype=float)[:, None])[:, None, :]
     mean, stderr = _mean_and_stderr(
-        np.sum(np.log1p(scale[:, None, :] * row_gamma), axis=-1) / LN2)
+        np.sum(np.log1p(row_gamma, out=row_gamma), axis=-1) / LN2)
     if not lead:
         return float(mean[0]), float(stderr[0])
     return mean.reshape(lead), stderr.reshape(lead)
