@@ -202,14 +202,14 @@ def rng_for_seed(seed) -> np.random.Generator:
 
     SFC64 keyed through SeedSequence: substreams for tuple-extended seeds
     are replayable, so streams can be farmed out in parallel without
-    coordination. Distinct keys give independent
-    streams only when they have the same length and every word lies in
-    [0, 2**32): SeedSequence pads its entropy with zeros and splits larger
-    ints into 32-bit words, so (9, 0, 3) and (9, 0, 3, 0) are one stream,
-    as are 9 and (9, 0), and 2**32 and (0, 1). The CLI keeps to that rule
-    (three-word (seed, cell, type) keys, seeds below 2**32). SFC64 is the
-    fastest generator shipped with numpy, which keeps large Monte Carlo
-    sweeps inside their wall-clock budgets.
+    coordination. Distinct keys give independent streams only when they have
+    the same length and every word lies in [0, 2**32): SeedSequence pads its
+    entropy with zeros and splits larger ints into 32-bit words, so
+    (9, 0, 3) and (9, 0, 3, 0) are one stream, as are 9 and (9, 0), and
+    2**32 and (0, 1). The CLI keeps to that rule (three-word
+    (seed, cell, type) keys, seeds below 2**32). SFC64 is the fastest
+    generator shipped with numpy, which keeps large Monte Carlo sweeps
+    inside their wall-clock budgets.
 
     A key of ints in [0, 2**32) reaches SeedSequence as a uint32 array,
     which holds the same words (so the same stream) and builds faster; any
