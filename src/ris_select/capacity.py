@@ -67,8 +67,8 @@ def type_curves(cfg: ScenarioConfig, budget: LinkBudget):
 
 @functools.lru_cache(maxsize=32)
 def _type_curves(s, eps_r, eps_t, big_l):
-    # Each rate is one straight-line closure: find_thresholds' bisections
-    # call them about two hundred times per search (type_rate_arrays is the
+    # Each rate is one straight-line closure: find_thresholds' root searches
+    # call them about sixty times per search (type_rate_arrays is the
     # scan's array form). hybrid_rate writes hybrid_shares out
     # (hybrid_share's formula and the clamp) with the same operations in the
     # same order, so it equals the rate at hybrid_shares(x) bit for bit.

@@ -26,7 +26,7 @@ from ris_select.selection import (
     SCAN_GUARD,
     SCAN_POINTS,
     SelectionThresholds,
-    _bisect,
+    _itp_root,
     _regime_report,
     _sign_pattern_monotone,
     crossing_key,
@@ -36,7 +36,7 @@ from test_curves import _deployments
 
 
 def _scalar_find_thresholds(cfg, budget):
-    """The closure-only scan and bisection (the reference)."""
+    """The closure-only scan and root search (the reference)."""
     if cfg.users_total < 2:
         raise ValueError("threshold search needs at least two users")
     c_reflect, c_transmit, c_hybrid = (
@@ -61,7 +61,7 @@ def _scalar_find_thresholds(cfg, budget):
                 f"monotone over the user split",
                 regime=_regime_report(cfg, budget),
             )
-        roots.append(_bisect(first, second, lo, hi, values[0], values[-1]))
+        roots.append(_itp_root(first, second, lo, hi, values[0], values[-1]))
     split_rt, split_rh, split_th = roots
     rate_eq = c_reflect(split_rt) if split_rt is not None else None
     return SelectionThresholds(split_rt, split_rh, split_th, rate_eq)
