@@ -7,9 +7,7 @@ difference is exactly monotone; the two hybrid differences are monotone in
 the near-isotropic, high-SNR regime, which is what makes the condition table
 work. Outside that regime the table verdict is still produced but marked
 advisory, and the brute-force comparison of the closed forms is the verdict
-to trust. Each crossing is located by an ITP search on the rate closures,
-which needs about a third of bisection's evaluations on these smooth,
-monotone differences and never more than one step beyond its worst case.
+to trust. The crossings are found by an ITP search on the rate closures.
 """
 
 from __future__ import annotations
@@ -43,9 +41,7 @@ SCAN_POINTS = 100
 # from the closures' by a few 1e-16 relative, so every other scanned sign is
 # the closures' sign.
 SCAN_GUARD = 1e-12
-# ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020): k1 is
-# ITP_K1_WIDTH over the bracket's width, and the search takes at most ITP_N0
-# steps more than bisection's ceil(log2(width / ROOT_TOL)).
+# ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020); k1 = ITP_K1_WIDTH / (S - 2)
 ITP_K1_WIDTH = 0.2
 ITP_K2 = 2.0
 ITP_N0 = 1
@@ -127,18 +123,12 @@ def _sign_pattern_monotone(values, increasing: bool) -> bool:
         or (not increasing) not in signs[signs.index(increasing):]
 
 
-def _itp_root(first, second, lo: float, hi: float, flo: float,
-              fhi: float) -> float | None:
+def _itp_root(first, second, lo: float, hi: float, flo: float, fhi: float) -> float | None:
     """Root of first(x) - second(x) on [lo, hi], whose values at lo and hi
-    have the signs (and zeros) of flo and fhi; None without a sign change.
-
-    An ITP search (interpolate, truncate, project): the regula falsi point,
-    nudged toward the midpoint and kept within the distance from it that
-    leaves bisection's worst case plus ITP_N0 steps. It stops when the
-    bracket is at most ROOT_TOL wide and returns its midpoint, or returns a
-    trial point where the difference is exactly 0. It evaluates the
-    difference at lo and hi with the closures for their values.
-    """
+    have the signs of flo and fhi, to within ROOT_TOL / 2 by an ITP search
+    (interpolate, truncate, project). An exact zero at lo, hi or a trial
+    point is returned as it is, and None when the end signs agree. The
+    search evaluates the difference at lo and hi for their values."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -146,26 +136,25 @@ def _itp_root(first, second, lo: float, hi: float, flo: float,
     if (flo > 0.0) == (fhi > 0.0):
         return None
     width = hi - lo
-    if width <= ROOT_TOL:
+    if width <= ROOT_TOL:  # S = 2: no step, and no log2(0)
         return 0.5 * (lo + hi)
     flo, fhi = first(lo) - second(lo), first(hi) - second(hi)
-    rising = fhi > 0.0
-    k1 = ITP_K1_WIDTH / width
-    n_max = math.ceil(math.log2(width / ROOT_TOL)) + ITP_N0
+    k1, n_max = ITP_K1_WIDTH / width, math.ceil(math.log2(width / ROOT_TOL)) + ITP_N0
     for j in range(n_max):
         if hi - lo <= ROOT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        x_f = (fhi * lo - flo * hi) / (fhi - flo)
+        x_f = (fhi * lo - flo * hi) / (fhi - flo)  # regula falsi
         sigma = math.copysign(1.0, mid - x_f)
         delta = k1 * (hi - lo) ** ITP_K2
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        # the projection keeps bisection's worst case plus ITP_N0 steps
         radius = math.ldexp(ROOT_TOL, n_max - j - 1) - 0.5 * (hi - lo)
         x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
         fx = first(x) - second(x)
         if fx == 0.0:
             return x
-        if (fx > 0.0) == rising:
+        if (fx > 0.0) == (fhi > 0.0):
             hi, fhi = x, fx
         else:
             lo, flo = x, fx

@@ -100,11 +100,17 @@ def test_scan_matches_scalar_oracle_over_random_deployments():
         cfg = draw(rng)
         deployments.append((cfg, link_budget(cfg)))
     assert _assert_scan_matches_oracle(deployments) == (0, 0)
-    # At low SNR with (nearly) equal radiation constants the three rates
-    # agree to about eps / L relative, so many scanned differences sit
-    # under the guard, and rounding noise breaks some sign patterns.
+    # many scanned differences sit under the guard, and rounding noise
+    # breaks some sign patterns
+    unsure, violations = _assert_scan_matches_oracle(_noise_deployments(rng, 500))
+    assert unsure > 1000 and violations > 10
+
+
+def _noise_deployments(rng, count):
+    """(cfg, budget) pairs at low SNR with (nearly) equal radiation
+    constants, where the three rates agree to about eps / L relative."""
     deployments = []
-    for _ in range(500):
+    for _ in range(count):
         cfg = random_config(rng)
         eps_r = cfg.panel.radiation_reflect
         eps_t = eps_r if rng.uniform() < 0.5 \
@@ -112,8 +118,7 @@ def test_scan_matches_scalar_oracle_over_random_deployments():
         cfg = replace(cfg, panel=replace(cfg.panel, radiation_transmit=eps_t))
         budget = replace(link_budget(cfg), link_constant=10.0 ** rng.uniform(4.0, 16.0))
         deployments.append((cfg, budget))
-    unsure, violations = _assert_scan_matches_oracle(deployments)
-    assert unsure > 1000 and violations > 10
+    return deployments
 
 
 def _endpoint_tie(users, eps_r, big_l, at_low_end):
