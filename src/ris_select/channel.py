@@ -10,8 +10,9 @@ Sampling is pure given (config, type, seed): seeds are ints or tuples of
 ints keyed through SeedSequence, so tuple-extended substreams are
 replayable and safe to farm out in parallel.
 
-Each named fading law is a FadingLaw: an in-order `draw` that only calls
-the generator and a pure, row-wise `finish`. The per-element paths
+The uniform_phase and sign laws are FadingLaws: an in-order `draw` that
+only calls the generator and a pure, row-wise `finish`; gaussian, whose
+finish is a scale and a view, is a plain callable. The per-element paths
 (prepare_sampler and zone_gain_statistics) draw blocks of rows in stream
 order on the calling thread. In a FadingLaw call of several blocks of at
 least _BLOCK_VALUES values, a worker thread finishes and reduces each block
@@ -142,12 +143,11 @@ class FadingLaw:
         return self.finish(self.draw(rng, shape))
 
 
-def _normal_pairs(rng, shape):
-    return rng.standard_normal(tuple(shape) + (2,))
-
-
-def _circular_normal(pairs):
-    """Circularly symmetric complex normal, unit variance per sample."""
+def gaussian_fading(rng, shape):
+    """Circularly symmetric complex normal, unit variance per sample. A plain
+    callable, so it runs inline: its finish (a scale and a view) costs less
+    than a handoff to the worker."""
+    pairs = rng.standard_normal(tuple(shape) + (2,))
     pairs *= math.sqrt(0.5)
     return pairs.view(np.complex128)[..., 0]
 
@@ -176,7 +176,6 @@ def _signs(bits):
     return bits.astype(complex)
 
 
-gaussian_fading = FadingLaw(_normal_pairs, _circular_normal)
 uniform_phase_fading = FadingLaw(_uniforms, _unit_phasors)
 sign_fading = FadingLaw(_bits, _signs)
 
