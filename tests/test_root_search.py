@@ -23,7 +23,7 @@ from ris_select import (
 )
 from ris_select.selection import ROOT_TOL, _curves, _itp_root
 from test_curves import _deployments
-from test_threshold_scan import _deployment, _endpoint_tie, _noise_deployments
+from test_threshold_scan import _deployment, _endpoint_ties, _noise_deployments
 
 # the curves (in R, T, H order) of each difference find_thresholds reports
 PAIRS = ((1, 0), (0, 2), (1, 2))
@@ -156,17 +156,9 @@ def test_edge_brackets():
                 deployments.append(_deployment(users, big_l, radiation_reflect=1.0,
                                                radiation_transmit=eps_t))
     # crossings exactly at an end point, in closure arithmetic
-    for users in (3, 6, 11):
-        for big_l in (2.0, 9.0, 40.0):
-            for low in (True, False):
-                eps_t = _endpoint_tie(users, 0.5, big_l, low)
-                if eps_t is None or not 0.0 < eps_t <= 1.0:
-                    continue
-                cfg, budget = _deployment(users, big_l, radiation_reflect=0.5,
-                                          radiation_transmit=eps_t)
-                th = find_thresholds(cfg, budget)
-                assert th.split_reflect_transmit == (1.0 if low else users - 1.0)
-                deployments.append((cfg, budget))
+    for cfg, budget, end in _endpoint_ties():
+        assert find_thresholds(cfg, budget).split_reflect_transmit == end
+        deployments.append((cfg, budget))
     assert _check_crossings(deployments) >= 20
 
 

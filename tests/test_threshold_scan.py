@@ -150,6 +150,22 @@ def _deployment(users, big_l=None, **panel):
     return cfg, budget
 
 
+def _endpoint_ties() -> list:
+    """(cfg, budget, end) for deployments whose transmissive minus
+    reflective difference is exactly 0 at split end = 1 or S - 1."""
+    ties = []
+    for users in (3, 6, 11):
+        for big_l in (2.0, 9.0, 40.0):
+            for low in (True, False):
+                eps_t = _endpoint_tie(users, 0.5, big_l, low)
+                if eps_t is None or not 0.0 < eps_t <= 1.0:
+                    continue
+                cfg, budget = _deployment(users, big_l, radiation_reflect=0.5,
+                                          radiation_transmit=eps_t)
+                ties.append((cfg, budget, 1.0 if low else users - 1.0))
+    return ties
+
+
 def test_scan_matches_scalar_oracle_on_constructed_ties():
     deployments = []
     # equal radiation: the single-zone curves are mirror images, and with
@@ -160,23 +176,14 @@ def test_scan_matches_scalar_oracle_on_constructed_ties():
             deployments.append(_deployment(users, radiation_reflect=eps,
                                            radiation_transmit=eps))
     # crossings exactly at either end point, in closure arithmetic
-    ends = 0
-    for users in (3, 6, 11):
-        for big_l in (2.0, 9.0, 40.0):
-            for low in (True, False):
-                eps_t = _endpoint_tie(users, 0.5, big_l, low)
-                if eps_t is None or not 0.0 < eps_t <= 1.0:
-                    continue
-                cfg, budget = _deployment(users, big_l, radiation_reflect=0.5,
-                                          radiation_transmit=eps_t)
-                th = _scalar_find_thresholds(cfg, budget)
-                assert th.split_reflect_transmit == (1.0 if low else users - 1.0)
-                deployments.append((cfg, budget))
-                ends += 1
+    ties = _endpoint_ties()
+    for cfg, budget, end in ties:
+        assert _scalar_find_thresholds(cfg, budget).split_reflect_transmit == end
+        deployments.append((cfg, budget))
     # a NaN link constant (set behind the budget's range check)
     deployments.append(_deployment(10, math.nan))
     unsure, violations = _assert_scan_matches_oracle(deployments)
-    assert ends >= 6
+    assert len(ties) >= 6
     assert unsure >= SCAN_POINTS  # the ties did reach the closures
     assert violations >= 1  # the NaN link constant
 
