@@ -15,18 +15,18 @@ only calls the generator and a pure, row-wise `finish`; gaussian, whose
 finish is a scale and a view, is a plain callable. The per-element paths
 (prepare_sampler and zone_gain_statistics) draw blocks of rows in stream
 order on the calling thread. In a FadingLaw call of several blocks of at
-least _BLOCK_VALUES values, a worker thread finishes and reduces each block
-while the calling thread draws the next one (and finishes that one too if
-the worker is still busy); every other call runs inline. A sample's bits
-depend only on the seed, never on the block size, threads or timing.
+least _BLOCK_VALUES values, one executor worker started for the call
+finishes and reduces each block while the calling thread draws the next
+one (and finishes that one too if the worker is still busy); every other
+call runs inline. A sample's bits depend only on the seed, never on the
+block size, threads or timing.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,43 +286,24 @@ def _pipeline(draw, finish, rng, blocks, out) -> None:
     is still exiting, find the allocator's per-thread arena taken and open
     another, which raises the peak resident memory of the process by a
     block at random times. Neither thread holds a block past its panel sum.
-    A worker's exception is re-raised here once the worker has stopped.
+    A worker's exception is re-raised here with its own type, and leaving
+    the executor joins the worker on every path.
     """
-    errors = []
-    jobs = queue.SimpleQueue()  # None tells the worker to stop
-    idle = threading.Event()
-    idle.set()
+    def reduce(raw, coeff, scale, index):
+        _panel_sum(finish(raw), coeff, scale, out[index])
 
-    def work():
-        while (job := jobs.get()) is not None:
-            raw, coeff, scale, index = job
-            job = None
-            try:
-                _panel_sum(finish(raw), coeff, scale, out[index])
-            except Exception as exc:
-                errors.append(exc)
-                return
-            raw = None
-            idle.set()
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        handoff = None
         for shape, coeff, scale, index in blocks:
             raw = draw(rng, shape)
-            if errors:
-                break
-            if idle.is_set():
-                idle.clear()
-                jobs.put((raw, coeff, scale, index))
+            if handoff is not None and not handoff.done():
+                reduce(raw, coeff, scale, index)
             else:
-                _panel_sum(finish(raw), coeff, scale, out[index])
+                if handoff is not None:
+                    handoff.result()
+                handoff = worker.submit(reduce, raw, coeff, scale, index)
             raw = None
-    finally:
-        jobs.put(None)
-        worker.join()
-    if errors:
-        raise errors[0]
+        handoff.result()
 
 
 # --- channel synthesis --------------------------------------------------------
