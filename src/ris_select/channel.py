@@ -10,16 +10,16 @@ Sampling is pure given (config, type, seed): seeds are ints or tuples of
 ints keyed through SeedSequence, so tuple-extended substreams are
 replayable and safe to farm out in parallel.
 
-The uniform_phase and sign laws are FadingLaws: an in-order `draw` that
-only calls the generator and a pure, row-wise `finish`; gaussian, whose
-finish is a scale and a view, is a plain callable. The per-element paths
-(prepare_sampler and zone_gain_statistics) draw blocks of rows in stream
-order on the calling thread. In a FadingLaw call of several blocks of at
-least _BLOCK_VALUES values, one executor worker started for the call
-finishes and reduces each block while the calling thread draws the next
-one (and finishes that one too if the worker is still busy); every other
-call runs inline. A sample's bits depend only on the seed, never on the
-block size, threads or timing.
+The uniform_phase law is a FadingLaw: an in-order `draw` that only calls
+the generator and a pure, row-wise `finish` (cos and sin, about 13x the
+cost of the draw). gaussian and sign, whose finishes cost less than their
+draws, are plain callables. The per-element paths (prepare_sampler and
+zone_gain_statistics) draw blocks of rows in stream order on the calling
+thread. In a FadingLaw call of several blocks of at least _BLOCK_VALUES
+values, one executor worker started for the call finishes and reduces each
+block while the calling thread draws the next one (and finishes that one
+too if the worker is still busy); every other call runs inline. A sample's
+bits depend only on the seed, never on the block size, threads or timing.
 """
 
 from __future__ import annotations
@@ -133,7 +133,9 @@ class FadingLaw:
     `raw`) and turns the draw into complex samples of the given shape.
     Calling the law runs both. The type is the declaration: a FadingLaw's
     large multi-block calls finish on a worker thread, while any other
-    callable law(rng, shape) runs whole on the calling thread.
+    callable law(rng, shape) runs whole on the calling thread. Only a law
+    whose finish costs well above a handoff (about 0.1 ms) gains from it;
+    uniform_phase is the one named law that does.
     """
 
     draw: Callable
@@ -165,19 +167,16 @@ def _unit_phasors(u):
     return out
 
 
-def _bits(rng, shape):
-    return rng.integers(0, 2, size=shape)
-
-
-def _signs(bits):
-    """Random +/-1, a two-point law with mean 0 and unit variance."""
+def sign_fading(rng, shape):
+    """Random +/-1, a two-point law with mean 0 and unit variance. A plain
+    callable, so it runs inline: its finish costs less than its draw."""
+    bits = rng.integers(0, 2, size=shape)
     bits *= 2
     bits -= 1
     return bits.astype(complex)
 
 
 uniform_phase_fading = FadingLaw(_uniforms, _unit_phasors)
-sign_fading = FadingLaw(_bits, _signs)
 
 FADING_LAWS = {
     "gaussian": gaussian_fading,

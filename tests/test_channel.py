@@ -384,7 +384,7 @@ def test_route_follows_the_law_type_and_the_block_size(monkeypatch, name):
     # 32-row blocks of 80000 values: a FadingLaw takes the worker every
     # time; the gaussian law, a plain callable, never does
     gain_calls(name)
-    routes = 0 if name == "gaussian" else 10
+    routes = 10 if name == "uniform_phase" else 0
     assert len(routed) == routes
     # a plain callable never does
     gain_calls(lambda rng, shape: FADING_LAWS[name](rng, shape))
