@@ -372,31 +372,6 @@ def _excess_kurtosis(x: np.ndarray) -> float:
     return m4 / (m2 * m2) - 3.0
 
 
-def _zone_statistics(coeff, mn, trials, law, seed, expected) -> GainStatistics:
-    samples = np.zeros((trials, 1), dtype=complex)
-    if np.any(coeff != 0.0):
-        scale = 1.0 / math.sqrt(mn)
-        bounds = _row_bounds(trials, _STAT_CHUNK)
-        blocks = [((stop - start, mn), coeff[:, None], scale, slice(start, stop))
-                  for start, stop in zip(bounds, bounds[1:])]
-        _reduce_blocks(law, rng_for_seed(seed), blocks, samples)
-    samples = samples[:, 0]
-    mean = complex(samples.mean())
-    centered = samples - mean
-    sq = np.abs(centered) ** 2
-    variance = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return GainStatistics(
-        mean=mean,
-        variance=variance,
-        variance_stderr=stderr,
-        kurtosis_real=_excess_kurtosis(centered.real),
-        kurtosis_imag=_excess_kurtosis(centered.imag),
-        expected_variance=expected,
-        trials=trials,
-    )
-
-
 def zone_gain_statistics(cfg: ScenarioConfig, ris_type: RisType,
                          reflection_zone: bool, trials: int,
                          fading="gaussian", seed=0) -> GainStatistics:
@@ -413,10 +388,27 @@ def zone_gain_statistics(cfg: ScenarioConfig, ris_type: RisType,
     if trials < 100:
         raise ValueError("trials must be at least 100 for stable statistics")
     law = resolve_fading(fading)
-    panel = cfg.panel
-    coeff = element_coefficients(panel, ris_type, reflection_zone)
-    expected = ris_type.amplitude(reflection_zone) ** 2
-    base = seed if isinstance(seed, tuple) else (seed,)
-    zone_seed = base + (0 if reflection_zone else 1,)
-    return _zone_statistics(coeff, panel.element_count, trials, law,
-                            zone_seed, expected)
+    mn = cfg.panel.element_count
+    coeff = element_coefficients(cfg.panel, ris_type, reflection_zone)
+    samples = np.zeros((trials, 1), dtype=complex)
+    if np.any(coeff != 0.0):
+        scale = 1.0 / math.sqrt(mn)
+        bounds = _row_bounds(trials, _STAT_CHUNK)
+        blocks = [((stop - start, mn), coeff[:, None], scale, slice(start, stop))
+                  for start, stop in zip(bounds, bounds[1:])]
+        base = seed if isinstance(seed, tuple) else (seed,)
+        zone_seed = base + (0 if reflection_zone else 1,)
+        _reduce_blocks(law, rng_for_seed(zone_seed), blocks, samples)
+    samples = samples[:, 0]
+    mean = complex(samples.mean())
+    centered = samples - mean
+    sq = np.abs(centered) ** 2
+    return GainStatistics(
+        mean=mean,
+        variance=float(sq.mean()),
+        variance_stderr=float(sq.std(ddof=1) / math.sqrt(trials)),
+        kurtosis_real=_excess_kurtosis(centered.real),
+        kurtosis_imag=_excess_kurtosis(centered.imag),
+        expected_variance=ris_type.amplitude(reflection_zone) ** 2,
+        trials=trials,
+    )
