@@ -249,7 +249,8 @@ def average_snr_block(cfgs, budgets) -> np.ndarray:
     average_snr(cfgs[a], t, allocate_power(cfgs[a], t, budgets[a]),
     budgets[a]) for the i-th type t in RisType order: the shares come from
     type_curves per cell and the product is _snr_product's. Warns once per
-    cell and type with an empty served set, as allocate_power does.
+    cell and type with an empty served set, as allocate_power does. A user
+    count too large to allocate is a ConfigValidationError.
     """
     s = cfgs[0].users_total
     if any(cfg.users_total != s for cfg in cfgs):
@@ -259,7 +260,11 @@ def average_snr_block(cfgs, budgets) -> np.ndarray:
         for ris_type, (_, type_shares) in type_curves(cfg, budget).items():
             shares.append(_served_shares(cfg, ris_type, type_shares))
     shares = np.array(shares).reshape(len(cfgs), len(RisType), 2)
-    mask = np.arange(s) < np.array([cfg.users_reflection for cfg in cfgs])[:, None]
+    try:
+        users = np.arange(s)
+    except (MemoryError, ValueError):  # numpy: cannot allocate, or "too big"
+        raise ConfigValidationError(f"{s} users are too many to allocate") from None
+    mask = users < np.array([cfg.users_reflection for cfg in cfgs])[:, None]
     zone = mask[:, None, :]
     per_ue = np.where(zone, shares[:, :, :1], shares[:, :, 1:])
     beta = np.where(mask, np.array([b.avg_pathloss_reflect for b in budgets])[:, None],

@@ -336,10 +336,11 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     ConfigError or DegenerateGeometryError, or a cell's averaged SNR, closed
     forms, bounds or estimates are not finite (a ConfigValidationError),
     `error` is that exception and `cells` holds the cells before it, so a
-    caller meets the failures in cell order (too many trials to allocate
-    fails with no cells). Cell a, type i's one Monte Carlo generator is
-    (seed, a, i). The threshold searches of the interior cells share one
-    scan_differences pass. This is the one place a CapacityReport is built.
+    caller meets the failures in cell order (too many users or trials to
+    allocate fails with no cells). Cell a, type i's one Monte Carlo
+    generator is (seed, a, i). The threshold searches of the interior cells
+    share one scan_differences pass. This is the one place a CapacityReport
+    is built.
     """
     staged, error = [], None
     try:
@@ -355,7 +356,10 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     # Out-of-range numbers come out inf or NaN; their cells are rejected
     # below, so numpy's warnings about them would only repeat the error.
     with np.errstate(over="ignore", invalid="ignore"):
-        snr = average_snr_block(cfgs, budgets)
+        try:
+            snr = average_snr_block(cfgs, budgets)
+        except ConfigValidationError as exc:
+            return [], exc
         closed = np.array([[rate(cfg.users_transmission)
                             for rate, _ in type_curves(cfg, budget).values()]
                            for cfg, budget in staged])

@@ -629,6 +629,25 @@ def test_oversized_panel_gives_one_error_line(tmp_path, capsys, mode):
     assert not (out / "evaluate.json").exists() and not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["evaluate", "sweep"])
+@pytest.mark.parametrize("users", [10 ** 18, 99999999999999999999])
+def test_oversized_user_count_gives_one_error_line(tmp_path, capsys, mode, users):
+    # numpy refuses an arange of 10**18 int64s (8 EB) and one past the
+    # int64 range at once, without allocating anything
+    scenario = tmp_path / "crowd.cfg"
+    scenario.write_text(REFERENCE_SCENARIO.read_text()
+                        .replace("users_total = 10", f"users_total = {users}"))
+    argv = []
+    if mode == "sweep":
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("axis = transmit_power_dbm\nvalues = 30, 40\n")
+        argv = ["--sweep", str(spec)]
+    out = tmp_path / "out"
+    assert main(["--scenario", str(scenario), "--out", str(out)] + argv) == 1
+    assert f"{users} users are too many to allocate" in _single_error_line(capsys)
+    assert not (out / "evaluate.json").exists() and not (out / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("mode, trials", [
     ("evaluate", 10 ** 13), ("fig2a", 10 ** 20), ("sweep", 10 ** 13)])
 def test_oversized_trial_count_gives_one_error_line(tmp_path, capsys, mode, trials):
