@@ -82,7 +82,7 @@ def _require_finite(obj, names) -> None:
 def _frozen_grid(obj, name: str, rows: int, cols: int):
     """Store attribute `name` as a read-only rows x cols float grid. A scalar
     fills the grid with that phase, and None with zeros; a panel too large
-    to allocate is a ConfigValidationError."""
+    to allocate, or a NaN or infinite phase, is a ConfigValidationError."""
     grid = getattr(obj, name)
     if grid is None or np.ndim(grid) == 0:
         phase = 0.0 if grid is None else float(grid)
@@ -97,6 +97,8 @@ def _frozen_grid(obj, name: str, rows: int, cols: int):
         raise ConfigValidationError(
             f"{name} must hold exactly {rows}x{cols} entries, got shape {grid.shape}"
         )
+    if not np.isfinite(grid).all():
+        raise ConfigValidationError(f"{name}_rad must be finite")
     grid.flags.writeable = False
     object.__setattr__(obj, name, grid)
 

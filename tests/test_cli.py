@@ -567,16 +567,27 @@ def test_fig2a_monte_carlo_at_scale_matches_the_exact_rate(tmp_path):
         assert abs(float(row[4]) - exact) <= mc_tolerance(cell, trials), row
 
 
+def _reference_with(key, line) -> str:
+    """The reference scenario with the line of `key` replaced by `line`
+    (dropped when `line` is None, appended when the file lacks the key)."""
+    raws = REFERENCE_SCENARIO.read_text().splitlines()
+    if not any(raw.startswith(key + " ") for raw in raws):
+        raws.append(line)
+    lines = [line if raw.startswith(key + " ") else raw for raw in raws]
+    return "".join(text + "\n" for text in lines if text is not None)
+
+
 @pytest.mark.parametrize("line, message", [
     ("transmit_power_dbm = nan", "transmit_power must be finite"),
     ("ris_ue_distance_m = inf", "ris_ue_distance must be finite"),
     ("transmit_power_dbm = 1e10", "transmit_power must be finite"),
+    ("phase_reflect_rad = nan", "phase_reflect_rad must be finite"),
+    ("phase_reflect_rad = inf", "phase_reflect_rad must be finite"),
+    ("phase_transmit_rad = nan", "phase_transmit_rad must be finite"),
+    ("phase_transmit_rad = -inf", "phase_transmit_rad must be finite"),
 ])
 def test_non_finite_scenario_value_is_rejected(tmp_path, capsys, line, message):
-    key = line.split(" =")[0]
-    text = "".join(
-        line + "\n" if raw.startswith(key + " ") else raw + "\n"
-        for raw in REFERENCE_SCENARIO.read_text().splitlines())
+    text = _reference_with(line.split(" =")[0], line)
     assert line in text
     scenario = tmp_path / "bad.cfg"
     scenario.write_text(text)
