@@ -331,13 +331,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raw = take(have[0])
         powers[field_name] = dbm_to_watts(raw) if have[0] == dbm_key else raw
 
-    rows = take("ris_rows", want_int=True)
-    cols = take("ris_cols", want_int=True)
-    if rows < 1 or cols < 1:
-        raise ConfigValidationError("ris_rows and ris_cols must be positive integers")
     panel = RisPanel(
-        rows=rows,
-        cols=cols,
+        rows=take("ris_rows", want_int=True),
+        cols=take("ris_cols", want_int=True),
         **{attr: take(key) for key, attr in _PANEL_FLOAT_FIELDS.items()},
         phase_reflect=take("phase_reflect_rad") if "phase_reflect_rad" in seen else None,
         phase_transmit=take("phase_transmit_rad") if "phase_transmit_rad" in seen else None,

@@ -677,6 +677,75 @@ def test_oversized_trial_count_gives_one_error_line(tmp_path, capsys, mode, tria
     assert not out.exists() or not any(out.iterdir())
 
 
+# (kind, payload, message) of inputs that must end with one error line and
+# exit 1: bad sweep specs, a bad seed variable, unreadable or unwritable
+# paths, and scenarios that fail validation.
+ERROR_PATHS = [
+    ("sweep", "axis = users_transmission\nvalues = ,\n",
+     "sweep values must be non-empty"),
+    ("sweep", "axis = users_transmission\naxis = distances\nvalues = 50\n",
+     "line 2: duplicate key 'axis'"),
+    ("sweep", "axis = users_transmission\nvalues = 1\ncolour = red\n",
+     "unknown sweep keys: colour"),
+    ("sweep", "values = 1, 2\n", "sweep spec missing required key 'axis'"),
+    ("sweep", "axis = users_transmission\nvalues = 1\noutputs = bogus\n",
+     "unknown sweep outputs: bogus"),
+    ("sweep", "axis = users_transmission\nvalues = 1\ntrials = 0\n"
+              "outputs = monte_carlo\n",
+     "trials must be >= 1 when monte_carlo is requested"),
+    ("seed_env", "abc", "RIS_SELECT_SEED must be an integer"),
+    ("missing_sweep", None, "cannot read sweep spec"),
+    ("out_under_file", "evaluate", "cannot write results to"),
+    ("out_under_file", "sweep", "cannot create output dir"),
+    ("scenario", ("bs_antennas", "bs_antennas ="),
+     "line 4: expected 'key = value', got 'bs_antennas ='"),
+    ("scenario", ("noise_dbm", None),
+     "missing required key: one of noise_dbm or noise_w"),
+    ("scenario", ("bs_height_m", "bs_height_m = -1"), "heights must be non-negative"),
+    ("scenario", ("iso_tol", "iso_tol = -1"), "iso_tol must be >= 0"),
+    ("scenario", ("bs_antennas", "bs_antennas = 0"),
+     "bs_antennas must be a positive integer"),
+    ("scenario", ("element_width_m", "element_width_m = 0"),
+     "element_width_m must be positive"),
+    ("scenario", ("element_height_m", "element_height_m = 0"),
+     "element_height_m must be positive"),
+    ("scenario", ("element_gain", "element_gain = 0"), "element_gain must be positive"),
+    # the panel names the side it rejects, as a ris_rows_cols sweep does
+    ("scenario", ("ris_rows", "ris_rows = 0"), "ris_rows must be a positive integer"),
+    ("scenario", ("ris_cols", "ris_cols = 0"), "ris_cols must be a positive integer"),
+    ("scenario", ("users_transmission", "users_transmission = -1"),
+     "users_transmission must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("kind, payload, message", ERROR_PATHS)
+def test_error_path_gives_one_error_line(tmp_path, monkeypatch, capsys,
+                                         kind, payload, message):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    scenario, out, argv = REFERENCE_SCENARIO, tmp_path / "out", []
+    if kind == "sweep":
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(payload)
+        argv = ["--sweep", str(spec)]
+    elif kind == "seed_env":
+        monkeypatch.setenv(cli.SEED_ENV_VAR, payload)
+    elif kind == "missing_sweep":
+        argv = ["--sweep", str(tmp_path / "absent.cfg")]
+    elif kind == "out_under_file":
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out"
+        if payload == "sweep":
+            spec = tmp_path / "spec.cfg"
+            spec.write_text(SMALL_SWEEP)
+            argv = ["--sweep", str(spec)]
+    else:
+        scenario = tmp_path / "bad.cfg"
+        scenario.write_text(_reference_with(*payload))
+    assert main(["--scenario", str(scenario), "--out", str(out)] + argv) == 1
+    assert message in _single_error_line(capsys)
+
+
 def test_evaluate_and_one_point_sweep_agree(tmp_path):
     # a single evaluation is the one-point sweep at axis index 0: same per-type
     # numbers (to the CSV's 12 digits), same brute-force winner, same agreement
