@@ -92,17 +92,12 @@ class LineRecorder:
         self.lines = defaultdict(set)
         self._paths = {}  # co_filename -> real path under root, or None
 
-    def _path(self, filename):
-        path = self._paths.get(filename, "")
-        if path == "":
-            real = os.path.realpath(filename)
-            path = self._paths[filename] = real if real.startswith(self.root) else None
-        return path
-
     def _call(self, frame, event, arg):
-        if self._path(frame.f_code.co_filename) is None:
-            return None
-        return self._line
+        filename = frame.f_code.co_filename
+        if filename not in self._paths:
+            real = os.path.realpath(filename)
+            self._paths[filename] = real if real.startswith(self.root) else None
+        return self._line if self._paths[filename] else None
 
     def _line(self, frame, event, arg):
         if event == "line":
@@ -120,7 +115,7 @@ class LineRecorder:
         threading.settrace(self._previous[1])
 
 
-def report(executed, out=sys.stdout) -> None:
+def report(executed) -> None:
     """Print the unreached statements of every module of the package and a
     count per module."""
     counts = []
@@ -130,16 +125,15 @@ def report(executed, out=sys.stdout) -> None:
         module = "ris_select" if path.stem == "__init__" else f"ris_select.{path.stem}"
         missed = unreached(source, executed.get(os.path.realpath(path), set()))
         for line in missed:
-            print(f"{module}:{line}: {text[line - 1].strip()}", file=out)
+            print(f"{module}:{line}: {text[line - 1].strip()}")
         counts.append((module, len(missed), len(statement_spans(source))))
     for module, missed, total in counts:
-        print(f"{module}: {missed} of {total} statements unreached", file=out)
+        print(f"{module}: {missed} of {total} statements unreached")
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+def main() -> int:
     with LineRecorder(PACKAGE) as recorder:
-        code = pytest.main(args or DEFAULT_ARGS)
+        code = pytest.main(sys.argv[1:] or DEFAULT_ARGS)
     report(recorder.lines)
     return int(code)
 
