@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channel import LinkBudget, prepare_sampler, rng_for_seed
+from .channel import LinkBudget, prepare_sampler, rng_for_seeds
 from .scenario import ConfigValidationError, RisType, ScenarioConfig, reflection_zone_mask
 
 LN2 = math.log(2.0)
@@ -294,7 +294,21 @@ def upper_bound(snr):
     return float(bound) if np.ndim(bound) == 0 else bound
 
 
-def ergodic_rate_exact(snr, bs_antennas: int) -> float:
+@functools.lru_cache(maxsize=32)
+def _exact_nodes(k: int) -> tuple:
+    """ergodic_rate_exact's trapezoid nodes x = e^u and weights for K_t = k."""
+    # The density of ln X decays like exp(K_t u) to the left of the mode and
+    # like exp(-e^u) to the right; beyond these limits it is below e^-40.
+    lo = math.log(k) - 40.0 / math.sqrt(k)
+    hi = math.log(k + 12.0 * math.sqrt(k) + 40.0)
+    u, step = np.linspace(lo, hi, EXACT_POINTS, retstep=True)
+    x = np.exp(u)
+    weights = np.exp(k * u - x - math.lgamma(k)) * step
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
+def ergodic_rate_exact(snr, bs_antennas: int):
     """Ergodic sum rate under i.i.d. complex Gaussian fading, without sampling.
 
     Each user's element sum is exactly complex normal for any phase grid, so
@@ -307,16 +321,16 @@ def ergodic_rate_exact(snr, bs_antennas: int) -> float:
     axis whose width does not depend on the SNR, so the error falls
     exponentially in the node count for every SNR and K_t; at 256 nodes it
     is at the level of float rounding for K_t up to 1024.
+
+    Users run along the last axis: a vector gives a float, and a block an
+    array of the same rates bit for bit, from one pass over all its rows.
     """
     k = bs_antennas
-    # The density of ln X decays like exp(K_t u) to the left of the mode and
-    # like exp(-e^u) to the right; beyond these limits it is below e^-40.
-    lo = math.log(k) - 40.0 / math.sqrt(k)
-    hi = math.log(k + 12.0 * math.sqrt(k) + 40.0)
-    u, step = np.linspace(lo, hi, EXACT_POINTS, retstep=True)
-    x = np.exp(u)
-    weights = np.exp(k * u - x - math.lgamma(k)) * step
-    return float(np.sum(np.log1p(np.outer(snr / k, x)) @ weights) / LN2)
+    x, weights = _exact_nodes(k)
+    snr = np.asarray(snr, dtype=float)
+    terms = np.log1p((snr / k)[..., None] * x) @ weights
+    rate = np.sum(terms, axis=-1) / LN2
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def _base_key(trials: int, base_seed) -> tuple:
@@ -371,8 +385,9 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
     except (MemoryError, ValueError):  # numpy: cannot allocate, or "too big"
         raise ConfigValidationError(
             f"{trials} Monte Carlo trials per cell are too large to allocate") from None
-    for r, (index, k) in enumerate(zip(np.ndindex(lead), antennas)):
-        rng_for_seed(base + index).standard_gamma(k, out=row_gamma[r])
+    rngs = rng_for_seeds([base + index for index in np.ndindex(lead)])
+    for r, (rng, k) in enumerate(zip(rngs, antennas)):
+        rng.standard_gamma(k, out=row_gamma[r])
     row_gamma *= (rows / np.array(antennas, dtype=float)[:, None])[:, None, :]
     mean, stderr = _mean_and_stderr(
         np.sum(np.log1p(row_gamma, out=row_gamma), axis=-1) / LN2)

@@ -207,19 +207,73 @@ def rng_for_seed(seed) -> np.random.Generator:
     2**32 and (0, 1). The CLI keeps to that rule (three-word
     (seed, cell, type) keys, seeds below 2**32). SFC64 is the fastest
     generator shipped with numpy, which keeps large Monte Carlo sweeps
-    inside their wall-clock budgets.
-
-    A key of ints in [0, 2**32) reaches SeedSequence as a uint32 array,
-    which holds the same words (so the same stream) and builds faster; any
-    other key goes as it is and keeps its stream or its error.
+    inside their wall-clock budgets. This is rng_for_seeds for one key.
     """
+    return rng_for_seeds((seed,))[0]
+
+
+# SeedSequence.generate_state's output mix for the six uint32 words of an
+# SFC64 state (numpy/random/bit_generator.pyx): word i takes pool word i % 4,
+# xors it with INIT_B * MULT_B**i, multiplies it by INIT_B * MULT_B**(i + 1)
+# (all modulo 2**32) and xors in its own top half.
+def _state_mix():
+    xors, muls, hash_const = [], [], 0x8B51F9DD
+    for _ in range(6):
+        xors.append(hash_const)
+        hash_const = hash_const * 0x58F38DED & 0xFFFFFFFF
+        muls.append(hash_const)
+    return np.array(xors, dtype="<u4"), np.array(muls, dtype="<u4")
+
+
+_MIX_XOR, _MIX_MUL = _state_mix()
+_POOL_WORDS = (0, 1, 2, 3, 0, 1)
+
+
+class _StateRow(np.random.bit_generator.ISeedSequence):
+    """One precomputed SFC64 state row, handed to SFC64 in place of the
+    SeedSequence whose generate_state(3, np.uint64) it equals."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
+
+
+def _words(seed):
+    """The key as a uint32 array when it is an int or a tuple of ints in
+    [0, 2**32) (SeedSequence reads the same words from either), else None."""
     key = seed if type(seed) is tuple else (seed,)
     if set(map(type, key)) == {int}:
         try:
-            seed = np.array(key, dtype=np.uint32)
+            return np.array(key, dtype=np.uint32)
         except OverflowError:
             pass
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    return None
+
+
+def rng_for_seeds(seeds) -> list:
+    """rng_for_seed of every key in `seeds`, built in one pass: the streams
+    are those of Generator(SFC64(SeedSequence(key))), bit for bit.
+
+    SeedSequence still mixes each uint32-word key into its pool, but the
+    output mix that turns the pools into SFC64 states runs once over all of
+    them as uint32 array operations, and each SFC64 is seeded from its row.
+    Any other key goes to SeedSequence as it is and keeps its stream or its
+    error.
+    """
+    seeds = list(seeds)
+    words = [_words(seed) for seed in seeds]
+    pools = [np.random.SeedSequence(w).pool for w in words if w is not None]
+    if pools:
+        state = np.array(pools, dtype="<u4").take(_POOL_WORDS, axis=1)
+        state ^= _MIX_XOR
+        state *= _MIX_MUL
+        state ^= state >> 16
+        rows = iter(state.view("<u8").astype(np.uint64, copy=False))
+    return [np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed) if w is None else _StateRow(next(rows))))
+        for seed, w in zip(seeds, words)]
 
 
 # --- blockwise panel sums --------------------------------------------------------

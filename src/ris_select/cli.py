@@ -30,6 +30,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -66,7 +67,6 @@ from .selection import (
     RegimeViolationError,
     SelectionDecision,
     asymptotic_checks,
-    brute_force_optimal,
     crossing_key,
     decide_type,
     find_thresholds,
@@ -309,11 +309,12 @@ class _Cell:
 
 
 def _decide(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
-            scans: dict, searches: dict):
-    """(decision, violation, winner) of one cell. `scans` holds the sweep's
-    scan rows and `searches` the crossings found so far, both by the tuple
-    the crossings depend on; a RegimeViolationError is never stored, so
-    each cell raises its own, with its own regime report."""
+            winner: RisType, scans: dict, searches: dict):
+    """(decision, violation) of one cell whose brute-force verdict is
+    `winner`. `scans` holds the sweep's scan entries and `searches` the
+    crossings found so far, both by the tuple the crossings depend on; a
+    RegimeViolationError is never stored, so each cell raises its own, with
+    its own regime report."""
     try:
         thresholds = None
         if 0 < cfg.users_transmission < cfg.users_total:
@@ -321,11 +322,9 @@ def _decide(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
             thresholds = searches.get(key)
             if thresholds is None:
                 thresholds = searches[key] = find_thresholds(cfg, budget, scans[key])
-        decision = decide_type(cfg, budget, regime, thresholds)
+        return decide_type(cfg, budget, regime, thresholds, winner), None
     except RegimeViolationError as exc:
-        winner, _ = brute_force_optimal(cfg, budget)
-        return None, exc, winner
-    return decision, None, decision.brute_force_optimal
+        return None, exc
 
 
 def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
@@ -334,7 +333,8 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     `cfgs` is an iterable of deployments sharing users_total. Returns
     (cells, error): when building a config or its link budget raises
     ConfigError or DegenerateGeometryError, or a cell's averaged SNR, closed
-    forms, bounds or estimates are not finite (a ConfigValidationError),
+    forms, bounds, estimates or diagnostics are not finite (a
+    ConfigValidationError),
     `error` is that exception and `cells` holds the cells before it, so a
     caller meets the failures in cell order (too many users or trials to
     allocate fails with no cells). Cell a, type i's one Monte Carlo
@@ -373,18 +373,24 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
                 return [], exc
             blocks += [means, stderrs]
         if exact:
-            exact_rates = np.array([[ergodic_rate_exact(row, cfg.bs_antennas)
-                                     for row in rows] for cfg, rows in zip(cfgs, snr)])
+            exact_rates = np.array([ergodic_rate_exact(rows, cfg.bs_antennas)
+                                    for cfg, rows in zip(cfgs, snr)])
             blocks.append(exact_rates)
+    diagnostics = [asymptotic_checks(cfg, budget)
+                   if "diagnostics" in outputs and 0 < cfg.users_transmission
+                   < cfg.users_total else None for cfg, budget in staged]
     finite = np.isfinite(np.concatenate(
-        [block.reshape(len(staged), -1) for block in blocks], axis=1))
-    bad = np.flatnonzero(~finite.all(axis=1))
+        [block.reshape(len(staged), -1) for block in blocks], axis=1)).all(axis=1)
+    finite &= [diag is None or all(map(math.isfinite, vars(diag).values()))
+               for diag in diagnostics]
+    bad = np.flatnonzero(~finite)
     if bad.size:
         staged = staged[:bad[0]]
         error = ConfigValidationError(
-            f"results out of floating-point range: the averaged SNR, a rate or "
-            f"an estimate is not finite (link constant "
-            f"{budgets[bad[0]].link_constant:.4g}); check the powers and the noise")
+            f"results out of floating-point range: the averaged SNR, a rate, "
+            f"an estimate or a diagnostic is not finite (link constant "
+            f"{budgets[bad[0]].link_constant:.4g}); check the powers, the noise "
+            f"and the radiation constants")
     closed, bounds = closed.tolist(), bounds.tolist()
     if monte_carlo:
         means, stderrs = means.tolist(), stderrs.tolist()
@@ -397,10 +403,10 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
         keys = list(dict.fromkeys(crossing_key(cfg, budget) for cfg, budget in staged
                                   if 0 < cfg.users_transmission < cfg.users_total))
         if keys:
-            scans = dict(zip(keys, scan_differences(keys)))
+            signs, brackets = scan_differences(keys)
+            scans = dict(zip(keys, zip(signs, brackets.tolist())))
     cells = []
     for a, (cfg, budget) in enumerate(staged):
-        x = cfg.users_transmission
         reports = {ris_type: CapacityReport(
             closed[a][i], bounds[a][i],
             means[a][i] if monte_carlo else None,
@@ -408,13 +414,14 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
             trials if monte_carlo else 0, ris_type,
             exact_rates[a][i] if exact else None) for i, ris_type in enumerate(_TYPES)}
         regime = approximation_regime(cfg, min_snr[a])
-        decision = violation = winner = diagnostics = None
+        decision = violation = winner = None
         if "decision" in outputs:
-            decision, violation, winner = _decide(cfg, budget, regime, scans, searches)
-        if "diagnostics" in outputs and 1 <= x <= cfg.users_total - 1:
-            diagnostics = asymptotic_checks(cfg, budget)
+            # the closed forms' argmax, ties to the first in R, T, H order,
+            # as brute_force_optimal breaks them
+            winner = _TYPES[closed[a].index(max(closed[a]))]
+            decision, violation = _decide(cfg, budget, regime, winner, scans, searches)
         cells.append(_Cell(budget, regime, reports, decision, violation, winner,
-                           diagnostics))
+                           diagnostics[a]))
     return cells, error
 
 
@@ -485,11 +492,10 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         note = f"table={decision.optimal.value}, agrees={'yes' if decision.agrees else 'no'}"
         splits = " " + _threshold_text(decision.thresholds)
     else:
-        _, rates = brute_force_optimal(cfg, cell.budget)
         record["selection"] = {
             "error": str(cell.violation),
             "brute_force_optimal": cell.winner.value,
-            "rates": _jsonable({k.value: v for k, v in rates.items()}),
+            "rates": {t.value: report.closed_form for t, report in cell.reports.items()},
         }
         note, splits = f"table unavailable: {cell.violation}", ""
     if cell.diagnostics is not None:

@@ -7,7 +7,8 @@ difference is exactly monotone; the two hybrid differences are monotone in
 the near-isotropic, high-SNR regime, which is what makes the condition table
 work. Outside that regime the table verdict is still produced but marked
 advisory, and the brute-force comparison of the closed forms is the verdict
-to trust. The crossings are found by an ITP search on the rate closures.
+to trust. Each crossing is found by an ITP search on the rate closures,
+started from the grid interval where the array scan sees its sign change.
 """
 
 from __future__ import annotations
@@ -41,10 +42,17 @@ SCAN_POINTS = 100
 # from the closures' by a few 1e-16 relative, so every other scanned sign is
 # the closures' sign.
 SCAN_GUARD = 1e-12
-# ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020); k1 = ITP_K1_WIDTH / (S - 2)
-ITP_K1_WIDTH = 0.2
-ITP_K2 = 2.0
+# ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020) for a search
+# on one scan interval: k1 = ITP_K1_WIDTH / width, and k2 below the 1 + phi
+# limit of the method's superlinear convergence
+ITP_K1_WIDTH = 0.01
+ITP_K2 = 2.5
 ITP_N0 = 1
+# scan_differences' bracket codes besides a grid index k >= 0, which says
+# that the signs change between grid points k and k + 1
+NO_CROSSING = -1   # one sign throughout
+NOT_MONOTONE = -2  # a sign change against the difference's direction
+UNSURE = -3        # a NaN sign: find_thresholds asks the closures
 FD_STEP = 1e-6
 
 
@@ -123,12 +131,12 @@ def _sign_pattern_monotone(values, increasing: bool) -> bool:
         or (not increasing) not in signs[signs.index(increasing):]
 
 
-def _itp_root(first, second, lo: float, hi: float, flo: float, fhi: float) -> float | None:
-    """Root of first(x) - second(x) on [lo, hi], whose values at lo and hi
-    have the signs of flo and fhi, to within ROOT_TOL / 2 by an ITP search
-    (interpolate, truncate, project). An exact zero at lo, hi or a trial
-    point is returned as it is, and None when the end signs agree. The
-    search evaluates the difference at lo and hi for their values."""
+def _itp_root(first, second, lo: float, hi: float) -> float | None:
+    """Root of first(x) - second(x) on [lo, hi] to within ROOT_TOL / 2 by an
+    ITP search (interpolate, truncate, project), from the difference's
+    values at lo and hi. An exact zero at lo, hi or a trial point is
+    returned as it is (lo first), and None when the end signs agree."""
+    flo, fhi = first(lo) - second(lo), first(hi) - second(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -136,9 +144,6 @@ def _itp_root(first, second, lo: float, hi: float, flo: float, fhi: float) -> fl
     if (flo > 0.0) == (fhi > 0.0):
         return None
     width = hi - lo
-    if width <= ROOT_TOL:  # S = 2: no step, and no log2(0)
-        return 0.5 * (lo + hi)
-    flo, fhi = first(lo) - second(lo), first(hi) - second(hi)
     k1, n_max = ITP_K1_WIDTH / width, math.ceil(math.log2(width / ROOT_TOL)) + ITP_N0
     for j in range(n_max):
         if hi - lo <= ROOT_TOL:
@@ -186,17 +191,27 @@ def _scan_grid(users_total: int) -> np.ndarray:
     return grid
 
 
-def scan_differences(keys) -> np.ndarray:
-    """The signs of the three rate differences on the threshold-search grid
-    of every crossing_key tuple in `keys` (each with S >= 2), in one array
-    pass.
+# +1 for a difference that rises through its crossing, -1 for one that falls
+_DIRECTIONS = np.array([[1.0 if increasing else -1.0]
+                        for *_, increasing in _DIFFERENCES])
 
-    Returns a (len(keys), 3, SCAN_POINTS) array: row [k, j] holds the sign
-    (1.0 or -1.0) of difference j of _DIFFERENCES at np.linspace(1, S - 1,
-    SCAN_POINTS) for keys[k], taken from capacity.type_rate_arrays, and NaN
-    where the array rates cannot vouch for the closures' sign: where the
-    difference is no larger than SCAN_GUARD times its rates' sizes, or NaN.
-    find_thresholds evaluates those points with the closures.
+
+def scan_differences(keys) -> tuple:
+    """The signs of the three rate differences on the threshold-search grid
+    of every crossing_key tuple in `keys` (each with S >= 2), and the grid
+    interval of each sign change, in one array pass.
+
+    Returns (signs, brackets). `signs` is a (len(keys), 3, SCAN_POINTS)
+    array: row [k, j] holds the sign (1.0 or -1.0) of difference j of
+    _DIFFERENCES at np.linspace(1, S - 1, SCAN_POINTS) for keys[k], taken
+    from capacity.type_rate_arrays, and NaN where the array rates cannot
+    vouch for the closures' sign: where the difference is no larger than
+    SCAN_GUARD times its rates' sizes, or NaN. `brackets` is a
+    (len(keys), 3) int array: for a row without NaN, the grid index k
+    whose interval [grid[k], grid[k + 1]] holds the row's one sign change
+    in the difference's direction, else NO_CROSSING or NOT_MONOTONE; for a
+    row with NaN, UNSURE, and find_thresholds evaluates those points with
+    the closures.
     """
     x = np.array([_scan_grid(key[0]) for key in keys])
     columns = np.array(keys, dtype=float)
@@ -208,7 +223,32 @@ def scan_differences(keys) -> np.ndarray:
         second = curves[[j for _, _, j, _ in _DIFFERENCES]]
         diff = first - second
         sure = np.abs(diff) > SCAN_GUARD * (np.abs(first) + np.abs(second))
-    return np.where(sure, np.sign(diff), np.nan).transpose(1, 0, 2)
+    signs = np.where(sure, np.sign(diff), np.nan).transpose(1, 0, 2)
+    # a sure row's signs are nonzero, so it is monotone when no step along
+    # the grid goes against the difference's direction
+    steps = np.diff(signs, axis=-1) * _DIRECTIONS
+    brackets = np.argmax(steps != 0.0, axis=-1)
+    brackets[~steps.any(axis=-1)] = NO_CROSSING
+    brackets[(steps < 0.0).any(axis=-1)] = NOT_MONOTONE
+    brackets[np.isnan(signs).any(axis=-1)] = UNSURE
+    return signs, brackets
+
+
+def _closure_bracket(values, increasing: bool) -> tuple:
+    """Grid indices (k, m) of the search interval of a row of closure
+    values: (NOT_MONOTONE, None) when its sign pattern is not monotone,
+    else the last value with the first value's sign and the first value
+    with the other sign. When an end value is 0 or both ends share a sign,
+    the interval is the whole grid, where _itp_root finds that at once."""
+    if not _sign_pattern_monotone(values, increasing):
+        return NOT_MONOTONE, None
+    first, last = values[0], values[-1]
+    if first == 0.0 or last == 0.0 or (first > 0.0) == (last > 0.0):
+        return 0, len(values) - 1
+    side = first > 0.0
+    k = max(i for i, v in enumerate(values) if v != 0.0 and (v > 0.0) == side)
+    m = min(i for i, v in enumerate(values) if v != 0.0 and (v > 0.0) != side)
+    return k, m
 
 
 def _fill_from_closures(row, first, second, users_total: int) -> list:
@@ -226,44 +266,40 @@ def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget,
     """Locate the pairwise crossings of the three rate curves on [1, S-1].
 
     Each difference is sampled at SCAN_POINTS grid points. `scan` is this
-    config's row of scan_differences (computed here when not given), and
-    the points it leaves NaN are evaluated with the rate closures, so every
-    sampled sign is the closures' own. A sign pattern that is not monotone
-    means the closed-form comparisons cannot be trusted and a
-    RegimeViolationError (carrying the regime report) is raised. Otherwise
-    each crossing is found by an ITP search with the closures (_itp_root) to
-    within ROOT_TOL / 2 in the continuous split, or reported absent when the
-    difference never changes sign.
+    config's (signs, brackets) entry of scan_differences, with brackets as
+    a list (computed here when not given); a row's bracket says where its
+    sign changes, and a row with NaN signs is evaluated with the rate
+    closures there, so every sampled sign is the closures' own. A sign
+    pattern that is not monotone means the closed-form comparisons cannot
+    be trusted and a RegimeViolationError (carrying the regime report) is
+    raised. Otherwise each crossing is found by an ITP search with the
+    closures (_itp_root) on the grid interval of its sign change, to within
+    ROOT_TOL / 2 in the continuous split, or reported absent when the
+    difference never changes sign. An exact zero of the closures at split
+    1 or S-1 is the crossing.
     """
     if cfg.users_total < 2:
         raise ValueError("threshold search needs at least two users")
     curves = _curves(cfg, budget)
     if scan is None:
-        scan = scan_differences([crossing_key(cfg, budget)])[0]
-    lo, hi = 1.0, float(cfg.users_total - 1)
-    # A row without NaN holds nonzero signs only; its pattern is monotone
-    # when its signs never fall (rise) along the grid.
-    unsure = np.isnan(scan).any(axis=1).tolist()
-    rising = (scan[:, 1:] >= scan[:, :-1]).all(axis=1).tolist()
-    falling = (scan[:, 1:] <= scan[:, :-1]).all(axis=1).tolist()
-    ends = scan[:, [0, -1]].tolist()
+        signs, brackets = scan_differences([crossing_key(cfg, budget)])
+        scan = signs[0], brackets[0].tolist()
+    signs, brackets = scan
+    grid = _scan_grid(cfg.users_total)
 
     roots = []
-    for k, (name, i, j, increasing) in enumerate(_DIFFERENCES):
+    for (name, i, j, increasing), row, k in zip(_DIFFERENCES, signs, brackets):
         first, second = curves[i], curves[j]
-        if unsure[k]:
-            values = _fill_from_closures(scan[k], first, second, cfg.users_total)
-            monotone = _sign_pattern_monotone(values, increasing)
-            ends[k] = values[0], values[-1]
-        else:
-            monotone = rising[k] if increasing else falling[k]
-        if not monotone:
+        k, m = (k, k + 1) if k != UNSURE else _closure_bracket(
+            _fill_from_closures(row, first, second, cfg.users_total), increasing)
+        if k == NOT_MONOTONE:
             raise RegimeViolationError(
                 f"approximation regime violated: the {name} difference is not "
                 f"monotone over the user split",
                 regime=_regime_report(cfg, budget),
             )
-        roots.append(_itp_root(first, second, lo, hi, *ends[k]))
+        roots.append(None if k == NO_CROSSING
+                     else _itp_root(first, second, float(grid[k]), float(grid[m])))
 
     split_rt, split_rh, split_th = roots
     rate_eq = curves[0](split_rt) if split_rt is not None else None
@@ -330,7 +366,8 @@ def _sign(x: float) -> int:
 
 def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None,
                 regime: RegimeReport | None = None,
-                thresholds: SelectionThresholds | None = None) -> SelectionDecision:
+                thresholds: SelectionThresholds | None = None,
+                brute: RisType | None = None) -> SelectionDecision:
     """Pick the best surface type for a deployment.
 
     Boundary splits (no users on one side) go straight to the single-zone
@@ -345,13 +382,15 @@ def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None,
     radiation_transmit, link_constant), none of which moves along a
     user-split sweep. Pass `thresholds` when the caller already holds
     find_thresholds' result for that tuple; otherwise the search runs here
-    (boundary splits need none).
+    (boundary splits need none). Pass `brute` when the caller already holds
+    brute_force_optimal's winner.
     """
     if budget is None:
         budget = link_budget(cfg)
     if regime is None:
         regime = _regime_report(cfg, budget)
-    brute, _rates = brute_force_optimal(cfg, budget)
+    if brute is None:
+        brute, _ = brute_force_optimal(cfg, budget)
     s = cfg.users_total
     s_t = cfg.users_transmission
 

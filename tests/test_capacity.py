@@ -22,6 +22,7 @@ from ris_select import (
 )
 from ris_select import capacity
 from ris_select.capacity import average_snr
+from ris_select.channel import rng_for_seed
 from ris_select.scenario import min_served_snr
 
 LN2 = math.log(2.0)
@@ -268,7 +269,7 @@ def test_a_shorter_run_is_the_head_of_a_longer_one():
     # first 37 rows of a 1000-row draw from the same key
     snr = np.random.default_rng(31).uniform(0.0, 50.0, size=10)
     for k in (1, 2, 12, 64):
-        rows = capacity.rng_for_seed((3, 1, 2)).standard_gamma(k, size=(1000, 10))[:37]
+        rows = rng_for_seed((3, 1, 2)).standard_gamma(k, size=(1000, 10))[:37]
         rates = np.sum(np.log1p((snr / float(k)) * rows), axis=-1) / LN2
         mean, stderr = capacity._mean_and_stderr(rates)
         assert monte_carlo_capacity(snr, k, 37, (3, 1, 2)) == (float(mean),

@@ -23,6 +23,7 @@ from ris_select.channel import (
     gaussian_fading,
     resolve_fading,
     rng_for_seed,
+    rng_for_seeds,
     uniform_phase_fading,
 )
 
@@ -158,6 +159,24 @@ def test_rng_for_seed_keeps_aliases_and_errors():
     for fractional in (5.5, (1, 5.5), (5.0, 2), (1, np.float64(2.0))):
         with pytest.raises(TypeError):
             rng_for_seed(fractional)
+
+
+def test_rng_for_seeds_matches_sfc64_over_seed_sequence_bit_for_bit():
+    # 3000 random keys of 1-5 words seeded in one call: each generator is
+    # Generator(SFC64(SeedSequence(key))). Keys that numpy seeds on its own
+    # path (words past 2**32, numpy ints, bools) keep their place.
+    rng = np.random.default_rng(16)
+    keys = [tuple(int(w) for w in rng.integers(0, 2 ** 32, size=rng.integers(1, 6)))
+            for _ in range(3000)]
+    keys[::500] = [2 ** 32, np.int64(5), (2 ** 40, 1), 7, (True, 2), (2 ** 32 - 1,)]
+    generators = rng_for_seeds(keys)
+    assert len(generators) == len(keys)
+    for key, generator in zip(keys, generators):
+        expected = np.random.SFC64(np.random.SeedSequence(key))
+        assert np.array_equal(_raw(generator.bit_generator), _raw(expected)), key
+    assert rng_for_seeds([]) == []
+    with pytest.raises(ValueError):
+        rng_for_seeds([(1, 2), (3, -1)])
 
 
 def test_tuple_seeds_give_distinct_streams():

@@ -354,7 +354,7 @@ def test_evaluate_survives_threshold_breakdown(tmp_path, monkeypatch, capsys):
     import ris_select.cli as cli
     from ris_select import RegimeViolationError
 
-    def broken(cfg, budget=None, regime=None, thresholds=None):
+    def broken(cfg, budget=None, regime=None, thresholds=None, brute=None):
         raise RegimeViolationError("approximation regime violated: stub", regime)
 
     monkeypatch.setattr(cli, "decide_type", broken)
@@ -376,7 +376,7 @@ def test_sweep_survives_threshold_breakdown(tmp_path, monkeypatch):
     import ris_select.cli as cli
     from ris_select import RegimeViolationError
 
-    def broken(cfg, budget=None, regime=None, thresholds=None):
+    def broken(cfg, budget=None, regime=None, thresholds=None, brute=None):
         raise RegimeViolationError("approximation regime violated: stub", regime)
 
     monkeypatch.setattr(cli, "decide_type", broken)
@@ -490,14 +490,14 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     # Monte Carlo builds: one (seed, a, i) per cell and type, whose streams
     # must all differ.
     seen = {}
-    real_rng = capacity.rng_for_seed
+    real_rngs = capacity.rng_for_seeds
     real = capacity.monte_carlo_capacity
 
-    def spy(key):
-        seen.setdefault(current, []).append(key)
-        return real_rng(key)
+    def spy(keys):
+        seen.setdefault(current, []).extend(keys)
+        return real_rngs(keys)
 
-    monkeypatch.setattr(capacity, "rng_for_seed", spy)
+    monkeypatch.setattr(capacity, "rng_for_seeds", spy)
     spec = tmp_path / "sweep.cfg"
     spec.write_text(SMALL_SWEEP)
     csvs = {}
@@ -527,24 +527,27 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
 
 def test_each_cell_and_type_builds_one_generator(tmp_path, monkeypatch):
     # a cell's trials are rows of one draw, so the generator count does not
-    # grow with --trials: 16 cells x 3 types for fig2a, 3 for an evaluation
-    keys = []
-    real_rng = capacity.rng_for_seed
+    # grow with --trials: 16 cells x 3 types for fig2a, 3 for an evaluation,
+    # all seeded in one rng_for_seeds call per block
+    calls = []
+    real_rngs = capacity.rng_for_seeds
 
-    def spy(key):
-        keys.append(key)
-        return real_rng(key)
+    def spy(keys):
+        rngs = real_rngs(keys)
+        calls.append((list(keys), len(rngs)))
+        return rngs
 
-    monkeypatch.setattr(capacity, "rng_for_seed", spy)
+    monkeypatch.setattr(capacity, "rng_for_seeds", spy)
     common = ["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path),
               "--seed", "7"]
     for trials in ("2", "50"):
-        keys.clear()
+        calls.clear()
         assert main(common + ["--preset", "fig2a", "--trials", trials]) == 0
-        assert keys == [(7, a, i) for a in range(16) for i in range(3)]
-    keys.clear()
+        keys = [(7, a, i) for a in range(16) for i in range(3)]
+        assert calls == [(keys, len(keys))]
+    calls.clear()
     assert main(common + ["--trials", "50"]) == 0
-    assert keys == [(7, 0, i) for i in range(3)]
+    assert calls == [([(7, 0, i) for i in range(3)], 3)]
 
 
 def test_fig2a_monte_carlo_at_scale_matches_the_exact_rate(tmp_path):

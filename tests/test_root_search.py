@@ -1,10 +1,11 @@
 """The ITP crossing search against an independent reference bisection.
 
-find_thresholds locates each crossing with selection._itp_root. Every
-reported crossing is checked on its own terms (the closures' difference
-changes sign across it, or is exactly 0 at it) and against a plain
-bisection kept here as the oracle. The search's evaluation counts pin its
-speed-up without timing anything.
+find_thresholds locates each crossing with selection._itp_root, started
+from the scan's grid interval around the sign change. Every reported
+crossing is checked on its own terms (the closures' difference changes
+sign across it, or is exactly 0 at it) and against a plain bisection over
+the whole split range [1, S-1], kept here as the oracle. The search's
+evaluation counts pin its speed-up without timing anything.
 """
 
 import math
@@ -96,19 +97,18 @@ def test_every_crossing_straddles_a_sign_change_and_matches_bisection():
 
 def _evaluation_counts(monkeypatch, deployments) -> list:
     """(difference evaluations, bracket width) of every search that
-    find_thresholds runs past its sign checks."""
+    find_thresholds runs, the two end values included."""
     counts = []
 
-    def counted(first, second, lo, hi, flo, fhi):
+    def counted(first, second, lo, hi):
         calls = []
 
         def counted_first(x):
             calls.append(x)
             return first(x)
 
-        root = _itp_root(counted_first, second, lo, hi, flo, fhi)
-        if calls:
-            counts.append((len(calls), hi - lo))
+        root = _itp_root(counted_first, second, lo, hi)
+        counts.append((len(calls), hi - lo))
         return root
 
     monkeypatch.setattr(selection, "_itp_root", counted)
@@ -132,23 +132,28 @@ def test_searches_stay_within_bisections_count_plus_three(monkeypatch):
         + _evaluation_counts(monkeypatch, _noise_deployments(rng, 500))
     assert len(random_counts) > 300 and len(counts) > 700
     # bisection takes ceil(log2(width / ROOT_TOL)) steps; ITP at most one
-    # more, plus the two end values
+    # more, plus the two end values, which are all a one-point bracket
+    # (S = 2, a row the closures decide) takes
     for evaluations, width in counts:
-        assert evaluations <= math.ceil(math.log2(width / ROOT_TOL)) + 3
-    assert np.mean([evaluations for evaluations, _ in random_counts]) <= 12.0
+        assert evaluations <= (math.ceil(math.log2(width / ROOT_TOL)) + 3
+                               if width > 0.0 else 2)
+    # a row without NaN brackets its crossing by one grid step
+    steps = [width for _, width in random_counts]
+    assert np.median(steps) < 1.0 and min(steps) > 0.0
+    assert np.mean([evaluations for evaluations, _ in random_counts]) <= 7.0
 
 
-def test_edge_brackets():
-    # S = 2: the bracket is [1, 1], and even a sign change handed in
-    # returns its one point without a step or a logarithm of 0
-    calls = []
-
+def test_edge_brackets(monkeypatch):
+    # S = 2: every grid point is split 1, so no row changes sign and no
+    # search runs; a bracket of one point returns it (or None) at once
     def first(x):
-        calls.append(x)
         return 0.0
 
-    assert _itp_root(first, first, 1.0, 1.0, -1.0, 1.0) == 1.0
-    assert calls == []
+    assert _itp_root(first, first, 1.0, 1.0) == 1.0
+    assert _itp_root(first, lambda x: 1.0, 1.0, 1.0) is None
+    assert _evaluation_counts(monkeypatch, [_deployment(2, big_l) for big_l in
+                                            (None, 1e-3, 1.0, 1e3)]) == []
+    monkeypatch.undo()
     deployments = []
     for users in (2, 3):
         for eps_t in (1.0, 0.95, 0.5, 0.02):

@@ -1,9 +1,10 @@
 """The array scan of the threshold search against the scalar scan it replaced.
 
 `_scalar_find_thresholds` is the search as it was before the scan became
-one array pass: every curve evaluated by its closure at each grid point.
-The array scan must give the same crossings and the same violation
-verdicts, bit for bit, in its one-call form and with rows from one
+one array pass: every curve evaluated by its closure at each grid point,
+and each root searched on the grid interval where the closures' signs
+change. The array scan must give the same crossings and the same violation
+verdicts, bit for bit, in its one-call form and with entries from one
 `scan_differences` call over many tuples.
 """
 
@@ -23,8 +24,11 @@ from ris_select import (
 )
 from ris_select.capacity import _type_curves, type_rate_arrays
 from ris_select.selection import (
+    NO_CROSSING,
+    NOT_MONOTONE,
     SCAN_GUARD,
     SCAN_POINTS,
+    UNSURE,
     SelectionThresholds,
     _itp_root,
     _regime_report,
@@ -33,6 +37,17 @@ from ris_select.selection import (
     scan_differences,
 )
 from test_curves import _deployments
+
+
+def _oracle_bracket(values):
+    """Grid indices (k, m) of the search interval: the last value with the
+    first value's sign and the first value with the other sign, or the whole
+    grid when an end value is 0 or both ends share a sign."""
+    if values[0] == 0.0 or values[-1] == 0.0 or (values[0] > 0.0) == (values[-1] > 0.0):
+        return 0, len(values) - 1
+    first = [v != 0.0 and (v > 0.0) == (values[0] > 0.0) for v in values]
+    other = [v != 0.0 and (v > 0.0) != (values[0] > 0.0) for v in values]
+    return len(first) - 1 - first[::-1].index(True), other.index(True)
 
 
 def _scalar_find_thresholds(cfg, budget):
@@ -61,7 +76,8 @@ def _scalar_find_thresholds(cfg, budget):
                 f"monotone over the user split",
                 regime=_regime_report(cfg, budget),
             )
-        roots.append(_itp_root(first, second, lo, hi, values[0], values[-1]))
+        k, m = _oracle_bracket(values)
+        roots.append(_itp_root(first, second, grid[k], grid[m]))
     split_rt, split_rh, split_th = roots
     rate_eq = c_reflect(split_rt) if split_rt is not None else None
     return SelectionThresholds(split_rt, split_rh, split_th, rate_eq)
@@ -82,15 +98,15 @@ def _assert_scan_matches_oracle(deployments):
     """One-call and batched searches equal the oracle; returns the number of
     scanned values left to the closures and the violations seen."""
     keys = [crossing_key(cfg, budget) for cfg, budget in deployments]
-    rows = scan_differences(keys)
+    signs, brackets = scan_differences(keys)
     violations = 0
-    for (cfg, budget), row in zip(deployments, rows):
+    for (cfg, budget), row, bracket in zip(deployments, signs, brackets.tolist()):
         expected = _outcome(_scalar_find_thresholds, cfg, budget)
         assert _outcome(find_thresholds, cfg, budget) == expected, \
             crossing_key(cfg, budget)
-        assert _outcome(find_thresholds, cfg, budget, row) == expected
+        assert _outcome(find_thresholds, cfg, budget, (row, bracket)) == expected
         violations += expected[0] == "violation"
-    return int(np.isnan(rows[:, :, 1:-1]).sum()), violations
+    return int(np.isnan(signs[:, :, 1:-1]).sum()), violations
 
 
 def test_scan_matches_scalar_oracle_over_random_deployments():
@@ -189,19 +205,38 @@ def test_scan_matches_scalar_oracle_on_constructed_ties():
 
 
 def test_every_scanned_sign_is_the_closures_or_nan():
-    # a scanned value is NaN or has the closures' sign at that grid point
+    # a scanned value is NaN or has the closures' sign at that grid point,
+    # and a row's bracket code follows from its signs: UNSURE with a NaN,
+    # else the one sign change in the difference's direction (rising for
+    # the first and third difference, falling for the second), NO_CROSSING
+    # without a change and NOT_MONOTONE otherwise
     rng = np.random.default_rng(5)
+    codes = set()
     for _ in range(200):
         cfg = near_isotropic_config(rng)
         budget = link_budget(cfg)
-        (row,) = scan_differences([crossing_key(cfg, budget)])
+        signs, brackets = scan_differences([crossing_key(cfg, budget)])
         curves = [rate for rate, _ in type_curves(cfg, budget).values()]
         grid = np.linspace(1.0, cfg.users_total - 1.0, SCAN_POINTS).tolist()
-        for (i, j), values in zip(((1, 0), (0, 2), (1, 2)), row.tolist()):
+        for (i, j), values, bracket, rising in zip(
+                ((1, 0), (0, 2), (1, 2)), signs[0].tolist(), brackets[0].tolist(),
+                (True, False, True)):
             for x, value in zip(grid, values):
                 if not math.isnan(value):
                     exact = curves[i](x) - curves[j](x)
                     assert (value > 0.0) == (exact > 0.0) and exact != 0.0
+            changes = [k for k in range(SCAN_POINTS - 1) if values[k] != values[k + 1]]
+            if any(map(math.isnan, values)):
+                expected = UNSURE
+            elif not changes:
+                expected = NO_CROSSING
+            elif len(changes) == 1 and (values[changes[0]] < 0.0) == rising:
+                expected = changes[0]
+            else:
+                expected = NOT_MONOTONE
+            assert bracket == expected
+            codes.add(min(bracket, 0))
+    assert codes >= {0, NO_CROSSING}
 
 
 def test_array_rates_match_the_closures():
@@ -231,7 +266,10 @@ def test_scan_rows_do_not_depend_on_the_batch():
         cfg = random_config(rng)
         keys.append(crossing_key(cfg, link_budget(cfg)))
     keys.append((2, 0.5, 0.5, 3.0))
-    batch = scan_differences(keys)
-    assert batch.shape == (len(keys), 3, SCAN_POINTS)
-    for key, row in zip(keys, batch):
-        np.testing.assert_array_equal(scan_differences([key])[0], row)
+    signs, brackets = scan_differences(keys)
+    assert signs.shape == (len(keys), 3, SCAN_POINTS)
+    assert brackets.shape == (len(keys), 3)
+    for key, row, bracket in zip(keys, signs, brackets):
+        alone_signs, alone_brackets = scan_differences([key])
+        np.testing.assert_array_equal(alone_signs[0], row)
+        np.testing.assert_array_equal(alone_brackets[0], bracket)

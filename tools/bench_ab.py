@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/bench_ab.py PARENT_DIR CHANGE_DIR [--workload NAME ...]
-        [--pairs 10] [--seconds 30] [--first-seed 1]
+        [--pairs 10] [--seconds 30] [--first-seed 1] [--in-process]
 
 Pair i runs `bench/run.py --seed <first-seed + i> --trace 0` once in each
 checkout, one after the other, the parent first in even pairs and the change
@@ -19,18 +19,39 @@ every change run reads better than every parent run: such a spread can hide
 a regression of the bound's size. It also counts failed operations per side
 and the pairs whose output digests are equal. The last line of standard
 output is the summary as one JSON object. Standard library only.
+
+--in-process times both trees in this one interpreter instead, which
+resolves changes of a few percent that process-level runs cannot. Each
+tree's `src/ris_select` is imported under its own package name, and the
+inputs of the `mc_sweep` or `selection_screen` workload (CHANGE_DIR's
+`bench/workloads.py`, first seed only) are written once per side. Pair i
+times one cycle of the workload's `cli.main` calls in each tree, in the
+alternating order above, after one untimed cycle each. The summary gives
+the median of the change/parent ratios of the cycle times, their quartiles,
+a distribution-free 95% interval for the median (sign test), the pairs the
+change won, and whether the last cycle's output files are equal. --seconds
+does not apply.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
 import json
+import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+IN_PROCESS_WORKLOADS = ("mc_sweep", "selection_screen")
 
 
 def quartiles(values) -> tuple:
@@ -117,6 +138,123 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+# --- in-process pairs -------------------------------------------------------------
+
+def load_tree(root: Path, name: str):
+    """Import `root`/src/ris_select, cli included, as the package `name`."""
+    package = root / "src" / "ris_select"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")
+    return module
+
+
+def load_workloads(root: Path):
+    """`root`/bench/workloads.py, which imports its tree's ris_select."""
+    saved = sys.path[:]
+    sys.path[:0] = [str(root / "bench"), str(root / "src")]
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "bench_ab_workloads", root / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def cycle_argvs(workload) -> list:
+    """The cli.main argument lists of one cycle of the workload."""
+    if workload.name == "mc_sweep":
+        return [workload.fig_argv, workload.eval_argv]
+    return list(workload.argvs)
+
+
+def sign_test_interval(ratios, level: float = 0.95):
+    """(low, high) order statistics j and n + 1 - j of the ratios, with j
+    the largest for which the median lies outside with probability at most
+    1 - level; None when too few ratios give any such j."""
+    n, below, j = len(ratios), 0.0, 0
+    while j < n and 2.0 * (below + math.comb(n, j) / 2.0 ** n) <= 1.0 - level:
+        below += math.comb(n, j) / 2.0 ** n
+        j += 1
+    ordered = sorted(ratios)
+    return (ordered[j - 1], ordered[n - j]) if j else None
+
+
+def summarize_ratios(ratios: list, outputs_equal: bool) -> dict:
+    """Paired change/parent cycle-time ratios (below 1: the change is faster)."""
+    q1, median, q3 = quartiles(ratios)
+    return {"pairs": len(ratios), "median_ratio": median, "q1": q1, "q3": q3,
+            "sign_test_95": sign_test_interval(ratios),
+            "change_wins": sum(r < 1.0 for r in ratios),
+            "outputs_equal": outputs_equal}
+
+
+def format_ratios(workload: str, summary: dict) -> str:
+    interval = summary["sign_test_95"]
+    interval_text = "n/a" if interval is None else f"[{interval[0]:.4f}, {interval[1]:.4f}]"
+    return (f"{workload}: {summary['pairs']} in-process pairs, change/parent cycle time "
+            f"median {summary['median_ratio']:.4f} [{summary['q1']:.4f}, "
+            f"{summary['q3']:.4f}], 95% sign-test interval {interval_text}, change "
+            f"faster in {summary['change_wins']}/{summary['pairs']}, outputs "
+            f"{'equal' if summary['outputs_equal'] else 'DIFFER'}")
+
+
+def timed_cycle(cli, argvs) -> float:
+    """Seconds that one cycle of cli.main calls takes; a non-zero exit is an
+    error."""
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in argvs]
+    elapsed = time.perf_counter() - start
+    if any(codes):
+        raise RuntimeError(f"{cli.__name__}.main exited {codes}")
+    return elapsed
+
+
+def paired_ratios(trees, bench, name: str, pairs: int, seed: int, work: Path) -> dict:
+    """One workload's paired ratios; the trees' inputs and outputs live under
+    `work`, one folder per side."""
+    sides = {side: bench.make(name, seed, work / name / side) for side in SIDES}
+    argvs = {side: cycle_argvs(workload) for side, workload in sides.items()}
+    for side in SIDES:  # untimed: first calls fill caches
+        timed_cycle(trees[side].cli, argvs[side])
+    ratios = []
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        times = {side: timed_cycle(trees[side].cli, argvs[side]) for side in order}
+        ratios.append(times["change"] / times["parent"])
+    parent, change = sides["parent"], sides["change"]
+    outputs_equal = all(a.read_bytes() == b.read_bytes() for key in change.cycle()
+                        for a, b in zip(parent.outputs(key), change.outputs(key)))
+    return summarize_ratios(ratios, outputs_equal)
+
+
+def in_process(parent: Path, change: Path, workloads: list, pairs: int, seed: int) -> dict:
+    """Paired cycle-time ratios of both trees per workload, in this process."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # as bench/run.py, before numpy loads
+    parent, change = parent.resolve(), change.resolve()
+    trees = {"parent": load_tree(parent, "bench_ab_parent"),
+             "change": load_tree(change, "bench_ab_change")}
+    bench = load_workloads(change)
+    report, cwd = {}, os.getcwd()
+    os.chdir(change)  # the workloads name the reference scenario relative to it
+    try:
+        with tempfile.TemporaryDirectory() as work:
+            for name in workloads:
+                report[name] = paired_ratios(trees, bench, name, pairs, seed, Path(work))
+                print(format_ratios(name, report[name]), flush=True)
+    finally:
+        os.chdir(cwd)
+    return report
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -126,9 +264,14 @@ def parse_args(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--in-process", action="store_true",
+                        help="time both trees in this interpreter, cycle against cycle "
+                             f"({' and '.join(IN_PROCESS_WORKLOADS)})")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
+    if args.in_process and not set(args.workload or ()) <= set(IN_PROCESS_WORKLOADS):
+        parser.error(f"--in-process runs {' and '.join(IN_PROCESS_WORKLOADS)} only")
     return args
 
 
@@ -139,6 +282,16 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read BENCHMARK.json in {args.change}: {exc}", file=sys.stderr)
         return 1
+    if args.in_process:
+        try:
+            report = in_process(args.parent, args.change,
+                                args.workload or list(IN_PROCESS_WORKLOADS),
+                                args.pairs, args.first_seed)
+        except (ImportError, OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(json.dumps(report))
+        return 0
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     report = {}
     for workload in workloads:
