@@ -226,7 +226,7 @@ def _state_mix():
 
 
 _MIX_XOR, _MIX_MUL = _state_mix()
-_POOL_WORDS = (0, 1, 2, 3, 0, 1)
+_POOL_WORDS = np.array([0, 1, 2, 3, 0, 1])
 
 
 class _StateRow(np.random.bit_generator.ISeedSequence):

@@ -247,18 +247,11 @@ def preset_variants(name: str, trials: int, base_seed: int) -> list[SweepVariant
 # --- serialization helpers --------------------------------------------------------
 
 def _jsonable(obj):
+    """A result dataclass as nested dicts, with each RisType as its value."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
-    if isinstance(obj, RisType):
-        return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    return obj
+    return obj.value if isinstance(obj, RisType) else obj
 
 
 def _fmt(value) -> str:

@@ -592,7 +592,12 @@ def asymptotic_checks(cfg: ScenarioConfig, budget: LinkBudget) -> AsymptoticDiag
 
     reflect_exp = (s - s_t * log2(eps_r) + s * log2(s) - s_r * log2(s_r)) / s_t
     transmit_exp = (s - s_r * log2(eps_t) + s * log2(s) - s_t * log2(s_t)) / s_r
-    threshold = scale * 2.0 ** max(reflect_exp, transmit_exp)
+    exponent = max(reflect_exp, transmit_exp)
+    if exponent < 1024.0:
+        threshold = scale * 2.0 ** exponent  # inf past the float range
+    else:  # 2.0 ** exponent would raise, though a small scale may bring it back
+        log_threshold = math.log2(scale) + exponent
+        threshold = 2.0 ** log_threshold if log_threshold < 1024.0 else math.inf
 
     approx = (-s + s_r * log2(eps_t) - s * log2(s) + s_t * log2(s_t)
               - s_r * log2(big_l))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 
 import pytest
 
@@ -100,3 +101,30 @@ def test_bad_arguments_are_rejected(capsys):
 def test_missing_checkout_exits_1(tmp_path, capsys):
     assert bench_ab.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert capsys.readouterr().err.startswith("error: cannot read BENCHMARK.json")
+
+
+def test_sign_test_interval_takes_the_binomial_order_statistics():
+    ratios = [1.0 + 0.01 * k for k in (5, 2, 9, 0, 7, 1, 8, 3, 6, 4)]
+    # ten pairs: the 2nd and 9th smallest cover the median with 97.9%
+    assert bench_ab.sign_test_interval(ratios) == (1.01, 1.08)
+    assert bench_ab.sign_test_interval(ratios[:5]) is None  # 2/32 > 5%
+
+
+def test_in_process_a_a_run_reads_near_one(monkeypatch, capsys):
+    # the tree against itself under two package names: equal outputs, and
+    # paired cycle times that agree to well within a factor of two
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert bench_ab.main([str(REPO_ROOT), str(REPO_ROOT), "--in-process",
+                          "--workload", "mc_sweep", "--pairs", "3"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["mc_sweep"]
+    assert summary["pairs"] == 3 and summary["outputs_equal"]
+    assert 0.5 < summary["q1"] <= summary["median_ratio"] <= summary["q3"] < 2.0
+    parent, change = (sys.modules[f"bench_ab_{side}.cli"] for side in ("parent", "change"))
+    assert parent is not change and parent.main is not change.main
+
+
+def test_in_process_refuses_other_workloads(capsys):
+    with pytest.raises(SystemExit):
+        bench_ab.parse_args(["a", "b", "--in-process", "--workload", "gain_stats"])
+    assert "--in-process" in capsys.readouterr().err

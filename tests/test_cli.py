@@ -198,6 +198,16 @@ def test_sweep_from_file(tmp_path):
         assert mc_mean <= ub + tol
 
 
+def test_sweep_csv_path_that_is_a_directory_gives_one_error_line(tmp_path, capsys):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(SMALL_SWEEP)
+    out = tmp_path / "out"
+    (out / "sweep.csv").mkdir(parents=True)
+    assert main(["--scenario", str(REFERENCE_SCENARIO), "--sweep", str(spec),
+                 "--out", str(out)]) == 1
+    assert _single_error_line(capsys).startswith(f"error: cannot write {out / 'sweep.csv'}")
+
+
 def test_sweep_values_must_increase(tmp_path, capsys):
     spec = tmp_path / "sweep.cfg"
     spec.write_text(SMALL_SWEEP.replace("values = 3, 5", "values = 5, 3"))
@@ -896,6 +906,45 @@ def test_non_finite_cell_fails_after_the_cells_before_it(tmp_path, capsys):
                  "--sweep", str(spec), "--out", str(out), "--trials", "2"]) == 1
     assert "not finite" in _single_error_line(capsys)
     assert not (out / "sweep.csv").exists()
+
+
+def _tiny_reflect_error(tmp_path, capsys, mode, radiation_reflect):
+    """Run the reference deployment at split 1 with the given
+    radiation_reflect, as an evaluation or as a sweep with diagnostics, and
+    return its one error line; nothing may be written."""
+    text = REFERENCE_SCENARIO.read_text()
+    assert "radiation_reflect = 1.0" in text and "users_transmission = 7" in text
+    scenario = tmp_path / "tiny.cfg"
+    scenario.write_text(text.replace("radiation_reflect = 1.0",
+                                     f"radiation_reflect = {radiation_reflect!r}")
+                        .replace("users_transmission = 7", "users_transmission = 1"))
+    out = tmp_path / "out"
+    argv = ["--scenario", str(scenario), "--out", str(out), "--trials", "2"]
+    if mode == "sweep":
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("axis = users_transmission\nvalues = 1, 2\n"
+                        "outputs = closed_form, upper_bound, decision, diagnostics\n")
+        argv += ["--sweep", str(spec)]
+    assert main(argv) == 1
+    assert not out.exists() or not any(out.iterdir())
+    return _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("mode", ["evaluate", "sweep"])
+@pytest.mark.parametrize("radiation_reflect", [1.3e-304, 1e-310])
+def test_tiny_radiation_reflect_gives_one_error_line_not_an_overflow(
+        tmp_path, capsys, mode, radiation_reflect):
+    # the element-count threshold's 2.0 ** exponent raised OverflowError:
+    # a 19-line traceback and exit 1
+    assert "not finite" in _tiny_reflect_error(tmp_path, capsys, mode, radiation_reflect)
+
+
+@pytest.mark.parametrize("mode", ["evaluate", "sweep"])
+def test_radiation_reflect_whose_threshold_is_inf_gives_one_error_line(
+        tmp_path, capsys, mode):
+    # at 2e-304 the threshold rounded to inf, and the evaluation wrote
+    # "element_count_threshold": "inf" with exit 0
+    assert "not finite" in _tiny_reflect_error(tmp_path, capsys, mode, 2e-304)
 
 
 def test_extreme_configs_give_finite_numbers_or_an_error():

@@ -508,6 +508,21 @@ def test_hybrid_transmit_gap_estimate_accuracy():
         assert rel_err <= 0.05, (split, rel_err)
 
 
+def test_element_count_threshold_past_the_float_range_does_not_raise():
+    # radiation_reflect = 1.3e-304 puts the reflect exponent past 1024, where
+    # 2.0 ** exponent raised OverflowError; the threshold is inf there, and
+    # finite when a small enough link constant brings the product back
+    cfg, budget = _cfg_and_budget(users_transmission=1, radiation_reflect=1.3e-304)
+    diag = asymptotic_checks(cfg, budget)
+    assert diag.reflect_exponent > 1024.0
+    assert diag.element_count_threshold == math.inf and not diag.hybrid_favored
+    small = replace(budget, link_constant=budget.link_constant * 2.0 ** -60)
+    diag = asymptotic_checks(cfg, small)
+    expected = 2.0 ** (math.log2(diag.element_count_scale) + diag.reflect_exponent)
+    assert math.isfinite(diag.element_count_threshold)
+    assert diag.element_count_threshold == pytest.approx(expected, rel=1e-12)
+
+
 def test_asymptotics_need_both_zones():
     cfg, budget = _cfg_and_budget(users_transmission=0)
     with pytest.raises(ValueError):
