@@ -216,16 +216,8 @@ def rng_for_seed(seed) -> np.random.Generator:
 # SFC64 state (numpy/random/bit_generator.pyx): word i takes pool word i % 4,
 # xors it with INIT_B * MULT_B**i, multiplies it by INIT_B * MULT_B**(i + 1)
 # (all modulo 2**32) and xors in its own top half.
-def _state_mix():
-    xors, muls, hash_const = [], [], 0x8B51F9DD
-    for _ in range(6):
-        xors.append(hash_const)
-        hash_const = hash_const * 0x58F38DED & 0xFFFFFFFF
-        muls.append(hash_const)
-    return np.array(xors, dtype="<u4"), np.array(muls, dtype="<u4")
-
-
-_MIX_XOR, _MIX_MUL = _state_mix()
+_MIX_XOR, _MIX_MUL = (np.array([0x8B51F9DD * 0x58F38DED ** (i + j) & 0xFFFFFFFF
+                                for i in range(6)], dtype="<u4") for j in (0, 1))
 _POOL_WORDS = np.array([0, 1, 2, 3, 0, 1])
 
 

@@ -108,6 +108,8 @@ def test_sign_test_interval_takes_the_binomial_order_statistics():
     # ten pairs: the 2nd and 9th smallest cover the median with 97.9%
     assert bench_ab.sign_test_interval(ratios) == (1.01, 1.08)
     assert bench_ab.sign_test_interval(ratios[:5]) is None  # 2/32 > 5%
+    # 2000 pairs, where 2.0 ** n overflows: about n/2 -+ 1.96 sqrt(n) / 2
+    assert bench_ab.sign_test_interval(list(range(2000))) == (955, 1044)
 
 
 def test_in_process_a_a_run_reads_near_one(monkeypatch, capsys):

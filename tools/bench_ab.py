@@ -174,13 +174,14 @@ def cycle_argvs(workload) -> list:
     return list(workload.argvs)
 
 
-def sign_test_interval(ratios, level: float = 0.95):
-    """(low, high) order statistics j and n + 1 - j of the ratios, with j
+def sign_test_interval(ratios):
+    """(low, high) order statistics j and n + 1 - j of the n ratios, with j
     the largest for which the median lies outside with probability at most
-    1 - level; None when too few ratios give any such j."""
-    n, below, j = len(ratios), 0.0, 0
-    while j < n and 2.0 * (below + math.comb(n, j) / 2.0 ** n) <= 1.0 - level:
-        below += math.comb(n, j) / 2.0 ** n
+    5%, 2 P(Binomial(n, 1/2) < j) <= 1/20 (in integers, as 2**n overflows a
+    float); None when too few ratios give any such j."""
+    n, below, j = len(ratios), 0, 0
+    while j < n and 40 * (below + math.comb(n, j)) <= 2 ** n:
+        below += math.comb(n, j)
         j += 1
     ordered = sorted(ratios)
     return (ordered[j - 1], ordered[n - j]) if j else None
