@@ -327,9 +327,8 @@ def ergodic_rate_exact(snr, bs_antennas: int):
     """
     k = bs_antennas
     x, weights = _exact_nodes(k)
-    snr = np.asarray(snr, dtype=float)
-    terms = np.log1p((snr / k)[..., None] * x) @ weights
-    rate = np.sum(terms, axis=-1) / LN2
+    terms = (np.asarray(snr, dtype=float) / k)[..., None] * x
+    rate = np.sum(np.log1p(terms, out=terms) @ weights, axis=-1) / LN2
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
@@ -372,7 +371,8 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
     Users run along the last axis. A vector gives two floats; a block gives
     two arrays over its leading axes in one pass, where the vector at index
     idx, with K_t = bs_antennas broadcast to the leading axes at idx, draws
-    from base_seed + idx and equals its own estimate bit for bit.
+    from base_seed + idx and equals its own estimate bit for bit. The
+    block's generators are seeded in one channel.rng_for_seeds call.
     A trial count too large to allocate is a ConfigValidationError.
     """
     base = _base_key(trials, base_seed)

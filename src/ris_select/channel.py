@@ -24,6 +24,7 @@ bits depend only on the seed, never on the block size, threads or timing.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -221,15 +222,21 @@ _MIX_XOR, _MIX_MUL = (np.array([0x8B51F9DD * 0x58F38DED ** (i + j) & 0xFFFFFFFF
 _POOL_WORDS = np.array([0, 1, 2, 3, 0, 1])
 
 
-class _StateRow(np.random.bit_generator.ISeedSequence):
-    """One precomputed SFC64 state row, handed to SFC64 in place of the
-    SeedSequence whose generate_state(3, np.uint64) it equals."""
+@functools.cache
+def _state_row_type() -> type:
+    """The ISeedSequence that hands SFC64 one precomputed state row in place
+    of the SeedSequence whose generate_state(3, np.uint64) it equals. It is
+    built on first use, because deriving from a numpy.random class at import
+    would load numpy.random (about 20 ms and 2.5 MB) in every process."""
 
-    def __init__(self, row):
-        self.row = row
+    class StateRow(np.random.bit_generator.ISeedSequence):
+        def __init__(self, row):
+            self.row = row
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.row
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return StateRow
 
 
 def _words(seed):
@@ -263,8 +270,9 @@ def rng_for_seeds(seeds) -> list:
         state *= _MIX_MUL
         state ^= state >> 16
         rows = iter(state.view("<u8").astype(np.uint64, copy=False))
+    state_row = _state_row_type()
     return [np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed) if w is None else _StateRow(next(rows))))
+        np.random.SeedSequence(seed) if w is None else state_row(next(rows))))
         for seed, w in zip(seeds, words)]
 
 
