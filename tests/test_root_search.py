@@ -132,8 +132,8 @@ def test_searches_stay_within_bisections_count_plus_three(monkeypatch):
         + _evaluation_counts(monkeypatch, _noise_deployments(rng, 500))
     assert len(random_counts) > 300 and len(counts) > 700
     # bisection takes ceil(log2(width / ROOT_TOL)) steps; ITP at most one
-    # more, plus the two end values, which are all a one-point bracket
-    # (S = 2, a row the closures decide) takes
+    # more, plus the two end values. A one-point bracket (S = 2, in a row
+    # the closures decide) takes the end values alone.
     for evaluations, width in counts:
         assert evaluations <= (math.ceil(math.log2(width / ROOT_TOL)) + 3
                                if width > 0.0 else 2)
