@@ -299,6 +299,53 @@ def test_fading_laws_are_unit_variance():
         assert np.mean(np.abs(batch) ** 2) == pytest.approx(1.0, abs=0.03), name
 
 
+# --- the uniform_phase finish: table-driven unit phasors -----------------------
+
+def _assert_close_to_exp(u):
+    """The kernel's phasors of u against exp(2 pi i u) in extended precision."""
+    phasors = channel._unit_phasors(u.copy())
+    angles = u.astype(np.longdouble) * (2 * np.arccos(np.longdouble(-1)))
+    error = np.hypot((phasors.real - np.cos(angles)).astype(float),
+                     (phasors.imag - np.sin(angles)).astype(float))
+    assert error.max() <= 2e-15
+    assert np.abs(np.abs(phasors) - 1.0).max() <= 1e-15
+    return phasors
+
+
+def test_unit_phasors_match_an_extended_precision_reference():
+    u = rng_for_seed(21).random((40, 2500))
+    assert _assert_close_to_exp(u).shape == u.shape
+
+
+def test_unit_phasors_at_edge_inputs():
+    ulp = 2.0 ** -53
+    steps = np.arange(256) / 256
+    u = np.concatenate([[0.0, 1.0 - ulp, 0.25, 0.5, 0.75], steps, steps[1:] - ulp,
+                        steps + ulp])
+    phasors = _assert_close_to_exp(u)
+    # the quarter turns are exact, and a grid point takes its table entry
+    assert phasors[[0, 2, 3, 4]].tolist() == [1, 1j, -1, -1j]
+    assert phasors[1] == 1.0 - 2j * math.pi * ulp
+    cos, sin = channel._PHASOR_TABLE
+    assert np.array_equal(phasors[5:5 + 256], (cos + 1j * sin)[:256])
+    assert not channel._PHASOR_TABLE.flags.writeable
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 8192])
+def test_unit_phasors_do_not_depend_on_the_offset(monkeypatch, chunk):
+    # a sample's bits are the same wherever it sits in the array and however
+    # the array is cut into passes
+    u = rng_for_seed(22).random(3 * 8192 + 123)
+    whole = channel._unit_phasors(u.copy())
+    monkeypatch.setattr(channel, "_PHASOR_CHUNK", chunk)
+    for start, stop in ((0, u.size), (1, 2500), (3, 8195), (8191, 20000),
+                        (5, 6), (12345, u.size)):
+        part = channel._unit_phasors(u[start:stop].copy())
+        assert part.tobytes() == whole[start:stop].tobytes(), (start, stop)
+    rows = channel._unit_phasors(u[:24000].reshape(8, 3000).copy())
+    assert rows.tobytes() == whole[:24000].tobytes()
+
+
 # --- the threaded element path: failures and plain callables -------------------
 
 class FinishFailed(RuntimeError):
