@@ -638,11 +638,7 @@ def main(argv=None) -> int:
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS
 
     if args.preset is not None:
-        try:
-            variants = preset_variants(args.preset, trials, seed)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        variants = preset_variants(args.preset, trials, seed)
         return run_sweep(args.scenario, variants, args.out, args.strict)
 
     if args.sweep is not None:

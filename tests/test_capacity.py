@@ -264,6 +264,12 @@ def test_block_estimates_equal_the_per_vector_ones():
     assert lows[1, 0] == 0.0
 
 
+def test_block_snr_needs_one_user_count():
+    cfgs = [make_config(), make_config(users_total=11, users_transmission=4)]
+    with pytest.raises(ValueError, match="share users_total"):
+        capacity.average_snr_block(cfgs, [link_budget(cfg) for cfg in cfgs])
+
+
 def test_a_shorter_run_is_the_head_of_a_longer_one():
     # trial t is row t of one standard_gamma draw, so 37 trials replay the
     # first 37 rows of a 1000-row draw from the same key

@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_SCENARIO, REPO_ROOT, mc_tolerance, random_config
+from conftest import (
+    REFERENCE_SCENARIO,
+    REPO_ROOT,
+    make_config,
+    mc_tolerance,
+    random_config,
+)
 from ris_select import (
     ConfigError,
     ConfigValidationError,
@@ -231,6 +237,24 @@ def test_sweep_and_preset_conflict(tmp_path, capsys):
                "--preset", "fig2a", "--out", str(tmp_path)])
     assert rc == 1
     assert "not both" in capsys.readouterr().err
+
+
+def test_unknown_preset_axis_and_resize_are_refused(tmp_path, capsys):
+    # argparse's choices stop any other preset name before main runs
+    with pytest.raises(SystemExit) as exited:
+        main(["--scenario", str(REFERENCE_SCENARIO), "--preset", "fig9",
+              "--out", str(tmp_path)])
+    assert exited.value.code == 2
+    assert "invalid choice: 'fig9'" in capsys.readouterr().err
+    # the library functions refuse what they do not know on their own
+    with pytest.raises(ConfigError, match="unknown preset 'fig9'"):
+        cli.preset_variants("fig9", 10, 0)
+    cfg = load_scenario(REFERENCE_SCENARIO)
+    with pytest.raises(ConfigError, match="unknown sweep axis 'bogus'"):
+        cli.apply_axis_value(cfg, "bogus", 1.0)
+    graded = make_config(rows=3, cols=3, phase_transmit=np.arange(9.0).reshape(3, 3))
+    with pytest.raises(ConfigError, match="non-constant phase_transmit grid"):
+        cli.apply_overrides(graded, {"ris_rows": 4})
 
 
 def test_preset_fig2b_closed_form_dataset(tmp_path):

@@ -25,6 +25,7 @@ from ris_select import (
     link_budget,
     monotonicity_certificate,
 )
+from ris_select import selection
 from ris_select.selection import (
     CertificateError,
     _f_lemma,
@@ -351,6 +352,41 @@ def test_certificate_requires_three_users():
 
 def test_certificate_error_type_exists():
     assert issubclass(CertificateError, RuntimeError)
+
+
+def test_certificate_rejects_a_slope_that_disagrees_with_its_curve(monkeypatch):
+    cfg, budget = _cfg_and_budget()
+    monkeypatch.setattr(selection, "single_zone_slope",
+                        lambda n, radiation, big_l: 2.0 * single_zone_slope(n, radiation, big_l))
+    with pytest.raises(CertificateError, match="disagrees with finite difference"):
+        monotonicity_certificate(cfg, budget)
+
+
+@pytest.mark.parametrize("transmit, reflect, message", [
+    (-1.0, -1.0, "transmissive slope not positive"),
+    (1.0, 1.0, "reflective slope not negative"),
+])
+def test_certificate_rejects_a_slope_of_the_wrong_sign(monkeypatch, transmit, reflect,
+                                                        message):
+    # straight-line curves whose analytic slopes agree with their finite
+    # differences, so only the sign check can fail
+    cfg, budget = _cfg_and_budget()
+    eps_t = cfg.panel.radiation_transmit
+    assert cfg.panel.radiation_reflect != eps_t
+    monkeypatch.setattr(selection, "_curves", lambda cfg, budget: (
+        lambda x: reflect * x, lambda x: transmit * x, None))
+    monkeypatch.setattr(selection, "single_zone_slope", lambda n, radiation, big_l:
+                        transmit if radiation == eps_t else -reflect)
+    with pytest.raises(CertificateError, match=message):
+        monotonicity_certificate(cfg, budget)
+
+
+def test_certificate_rejects_a_lemma_that_is_not_positive(monkeypatch):
+    cfg, budget = _cfg_and_budget()
+    # the slopes take f at x below 1e3, so only the lemma's own samples fail
+    monkeypatch.setattr(selection, "_f_lemma", lambda x: -1.0 if x > 1e5 else _f_lemma(x))
+    with pytest.raises(CertificateError, match=r"lemma positivity fails at x = 1\d{5}\.\d"):
+        monotonicity_certificate(cfg, budget)
 
 
 # --- asymptotics -----------------------------------------------------------------
