@@ -126,7 +126,27 @@ def test_in_process_a_a_run_reads_near_one(monkeypatch, capsys):
     assert parent is not change and parent.main is not change.main
 
 
+def test_in_process_gain_stats_compares_every_operation(monkeypatch, capsys):
+    # one A/A pair of zone_gain_statistics cycles: each of the 9 operations
+    # (3 laws x 3 type/zone cases) gives equal GainStatistics in both trees
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert bench_ab.main([str(REPO_ROOT), str(REPO_ROOT), "--in-process",
+                          "--workload", "gain_stats", "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])["gain_stats"]
+    assert summary["pairs"] == 1 and summary["outputs_equal"]
+    assert summary["operations"] == 9 and len(summary["equal_operations"]) == 9
+    assert "uniform_phase/hybrid/reflect" in summary["equal_operations"]
+    assert "results equal in 9/9 operations: gaussian/reflective/reflect" in lines[-2]
+    # a difference shows as fewer equal operations and a failed output check
+    text = bench_ab.format_ratios("gain_stats", bench_ab.summarize_ratios(
+        [0.7, 0.8], False, ["sign/hybrid/reflect"], 9))
+    assert text.endswith("outputs DIFFER; results equal in 1/9 operations: "
+                         "sign/hybrid/reflect")
+
+
 def test_in_process_refuses_other_workloads(capsys):
     with pytest.raises(SystemExit):
-        bench_ab.parse_args(["a", "b", "--in-process", "--workload", "gain_stats"])
+        bench_ab.parse_args(["a", "b", "--in-process", "--workload", "fig2a_sweep"])
     assert "--in-process" in capsys.readouterr().err

@@ -23,20 +23,24 @@ output is the summary as one JSON object. Standard library only.
 --in-process times both trees in this one interpreter instead, which
 resolves changes of a few percent that process-level runs cannot. Each
 tree's `src/ris_select` is imported under its own package name, and the
-inputs of the `mc_sweep` or `selection_screen` workload (CHANGE_DIR's
-`bench/workloads.py`, first seed only) are written once per side. Pair i
-times one cycle of the workload's `cli.main` calls in each tree, in the
-alternating order above, after one untimed cycle each. The summary gives
-the median of the change/parent ratios of the cycle times, their quartiles,
-a distribution-free 95% interval for the median (sign test), the pairs the
-change won, and whether the last cycle's output files are equal. --seconds
-does not apply.
+inputs of the workload (CHANGE_DIR's `bench/workloads.py`, first seed only)
+are made once per side. A cycle is the workload's `cli.main` calls
+(`mc_sweep`, `selection_screen`) or its `zone_gain_statistics` calls
+(`gain_stats`), each made through the tree's own package. Pair i times one
+cycle in each tree, in the alternating order above, after one untimed cycle
+each. The summary gives the median of the change/parent ratios of the cycle
+times, their quartiles, a distribution-free 95% interval for the median
+(sign test), the pairs the change won, and whether the last cycle's output
+files are equal; for `gain_stats`, whether its results are equal and the
+operations (law/type/zone) whose GainStatistics are. --seconds does not
+apply.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import importlib.util
 import io
@@ -51,7 +55,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
-IN_PROCESS_WORKLOADS = ("mc_sweep", "selection_screen")
+IN_PROCESS_WORKLOADS = ("mc_sweep", "selection_screen", "gain_stats")
 
 
 def quartiles(values) -> tuple:
@@ -174,6 +178,38 @@ def cycle_argvs(workload) -> list:
     return list(workload.argvs)
 
 
+def cli_call(cli, argv):
+    """cli.main(argv) as a call of no arguments; a non-zero exit is an error."""
+    def call():
+        code = cli.main(argv)
+        if code:
+            raise RuntimeError(f"{cli.__name__}.main{argv} exited {code}")
+    return call
+
+
+def gain_operations(bench, workload) -> list:
+    """(name, law, type value, reflection zone, seed) of each operation of one
+    gain_stats cycle, in the workload's order."""
+    operations = []
+    for law_index, case_index in workload.cycle():
+        ris_type, reflection, _ = bench.GAIN_CASES[case_index]
+        law = bench.GAIN_LAWS[law_index]
+        zone = "reflect" if reflection else "transmit"
+        operations.append((f"{law}/{ris_type.value}/{zone}", law, ris_type.value,
+                           reflection, (workload.seed, law_index, case_index)))
+    return operations
+
+
+def cycle_calls(tree, bench, workload) -> list:
+    """One cycle of the workload as calls of no arguments into `tree`."""
+    if workload.name != "gain_stats":
+        return [cli_call(tree.cli, argv) for argv in cycle_argvs(workload)]
+    cfg = tree.load_scenario(bench.REFERENCE)
+    return [functools.partial(tree.zone_gain_statistics, cfg, tree.RisType(value),
+                              reflection, bench.GAIN_TRIALS, fading=law, seed=seed)
+            for _, law, value, reflection, seed in gain_operations(bench, workload)]
+
+
 def sign_test_interval(ratios):
     """(low, high) order statistics j and n + 1 - j of the n ratios, with j
     the largest for which the median lies outside with probability at most
@@ -187,53 +223,72 @@ def sign_test_interval(ratios):
     return (ordered[j - 1], ordered[n - j]) if j else None
 
 
-def summarize_ratios(ratios: list, outputs_equal: bool) -> dict:
-    """Paired change/parent cycle-time ratios (below 1: the change is faster)."""
+def summarize_ratios(ratios: list, outputs_equal: bool, equal_operations=None,
+                     operations=None) -> dict:
+    """Paired change/parent cycle-time ratios (below 1: the change is faster).
+    `equal_operations` names the operations whose results are equal, out of
+    `operations` in all, for a workload whose operations return results."""
     q1, median, q3 = quartiles(ratios)
-    return {"pairs": len(ratios), "median_ratio": median, "q1": q1, "q3": q3,
-            "sign_test_95": sign_test_interval(ratios),
-            "change_wins": sum(r < 1.0 for r in ratios),
-            "outputs_equal": outputs_equal}
+    summary = {"pairs": len(ratios), "median_ratio": median, "q1": q1, "q3": q3,
+               "sign_test_95": sign_test_interval(ratios),
+               "change_wins": sum(r < 1.0 for r in ratios),
+               "outputs_equal": outputs_equal}
+    if operations is not None:
+        summary["equal_operations"] = equal_operations
+        summary["operations"] = operations
+    return summary
 
 
 def format_ratios(workload: str, summary: dict) -> str:
     interval = summary["sign_test_95"]
     interval_text = "n/a" if interval is None else f"[{interval[0]:.4f}, {interval[1]:.4f}]"
-    return (f"{workload}: {summary['pairs']} in-process pairs, change/parent cycle time "
+    text = (f"{workload}: {summary['pairs']} in-process pairs, change/parent cycle time "
             f"median {summary['median_ratio']:.4f} [{summary['q1']:.4f}, "
             f"{summary['q3']:.4f}], 95% sign-test interval {interval_text}, change "
             f"faster in {summary['change_wins']}/{summary['pairs']}, outputs "
             f"{'equal' if summary['outputs_equal'] else 'DIFFER'}")
+    if "operations" in summary:
+        equal = summary["equal_operations"]
+        text += (f"; results equal in {len(equal)}/{summary['operations']} operations"
+                 f"{': ' + ', '.join(equal) if equal else ''}")
+    return text
 
 
-def timed_cycle(cli, argvs) -> float:
-    """Seconds that one cycle of cli.main calls takes; a non-zero exit is an
-    error."""
+def timed_cycle(calls) -> tuple:
+    """(seconds, results) of one cycle of calls."""
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
-        codes = [cli.main(argv) for argv in argvs]
-    elapsed = time.perf_counter() - start
-    if any(codes):
-        raise RuntimeError(f"{cli.__name__}.main exited {codes}")
-    return elapsed
+        results = [call() for call in calls]
+    return time.perf_counter() - start, results
 
 
 def paired_ratios(trees, bench, name: str, pairs: int, seed: int, work: Path) -> dict:
     """One workload's paired ratios; the trees' inputs and outputs live under
     `work`, one folder per side."""
     sides = {side: bench.make(name, seed, work / name / side) for side in SIDES}
-    argvs = {side: cycle_argvs(workload) for side, workload in sides.items()}
+    calls = {side: cycle_calls(trees[side], bench, workload)
+             for side, workload in sides.items()}
     for side in SIDES:  # untimed: first calls fill caches
-        timed_cycle(trees[side].cli, argvs[side])
+        timed_cycle(calls[side])
     ratios = []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        times = {side: timed_cycle(trees[side].cli, argvs[side]) for side in order}
+        times, results = {}, {}
+        for side in order:
+            times[side], results[side] = timed_cycle(calls[side])
         ratios.append(times["change"] / times["parent"])
     parent, change = sides["parent"], sides["change"]
     outputs_equal = all(a.read_bytes() == b.read_bytes() for key in change.cycle()
                         for a, b in zip(parent.outputs(key), change.outputs(key)))
-    return summarize_ratios(ratios, outputs_equal)
+    if name != "gain_stats":
+        return summarize_ratios(ratios, outputs_equal)
+    # the results of the last pair, compared by repr so that NaN moments match
+    equal = [operation[0] for operation, a, b in zip(
+        gain_operations(bench, change), results["parent"], results["change"])
+        if repr(a) == repr(b)]
+    operations = len(results["change"])
+    return summarize_ratios(ratios, outputs_equal and len(equal) == operations,
+                            equal, operations)
 
 
 def in_process(parent: Path, change: Path, workloads: list, pairs: int, seed: int) -> dict:
@@ -267,12 +322,12 @@ def parse_args(argv=None):
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--in-process", action="store_true",
                         help="time both trees in this interpreter, cycle against cycle "
-                             f"({' and '.join(IN_PROCESS_WORKLOADS)})")
+                             f"({', '.join(IN_PROCESS_WORKLOADS)})")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
     if args.in_process and not set(args.workload or ()) <= set(IN_PROCESS_WORKLOADS):
-        parser.error(f"--in-process runs {' and '.join(IN_PROCESS_WORKLOADS)} only")
+        parser.error(f"--in-process runs {', '.join(IN_PROCESS_WORKLOADS)} only")
     return args
 
 
