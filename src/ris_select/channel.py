@@ -14,13 +14,14 @@ The uniform_phase law is a FadingLaw: an in-order `draw` that only calls
 the generator and a pure, row-wise `finish` (exp(2 pi i u) by a
 table-driven unit-phasor kernel, about 5x the cost of the draw, where libm
 cos and sin cost about 14x). gaussian and sign, whose finishes cost less
-than their draws, are plain callables. The per-element paths (prepare_sampler and
-zone_gain_statistics) draw blocks of rows in stream order on the calling
-thread. In a FadingLaw call of several blocks of at least _BLOCK_VALUES
-values, one executor worker started for the call finishes and reduces each
-block while the calling thread draws the next one (and finishes that one
-too if the worker is still busy); every other call runs inline. A sample's
-bits depend only on the seed, never on the block size, threads or timing.
+than their draws, are plain callables. The per-element paths
+(prepare_sampler and zone_gain_statistics) draw blocks of rows in stream
+order on the calling thread. In a FadingLaw call of several blocks of at
+least _BLOCK_VALUES values, one executor worker started for the call
+finishes and reduces each block while the calling thread draws the next one
+(and finishes that one too if the worker is still busy); every other call
+runs inline. A sample's bits depend only on the seed, never on the block
+size, threads or timing.
 """
 
 from __future__ import annotations

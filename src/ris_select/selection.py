@@ -519,7 +519,8 @@ def monotonicity_certificate(cfg: ScenarioConfig, budget: LinkBudget,
     lemma_vals = np.array([_f_lemma(float(x)) for x in lemma_xs])
     bad = np.nonzero(lemma_vals <= 0.0)[0]
     if bad.size:
-        raise CertificateError(f"lemma positivity fails at x = {float(lemma_xs[bad[0]])!r}")
+        raise CertificateError(
+            f"lemma positivity fails at x = {float(lemma_xs[bad[0]])!r}")
 
     return MonotonicityCertificate(
         grid=grid,

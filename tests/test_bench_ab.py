@@ -140,8 +140,9 @@ def test_in_process_gain_stats_compares_every_operation(monkeypatch, capsys):
     assert "uniform_phase/hybrid/reflect" in summary["equal_operations"]
     assert "results equal in 9/9 operations: gaussian/reflective/reflect" in lines[-2]
     # a difference shows as fewer equal operations and a failed output check
-    text = bench_ab.format_ratios("gain_stats", bench_ab.summarize_ratios(
-        [0.7, 0.8], False, ["sign/hybrid/reflect"], 9))
+    differing = {**bench_ab.summarize_ratios([0.7, 0.8], False),
+                 "equal_operations": ["sign/hybrid/reflect"], "operations": 9}
+    text = bench_ab.format_ratios("gain_stats", differing)
     assert text.endswith("outputs DIFFER; results equal in 1/9 operations: "
                          "sign/hybrid/reflect")
 

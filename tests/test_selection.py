@@ -356,8 +356,8 @@ def test_certificate_error_type_exists():
 
 def test_certificate_rejects_a_slope_that_disagrees_with_its_curve(monkeypatch):
     cfg, budget = _cfg_and_budget()
-    monkeypatch.setattr(selection, "single_zone_slope",
-                        lambda n, radiation, big_l: 2.0 * single_zone_slope(n, radiation, big_l))
+    monkeypatch.setattr(selection, "single_zone_slope", lambda n, radiation, big_l:
+                        2.0 * single_zone_slope(n, radiation, big_l))
     with pytest.raises(CertificateError, match="disagrees with finite difference"):
         monotonicity_certificate(cfg, budget)
 

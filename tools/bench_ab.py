@@ -223,20 +223,13 @@ def sign_test_interval(ratios):
     return (ordered[j - 1], ordered[n - j]) if j else None
 
 
-def summarize_ratios(ratios: list, outputs_equal: bool, equal_operations=None,
-                     operations=None) -> dict:
-    """Paired change/parent cycle-time ratios (below 1: the change is faster).
-    `equal_operations` names the operations whose results are equal, out of
-    `operations` in all, for a workload whose operations return results."""
+def summarize_ratios(ratios: list, outputs_equal: bool) -> dict:
+    """Paired change/parent cycle-time ratios (below 1: the change is faster)."""
     q1, median, q3 = quartiles(ratios)
-    summary = {"pairs": len(ratios), "median_ratio": median, "q1": q1, "q3": q3,
-               "sign_test_95": sign_test_interval(ratios),
-               "change_wins": sum(r < 1.0 for r in ratios),
-               "outputs_equal": outputs_equal}
-    if operations is not None:
-        summary["equal_operations"] = equal_operations
-        summary["operations"] = operations
-    return summary
+    return {"pairs": len(ratios), "median_ratio": median, "q1": q1, "q3": q3,
+            "sign_test_95": sign_test_interval(ratios),
+            "change_wins": sum(r < 1.0 for r in ratios),
+            "outputs_equal": outputs_equal}
 
 
 def format_ratios(workload: str, summary: dict) -> str:
@@ -287,8 +280,9 @@ def paired_ratios(trees, bench, name: str, pairs: int, seed: int, work: Path) ->
         gain_operations(bench, change), results["parent"], results["change"])
         if repr(a) == repr(b)]
     operations = len(results["change"])
-    return summarize_ratios(ratios, outputs_equal and len(equal) == operations,
-                            equal, operations)
+    summary = summarize_ratios(ratios, len(equal) == operations)
+    summary.update(equal_operations=equal, operations=operations)
+    return summary
 
 
 def in_process(parent: Path, change: Path, workloads: list, pairs: int, seed: int) -> dict:
