@@ -15,7 +15,6 @@ from .capacity import (
 from .channel import (
     DegenerateGeometryError,
     FADING_LAWS,
-    FadingLaw,
     LinkBudget,
     link_budget,
     prepare_sampler,

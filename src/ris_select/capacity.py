@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channel import LinkBudget, prepare_sampler, rng_for_seeds
+from .channel import LinkBudget, _on_two_threads, prepare_sampler, rng_for_seeds
 from .scenario import ConfigValidationError, RisType, ScenarioConfig, reflection_zone_mask
 
 LN2 = math.log(2.0)
@@ -406,15 +406,20 @@ def element_monte_carlo(cfg: ScenarioConfig, ris_type: RisType,
     seeded by base_seed + (t,) and sums it over the panel, as
     prepare_sampler's draw does; its rate is the sum over users of
     log2(1 + (P_T / sigma^2) * share_s * row_power_s), with row_power_s the
-    squared norm of the user's channel row.
+    squared norm of the user's channel row. The trials run on the calling
+    thread and one worker (channel._on_two_threads); trial t writes only
+    its own rate, so the result does not depend on the threads.
     """
     base = _base_key(trials, base_seed)
     gain = (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue
     draw = prepare_sampler(cfg, ris_type, budget, fading)
     rates = np.empty(trials)
-    for t in range(trials):
+
+    def trial(t):
         entries = draw(base + (t,))
         row_power = np.sum(entries.real ** 2 + entries.imag ** 2, axis=1)
         rates[t] = float(np.sum(np.log1p(gain * row_power)) / LN2)
+
+    _on_two_threads(trial, trials)
     mean, stderr = _mean_and_stderr(rates)
     return float(mean), float(stderr)

@@ -10,25 +10,24 @@ Sampling is pure given (config, type, seed): seeds are ints or tuples of
 ints keyed through SeedSequence, so tuple-extended substreams are
 replayable and safe to farm out in parallel.
 
-The uniform_phase law is a FadingLaw: an in-order `draw` that only calls
-the generator and a pure, row-wise `finish` (exp(2 pi i u) by a
-table-driven unit-phasor kernel, about 5x the cost of the draw, where libm
-cos and sin cost about 14x). gaussian and sign, whose finishes cost less
-than their draws, are plain callables. The per-element paths
-(prepare_sampler and zone_gain_statistics) draw blocks of rows in stream
-order on the calling thread. In a FadingLaw call of several blocks of at
-least _BLOCK_VALUES values, one executor worker started for the call
-finishes and reduces each block while the calling thread draws the next one
-(and finishes that one too if the worker is still busy); every other call
-runs inline. A sample's bits depend only on the seed, never on the block
-size, threads or timing.
+Fading laws are plain callables law(rng, shape); uniform_phase computes
+exp(2 pi i u) by a table-driven unit-phasor kernel. zone_gain_statistics
+cuts its trials into blocks of _STAT_CHUNK rows, and block b draws from its
+own generator zone_seed + (b,). _on_two_threads runs such keyed tasks on
+the calling thread and one executor worker opened for the call, which take
+the next index from one shared iterator; each task writes only its own
+rows, so a sample's bits depend on the seed and the block cut, never on
+threads or timing. numpy's generator fills release the GIL, so the two
+threads' draws overlap, where one generator's draws stay serial.
+prepare_sampler's draw is one stream, drawn a few user rows at a time in
+stream order on the calling thread; element_monte_carlo runs its keyed
+trials through _on_two_threads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,16 +42,16 @@ from .scenario import (
 )
 
 _PATHLOSS_DENOM = 64.0 * math.pi ** 3
-# Rows per zone_gain_statistics draw block. The draw stays in stream order
-# whatever the block size, so this sets memory and handoff granularity only.
-# A block is the step by which the peak resident memory can vary with the
-# thread timing (a worker's allocator arena keeps its free blocks), so it is
-# kept small: at 2500 elements a block holds 80000 values, just above
-# _BLOCK_VALUES, and its arrays 1.28 MB at most.
+# Rows per zone_gain_statistics block. Each block draws from its own key, so
+# the cut is part of the stream contract: another block size gives other
+# samples. Small blocks keep the two threads' shares of a call even and
+# bound what each holds: at 2500 elements a block is 80000 values, 1.28 MB
+# of complex samples.
 _STAT_CHUNK = 32
 # prepare_sampler groups whole user rows into blocks of about this many
-# values. Smaller blocks (the reference sampler's hold two 30000-value user
-# rows) run inline, where a handoff (about 0.1 ms) would cost more than it saves.
+# values (one row once a row holds more), so a draw holds a few user rows,
+# not the whole (S, K_t, M N) array. The draw is one stream in row order,
+# so its samples do not depend on this size.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -127,40 +126,11 @@ def link_budget(cfg: ScenarioConfig) -> LinkBudget:
 
 # --- small-scale fading laws -------------------------------------------------
 
-@dataclass(frozen=True)
-class FadingLaw:
-    """A unit-variance fading law split where the generator is done.
-
-    `draw(rng, shape)` makes only generator calls, so draws must run in
-    stream order; `finish(raw)` is pure and row-wise (it may overwrite
-    `raw`) and turns the draw into complex samples of the given shape.
-    Calling the law runs both. The type is the declaration: a FadingLaw's
-    large multi-block calls finish on a worker thread, while any other
-    callable law(rng, shape) runs whole on the calling thread. Only a law
-    whose finish costs well above a handoff (about 0.1 ms) gains from it;
-    uniform_phase, whose table-driven unit-phasor kernel costs about 5x its
-    draw (1.6 ms for a 32-row block at 2500 elements, where libm cos and sin
-    took 4.3 ms), is the one named law that does.
-    """
-
-    draw: Callable
-    finish: Callable
-
-    def __call__(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return self.finish(self.draw(rng, shape))
-
-
 def gaussian_fading(rng, shape):
-    """Circularly symmetric complex normal, unit variance per sample. A plain
-    callable, so it runs inline: its finish (a scale and a view) costs less
-    than a handoff to the worker."""
+    """Circularly symmetric complex normal, unit variance per sample."""
     pairs = rng.standard_normal(tuple(shape) + (2,))
     pairs *= math.sqrt(0.5)
     return pairs.view(np.complex128)[..., 0]
-
-
-def _uniforms(rng, shape):
-    return rng.random(shape)
 
 
 # exp(2 pi i u) by table and polynomial (Tang's table-driven method): with
@@ -174,7 +144,7 @@ _PHASOR_STEPS = 256
 # KB) stay in a core's L2 cache. Each of a pass's 16 numpy calls can hand the
 # GIL to the element path's other thread, which is why the real and
 # imaginary parts share calls as the rows of (2, n) arrays (27 calls per
-# pass, one per part, ran about 15% slower through the worker pipeline).
+# pass, one per part, ran about 15% slower with a worker thread running).
 # 16384 values were no faster and raised the peak memory of gain_stats by
 # 2.2 MB, against 0.9 MB at 8192.
 _PHASOR_CHUNK = 8192
@@ -238,15 +208,17 @@ def _unit_phasors(u):
 
 
 def sign_fading(rng, shape):
-    """Random +/-1, a two-point law with mean 0 and unit variance. A plain
-    callable, so it runs inline: its finish costs less than its draw."""
+    """Random +/-1, a two-point law with mean 0 and unit variance."""
     bits = rng.integers(0, 2, size=shape)
     bits *= 2
     bits -= 1
     return bits.astype(complex)
 
 
-uniform_phase_fading = FadingLaw(_uniforms, _unit_phasors)
+def uniform_phase_fading(rng, shape):
+    """Unit-modulus samples exp(2 pi i u), u uniform on [0, 1)."""
+    return _unit_phasors(rng.random(shape))
+
 
 FADING_LAWS = {
     "gaussian": gaussian_fading,
@@ -365,7 +337,7 @@ def _panel_sum(g, coeff, scale, out) -> None:
     last three together when their number is odd). One numpy call loops
     over the pairs without the GIL, and a pair is too small to wake a
     multithreaded BLAS's pool, which would otherwise spin against the
-    workers after every call.
+    element path's two threads after every call.
     """
     rows = g.shape[-2]
     if rows < 4:
@@ -380,52 +352,35 @@ def _panel_sum(g, coeff, scale, out) -> None:
     out *= scale
 
 
-def _reduce_blocks(law, rng: np.random.Generator, blocks, out: np.ndarray) -> np.ndarray:
-    """Fill `out` with the panel sums of blocks drawn in stream order.
+def _on_two_threads(task, count: int) -> None:
+    """Run task(0) .. task(count - 1) on the calling thread and one worker
+    thread opened for the call.
 
-    Block (shape, coeff, scale, index) draws g = law(rng, shape), in list
-    order on the calling thread, and sets out[index] = (g @ coeff) * scale.
-    A FadingLaw call of more than one block, each of at least _BLOCK_VALUES
-    values, goes through _pipeline, the first block included; plain
-    callables, single blocks and smaller blocks run on the calling thread.
+    Both threads take the next index from one shared range iterator (its
+    next() is one C call under the GIL, so no index is run twice or
+    skipped). The tasks must be independent, each writing only its own
+    output, so what they produce does not depend on which thread ran which
+    index, nor when. The count is fixed: with the caller, one worker keeps
+    both cores of a 2-core host busy. A thread whose task raises takes the
+    indices left, so the other starts no new task, and re-raises; a
+    worker's exception is re-raised here with its own type, and leaving the
+    executor joins the worker on every path.
     """
-    if isinstance(law, FadingLaw) and len(blocks) > 1 \
-            and math.prod(blocks[0][0]) >= _BLOCK_VALUES:
-        _pipeline(law.draw, law.finish, rng, blocks, out)
-        return out
-    for shape, coeff, scale, index in blocks:
-        _panel_sum(np.asarray(law(rng, shape)), coeff, scale, out[index])
-    return out
+    indices = iter(range(count))
 
-
-def _pipeline(draw, finish, rng, blocks, out) -> None:
-    """Draw each block here and hand it to one worker thread that finishes
-    and reduces it while the next one is drawn: with this thread it keeps
-    both cores of a 2-core host busy, and a second worker only adds cache
-    traffic. When the worker is still busy, this thread finishes the block
-    itself rather than wait. The worker lives for the whole call, not for
-    one block: a thread started per block can start while the one before
-    is still exiting, find the allocator's per-thread arena taken and open
-    another, which raises the peak resident memory of the process by a
-    block at random times. Neither thread holds a block past its panel sum.
-    A worker's exception is re-raised here with its own type, and leaving
-    the executor joins the worker on every path.
-    """
-    def reduce(raw, coeff, scale, index):
-        _panel_sum(finish(raw), coeff, scale, out[index])
+    def run():
+        try:
+            for index in indices:
+                task(index)
+        except BaseException:
+            for _ in indices:
+                pass
+            raise
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        handoff = None
-        for shape, coeff, scale, index in blocks:
-            raw = draw(rng, shape)
-            if handoff is not None and not handoff.done():
-                reduce(raw, coeff, scale, index)
-            else:
-                if handoff is not None:
-                    handoff.result()
-                handoff = worker.submit(reduce, raw, coeff, scale, index)
-            raw = None
-        handoff.result()
+        helper = worker.submit(run)
+        run()
+        helper.result()
 
 
 # --- channel synthesis --------------------------------------------------------
@@ -446,7 +401,8 @@ def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, budget: LinkBudget,
     unit-variance fading block of shape (S, K_t, M*N) drawn in stream order,
     a few whole user rows (K_t, M*N) at a time (one row on a large panel),
     so a seed always gives a bit-identical matrix and a draw holds a few
-    blocks, not the whole (S, K_t, M*N) array.
+    user rows, not the whole (S, K_t, M*N) array. The draw runs on the
+    calling thread, and concurrent draws share no state.
     """
     law = resolve_fading(fading)
     panel = cfg.panel
@@ -466,8 +422,11 @@ def prepare_sampler(cfg: ScenarioConfig, ris_type: RisType, budget: LinkBudget,
               for start, stop in zip(bounds, bounds[1:])]
 
     def draw(seed) -> np.ndarray:
+        rng = rng_for_seed(seed)
         out = np.empty((users, antennas, 1), dtype=complex)
-        return _reduce_blocks(law, rng_for_seed(seed), blocks, out)[:, :, 0]
+        for shape, coeff_rows, scale, rows in blocks:
+            _panel_sum(np.asarray(law(rng, shape)), coeff_rows, scale, out[rows])
+        return out[:, :, 0]
 
     return draw
 
@@ -499,9 +458,11 @@ def zone_gain_statistics(cfg: ScenarioConfig, ris_type: RisType,
                          reflection_zone: bool, trials: int,
                          fading="gaussian", seed=0) -> GainStatistics:
     """Moments of (sum over elements of g * coefficient) / sqrt(M N) toward
-    one zone, from the stream seeded by seed + (0,) for the reflection zone
-    and seed + (1,) for the transmission zone (an int seed counts as a
-    1-tuple).
+    one zone. The zone's key is seed + (0,) for the reflection zone and
+    seed + (1,) for the transmission zone (an int seed counts as a 1-tuple).
+    The trials are cut into blocks of _STAT_CHUNK rows (a lone last row
+    joins the block before it), and block b draws its (rows, M N) fading
+    from the generator keyed by zone key + (b,), on either of two threads.
 
     For a large panel the aggregate tends to a complex normal with mean 0 and
     variance equal to the squared response amplitude of the zone, whatever the
@@ -515,13 +476,18 @@ def zone_gain_statistics(cfg: ScenarioConfig, ris_type: RisType,
     coeff = element_coefficients(cfg.panel, ris_type, reflection_zone)
     samples = np.zeros((trials, 1), dtype=complex)
     if np.any(coeff != 0.0):
-        scale = 1.0 / math.sqrt(mn)
+        coeff, scale = coeff[:, None], 1.0 / math.sqrt(mn)
         bounds = _row_bounds(trials, _STAT_CHUNK)
-        blocks = [((stop - start, mn), coeff[:, None], scale, slice(start, stop))
-                  for start, stop in zip(bounds, bounds[1:])]
         base = seed if isinstance(seed, tuple) else (seed,)
         zone_seed = base + (0 if reflection_zone else 1,)
-        _reduce_blocks(law, rng_for_seed(zone_seed), blocks, samples)
+        rngs = rng_for_seeds([zone_seed + (b,) for b in range(len(bounds) - 1)])
+
+        def block(b):
+            start, stop = bounds[b], bounds[b + 1]
+            g = np.asarray(law(rngs[b], (stop - start, mn)))
+            _panel_sum(g, coeff, scale, samples[start:stop])
+
+        _on_two_threads(block, len(rngs))
     samples = samples[:, 0]
     mean = complex(samples.mean())
     centered = samples - mean

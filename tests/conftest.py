@@ -1,9 +1,12 @@
 """Shared helpers: reference scenario path, a config factory, scenario text,
-the regime report, the Monte Carlo tolerance."""
+the regime report, the Monte Carlo tolerance, a serial replay of the gain
+statistics."""
 
 import math
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from ris_select import (
     RisPanel,
@@ -15,6 +18,7 @@ from ris_select import (
     link_budget,
     validate_approximation_regime,
 )
+from ris_select.channel import GainStatistics, element_coefficients, rng_for_seed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_SCENARIO = REPO_ROOT / "scenarios" / "reference.cfg"
@@ -103,8 +107,6 @@ def wiggle_hybrid_curve(monkeypatch):
     """Add 40 sin(3 pi x) to the hybrid rate that the threshold search
     reads, in both the closures and the array form, so that its sampled
     sign patterns break and it raises RegimeViolationError."""
-    import numpy as np
-
     import ris_select.selection as selection
 
     closures, arrays = selection.type_curves, selection.type_rate_arrays
@@ -126,8 +128,6 @@ def wiggle_hybrid_curve(monkeypatch):
 
 def random_config(rng) -> ScenarioConfig:
     """Draw a random valid deployment; spans extreme radiation ratios."""
-    import numpy as np
-
     s = int(rng.integers(2, 12))
     bs_h = float(rng.uniform(0.0, 40.0))
     ris_h = float(rng.uniform(0.0, 25.0))
@@ -179,3 +179,33 @@ def mc_tolerance(cfg, trials):
     trigamma = math.pi ** 2 / 6.0 - sum(1.0 / j ** 2 for j in range(1, cfg.bs_antennas))
     sigma = math.sqrt(cfg.users_total * trigamma) / math.log(2.0)
     return 6.0 * sigma / math.sqrt(trials)
+
+
+def replay_gain_statistics(cfg, ris_type, reflection_zone, trials, law, seed,
+                           block_rows) -> GainStatistics:
+    """zone_gain_statistics of a zone whose coefficients are not all zero,
+    replayed on one thread: the trials are cut into runs of `block_rows`
+    (a lone last row joins the run before it), and run b is
+    law(rng_for_seed(zone key + (b,)), (rows, M N)) summed over the panel."""
+    mn = cfg.panel.element_count
+    coeff = element_coefficients(cfg.panel, ris_type, reflection_zone)
+    cuts = list(range(0, trials, block_rows)) + [trials]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    zone = (seed if isinstance(seed, tuple) else (seed,)) + (0 if reflection_zone else 1,)
+    samples = np.concatenate([
+        law(rng_for_seed(zone + (b,)), (stop - start, mn)) @ coeff
+        for b, (start, stop) in enumerate(zip(cuts, cuts[1:]))]) * (1.0 / math.sqrt(mn))
+    mean = complex(samples.mean())
+    centered = samples - mean
+    sq = np.abs(centered) ** 2
+
+    def kurtosis(x):
+        m2 = float(np.mean(x * x))
+        return float(np.mean(x ** 4)) / (m2 * m2) - 3.0
+
+    return GainStatistics(
+        mean=mean, variance=float(sq.mean()),
+        variance_stderr=float(sq.std(ddof=1) / math.sqrt(trials)),
+        kurtosis_real=kurtosis(centered.real), kurtosis_imag=kurtosis(centered.imag),
+        expected_variance=ris_type.amplitude(reflection_zone) ** 2, trials=trials)

@@ -211,6 +211,28 @@ def test_monte_carlo_matches_scalar_brute_force():
     assert stderr == 0.0
 
 
+def test_element_monte_carlo_equals_a_serial_loop():
+    # trial t draws from base_seed + (t,) and writes only its own rate, so
+    # the two threads give the serial loop's mean and standard error bit for bit
+    cfg = make_config(rows=6, cols=5, users_total=4, users_transmission=1,
+                      bs_antennas=3)
+    budget = link_budget(cfg)
+    for ris_type in RisType:
+        alloc = allocate_power(cfg, ris_type, budget)
+        gain = (cfg.transmit_power / cfg.noise_variance) * alloc.per_ue
+        for fading in ("gaussian", "uniform_phase", "sign"):
+            draw = prepare_sampler(cfg, ris_type, budget, fading)
+            rates = np.empty(37)
+            for t in range(rates.size):
+                entries = draw((7, 1, t))
+                row_power = np.sum(entries.real ** 2 + entries.imag ** 2, axis=1)
+                rates[t] = float(np.sum(np.log1p(gain * row_power)) / LN2)
+            expected = (float(rates.mean()),
+                        float(rates.std(ddof=1) / math.sqrt(rates.size)))
+            assert element_monte_carlo(cfg, ris_type, alloc, budget, rates.size,
+                                       (7, 1), fading) == expected
+
+
 def test_monte_carlo_zero_allocation():
     cfg = make_config(rows=2, cols=2)
     alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,

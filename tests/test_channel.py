@@ -1,16 +1,17 @@
 """Link budget and channel sampling: formulas, statistics, determinism."""
 
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_SCENARIO, make_config
+from conftest import REFERENCE_SCENARIO, make_config, replay_gain_statistics
 from ris_select import (
     DegenerateGeometryError,
     FADING_LAWS,
-    FadingLaw,
     RisType,
     link_budget,
     load_scenario,
@@ -19,7 +20,6 @@ from ris_select import (
 )
 from ris_select import channel
 from ris_select.channel import (
-    element_coefficients,
     gaussian_fading,
     resolve_fading,
     rng_for_seed,
@@ -346,9 +346,9 @@ def test_unit_phasors_do_not_depend_on_the_offset(monkeypatch, chunk):
     assert rows.tobytes() == whole[:24000].tobytes()
 
 
-# --- the threaded element path: failures and plain callables -------------------
+# --- the element path on two threads ------------------------------------------
 
-class FinishFailed(RuntimeError):
+class DrawFailed(RuntimeError):
     pass
 
 
@@ -371,126 +371,173 @@ def _run_with_watchdog(call, seconds=60.0):
     return outcome[0], caller
 
 
-def test_worker_failure_propagates_with_its_own_type():
-    # 2500 elements: every 32-row block goes through the worker pipeline
-    cfg = make_config()
-    before = threading.active_count()
-    callers, finished_on = [], []
+def _gain_call(law, trials=1000):
+    """One 2500-element statistics call: 31 blocks of 32 rows and one of 8."""
+    return zone_gain_statistics(make_config(), RisType.HYBRID, True, trials,
+                                fading=law, seed=8)
 
-    def finish(raw):
-        finished_on.append(threading.current_thread())
-        # The first block always goes to the idle worker, so the worker's
-        # first finish fails; finishes on the calling thread succeed.
-        if finished_on[-1] is not callers[0]:
-            raise FinishFailed("finish failed")
-        return uniform_phase_fading.finish(raw)
+
+def test_worker_failure_propagates_with_its_own_type():
+    before = threading.active_count()
+    worker_in = threading.Event()
+    callers, calls = [], []
+
+    def law(rng, shape):
+        thread = threading.current_thread()
+        calls.append(thread)
+        if thread is callers[0]:
+            # hold the caller's block until the worker has failed on one
+            assert worker_in.wait(10.0)
+            return uniform_phase_fading(rng, shape)
+        worker_in.set()
+        raise DrawFailed("worker draw failed")
 
     def call():
         callers.append(threading.current_thread())
-        zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law)
+        _gain_call(law)
 
-    law = FadingLaw(uniform_phase_fading.draw, finish)
     error, caller = _run_with_watchdog(call)
-    assert isinstance(error, FinishFailed)
-    assert any(thread is not caller for thread in finished_on)
+    assert isinstance(error, DrawFailed)
+    # the worker failed on its first block, and the caller started no block
+    # after it (it may have taken none: the worker can fail first)
+    assert [thread is caller for thread in calls].count(False) == 1
+    assert len(calls) <= 2
     assert threading.active_count() == before
 
 
 def test_draw_failure_with_blocks_in_flight_leaves_no_thread():
-    cfg = make_config()
     before = threading.active_count()
-    calls = []
+    worker_in, failed = threading.Event(), threading.Event()
+    callers, calls = [], []
 
-    def draw(rng, shape):
-        calls.append(shape)
-        if len(calls) == 4:
-            raise FinishFailed("draw failed")
-        return uniform_phase_fading.draw(rng, shape)
+    def law(rng, shape):
+        thread = threading.current_thread()
+        calls.append(thread)
+        if thread is callers[0]:
+            assert worker_in.wait(10.0)
+            failed.set()
+            raise DrawFailed("caller draw failed")
+        # the worker's block is in flight when the caller fails
+        worker_in.set()
+        assert failed.wait(10.0)
+        return uniform_phase_fading(rng, shape)
 
-    law = FadingLaw(draw, uniform_phase_fading.finish)
-    error, _ = _run_with_watchdog(
-        lambda: zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law))
-    assert isinstance(error, FinishFailed)
-    assert len(calls) == 4
+    def call():
+        callers.append(threading.current_thread())
+        _gain_call(law)
+
+    error, caller = _run_with_watchdog(call)
+    assert isinstance(error, DrawFailed)
+    # the worker finished the block it held and started no other
+    assert sorted(thread is caller for thread in calls) == [False, True]
     assert threading.active_count() == before
 
 
-def test_one_worker_thread_finishes_every_handed_block():
-    # A thread per block can start while the one before is still exiting and
-    # open a fresh allocator arena, which raises the peak memory at random.
-    cfg = make_config()
-    finished_on = []
+def test_one_worker_thread_finishes_every_handed_block(monkeypatch):
+    # each call opens one single-worker executor, and the caller and that
+    # worker draw every block exactly once between them
+    executors = []
 
-    def finish(raw):
-        finished_on.append(threading.current_thread())
-        return uniform_phase_fading.finish(raw)
+    class Counted(channel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            executors.append(max_workers)
+            super().__init__(max_workers)
 
-    law = FadingLaw(uniform_phase_fading.draw, finish)
-    zone_gain_statistics(cfg, RisType.HYBRID, True, 1000, fading=law)
-    assert len(finished_on) == len(channel._row_bounds(1000, channel._STAT_CHUNK)) - 1
-    assert len(set(finished_on) - {threading.current_thread()}) == 1
+    monkeypatch.setattr(channel, "ThreadPoolExecutor", Counted)
+    before = threading.active_count()
+    for call in range(3):
+        worker_in = threading.Event()
+        shapes, threads = [], set()
+
+        def law(rng, shape):
+            thread = threading.current_thread()
+            threads.add(thread)
+            if thread is threading.main_thread():
+                assert worker_in.wait(10.0)
+            else:
+                worker_in.set()
+            shapes.append(shape)
+            return uniform_phase_fading(rng, shape)
+
+        _gain_call(law)
+        assert executors == [1] * (call + 1)
+        assert len(threads - {threading.main_thread()}) == 1
+        assert sorted(shapes) == sorted([(32, 2500)] * 31 + [(8, 2500)])
+        assert threading.active_count() == before
+
+
+def test_two_threads_run_every_index_exactly_once():
+    # three callers at once (six threads on fewer cores) with a short switch
+    # interval: an index run twice or skipped would show in its count
+    counts = [[0] * 3000 for _ in range(3)]
+
+    def call(row):
+        def task(index):
+            row[index] += 1
+        channel._on_two_threads(task, len(row))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(row,)) for row in counts]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert counts == [[1] * 3000 for _ in range(3)]
 
 
 @pytest.mark.parametrize("name", sorted(FADING_LAWS))
-def test_route_follows_the_law_type_and_the_block_size(monkeypatch, name):
-    routed = []
-    pipeline = channel._pipeline
+def test_gain_statistics_do_not_depend_on_thread_timing(monkeypatch, name):
+    # compared by repr, which is exact for floats and equal for NaN (the
+    # sign law's imaginary kurtosis on a zero phase grid)
+    expected = repr(_gain_call(name))
 
-    def spy(*args):
-        routed.append(args)
-        pipeline(*args)
+    def serial(task, count):
+        for index in range(count):
+            task(index)
 
-    monkeypatch.setattr(channel, "_pipeline", spy)
-    cfg = make_config()
+    with monkeypatch.context() as patch:
+        patch.setattr(channel, "_on_two_threads", serial)
+        assert repr(_gain_call(name)) == expected
 
-    def gain_calls(law):
-        for seed in range(10):
-            zone_gain_statistics(cfg, RisType.HYBRID, True, 1024, law, seed)
+    class Late(channel.ThreadPoolExecutor):
+        def submit(self, fn):
+            def late():
+                time.sleep(0.05)  # the caller takes the first blocks
+                fn()
+            return super().submit(late)
 
-    # 32-row blocks of 80000 values: a FadingLaw takes the worker every
-    # time; the gaussian law, a plain callable, never does
-    gain_calls(name)
-    routes = 10 if name == "uniform_phase" else 0
-    assert len(routed) == routes
-    # a plain callable never does
-    gain_calls(lambda rng, shape: FADING_LAWS[name](rng, shape))
-    assert len(routed) == routes
-    # the reference sampler's two-user blocks hold 60000 values: inline
+    monkeypatch.setattr(channel, "ThreadPoolExecutor", Late)
+    assert repr(_gain_call(name)) == expected
+
+
+def test_sampler_draws_stay_on_the_calling_thread():
     reference = load_scenario(REFERENCE_SCENARIO)
-    draw = prepare_sampler(reference, RisType.HYBRID, link_budget(reference), name)
-    for seed in range(10):
-        draw((seed,))
-    assert len(routed) == routes
+    threads = set()
+
+    def law(rng, shape):
+        threads.add(threading.current_thread())
+        return gaussian_fading(rng, shape)
+
+    draw = prepare_sampler(reference, RisType.HYBRID, link_budget(reference), law)
+    before = threading.active_count()
+    draw((3,))
+    assert threads == {threading.current_thread()}
+    assert threading.active_count() == before
 
 
 def test_plain_callable_law_matches_an_inline_reference():
-    cfg = make_config()
-    mn = cfg.panel.element_count
-    trials = 1000
-    callers = set()
-
+    # block b of the zone draws law(rng_for_seed(zone key + (b,)), shape) and
+    # sums it over the panel, whichever thread runs it
     def law(rng, shape):
-        callers.add(threading.current_thread())
         return uniform_phase_fading(rng, shape)
 
-    stats = zone_gain_statistics(cfg, RisType.HYBRID, True, trials, fading=law, seed=8)
-    # a plain callable runs whole on the calling thread
-    assert callers == {threading.current_thread()}
-
-    # one whole-panel draw from the zone's stream and one product, no threads
-    g = uniform_phase_fading(rng_for_seed((8, 0)), (trials, mn))
-    coeff = element_coefficients(cfg.panel, RisType.HYBRID, True)
-    samples = (g @ coeff) * (1.0 / math.sqrt(mn))
-    mean = complex(samples.mean())
-    centered = samples - mean
-    sq = np.abs(centered) ** 2
-
-    def kurtosis(x):
-        m2 = float(np.mean(x * x))
-        return float(np.mean(x ** 4)) / (m2 * m2) - 3.0
-
-    assert stats.mean == mean
-    assert stats.variance == float(sq.mean())
-    assert stats.variance_stderr == float(sq.std(ddof=1) / math.sqrt(trials))
-    assert stats.kurtosis_real == kurtosis(centered.real)
-    assert stats.kurtosis_imag == kurtosis(centered.imag)
+    cfg = make_config()
+    stats = _gain_call(law)
+    assert stats == replay_gain_statistics(cfg, RisType.HYBRID, True, 1000, law,
+                                           8, channel._STAT_CHUNK)
+    assert stats == _gain_call("uniform_phase")

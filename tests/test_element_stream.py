@@ -4,8 +4,8 @@ tests/data/element_stream.json holds, for every fading law and surface type,
 the sha256 of the bytes of one prepare_sampler draw and the float.hex of
 every zone_gain_statistics moment of both zones, for two panels: an odd 3x3
 panel with a non-trivial phase grid, and the 50x50 reference panel. The
-trial counts are multiples of no draw-block size, so a change to how the
-draw is cut into blocks shows up here. The file was recorded by dumping
+trial counts are multiples of no block size, so the short last block of a
+zone is recorded too. The file was recorded by dumping
 `element_stream()` as JSON (sorted keys, indent 1); any change to a bit of
 these outputs is a change of the stream contract and has to be made on
 purpose.
@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, make_config
+from conftest import REPO_ROOT, make_config, replay_gain_statistics
 from ris_select import (
     FADING_LAWS,
     RisType,
@@ -77,12 +77,34 @@ def test_element_outputs_match_golden_file():
 
 
 @pytest.mark.parametrize("block_rows", [37, 512])
-def test_element_outputs_ignore_the_block_size(monkeypatch, block_rows):
+def test_gain_statistics_follow_the_block_cut(monkeypatch, block_rows):
+    # each block has its own key, so the cut is part of the stream: another
+    # block size gives other moments, each the serial replay of its blocks,
+    # while the sampler digests do not move
     monkeypatch.setattr(channel, "_STAT_CHUNK", block_rows)
-    assert element_stream(("odd_3x3",)) == _golden(("odd_3x3",))
+    cfg, trials = PANELS["odd_3x3"]
+    record, golden = element_stream(("odd_3x3",)), _golden(("odd_3x3",))
+    for law in sorted(FADING_LAWS):
+        for ris_type in RisType:
+            key = f"odd_3x3/{law}/{ris_type.value}"
+            assert record[key]["sampler_sha256"] == golden[key]["sampler_sha256"]
+            for zone, reflection in (("reflect", True), ("transmit", False)):
+                if ris_type.amplitude(reflection) == 0.0:
+                    continue
+                replayed = replay_gain_statistics(cfg, ris_type, reflection, trials,
+                                                  FADING_LAWS[law], STATS_SEED,
+                                                  block_rows)
+                assert record[key][zone] == _moments(replayed)
+                assert record[key][zone] != golden[key][zone]
 
 
-def test_element_outputs_ignore_the_pipeline(monkeypatch):
-    # the 3x3 draws go through the worker pipeline, one user row per block
+def test_element_outputs_ignore_the_threads(monkeypatch):
+    # the statistics blocks run on one thread in reverse order, and the 3x3
+    # sampler draws one user row per block
+    def backwards(task, count):
+        for index in reversed(range(count)):
+            task(index)
+
+    monkeypatch.setattr(channel, "_on_two_threads", backwards)
     monkeypatch.setattr(channel, "_BLOCK_VALUES", 0)
     assert element_stream(("odd_3x3",)) == _golden(("odd_3x3",))
