@@ -299,7 +299,7 @@ def test_fading_laws_are_unit_variance():
         assert np.mean(np.abs(batch) ** 2) == pytest.approx(1.0, abs=0.03), name
 
 
-# --- the uniform_phase finish: table-driven unit phasors -----------------------
+# --- the uniform_phase kernel: table-driven unit phasors -----------------------
 
 def _assert_close_to_exp(u):
     """The kernel's phasors of u against exp(2 pi i u) in extended precision."""
