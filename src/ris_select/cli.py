@@ -2,14 +2,16 @@
 
 Every deployment goes through one evaluator, `_evaluate_cells`, which takes
 all cells of a sweep at once; a single evaluation is a one-cell sweep. Link
-budgets, closed forms, decisions and diagnostics are per cell. The averaged
-SNR of every (cell, type, user) is one block, and the bounds, the regime's
-minimum served SNR and the Monte Carlo estimates are one array pass each
-over it. These equal the per-vector functions' results bit for bit: numpy
-rounds each elementwise operation alike whatever the array's shape, and
-sums a row of a block along its contiguous last axis exactly as it sums the
-row alone. `run_evaluate` serializes the cell to evaluate.json, and
-`run_sweep` the cells to CSV rows.
+budgets, closed forms and diagnostics are per cell, and the decisions are
+one `selection.decide_types` call. The averaged SNR of every (cell, type,
+user) is one block, and the bounds, the regime's minimum served SNR and the
+Monte Carlo estimates are one array pass each over it. These equal the
+per-vector functions' results bit for bit: numpy rounds each elementwise
+operation alike whatever the array's shape, and sums a row of a block along
+its contiguous last axis exactly as it sums the row alone. `run_evaluate`
+serializes the cell to evaluate.json, and `run_sweep` the cells to CSV rows.
+A preset is a list of sweeps, each run under (axis, value) settings that
+`apply_axis_value` applies like sweep values.
 
 Exit codes: 0 success, 1 ingestion/validation failure (including a link
 budget that over- or underflows a float), 2 regime or geometry diagnostic
@@ -67,10 +69,7 @@ from .selection import (
     RegimeViolationError,
     SelectionDecision,
     asymptotic_checks,
-    crossing_key,
-    decide_type,
-    find_thresholds,
-    scan_differences,
+    decide_types,
 )
 
 SEED_ENV_VAR = "RIS_SELECT_SEED"
@@ -122,10 +121,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepVariant:
-    """A named sweep plus the scenario overrides it runs under."""
+    """A named sweep plus the (axis, value) settings of the scenario it runs
+    under, each applied with apply_axis_value before the sweep."""
 
     name: str
-    overrides: dict
+    settings: tuple
     spec: SweepSpec
 
 
@@ -167,38 +167,22 @@ def parse_sweep_spec(text: str, trials: int | None = None,
 
 # --- scenario rewrites -----------------------------------------------------------
 
-def _with_panel_size(cfg: ScenarioConfig, rows: int, cols: int) -> ScenarioConfig:
-    panel = cfg.panel
-    phases = {}
-    for name in ("phase_reflect", "phase_transmit"):
-        levels = np.unique(getattr(panel, name))
-        if levels.size > 1:
-            raise ConfigError("cannot resize a panel with a non-constant "
-                              f"{name} grid")
-        phases[name] = levels[0]
-    return replace(cfg, panel=replace(panel, rows=rows, cols=cols, **phases))
-
-
-def apply_overrides(cfg: ScenarioConfig, overrides: dict) -> ScenarioConfig:
-    """Apply preset/sweep overrides; panel resizes keep constant phase grids."""
-    overrides = dict(overrides)
-    rows = overrides.pop("ris_rows", None)
-    cols = overrides.pop("ris_cols", None)
-    if rows is not None or cols is not None:
-        cfg = _with_panel_size(cfg, rows or cfg.panel.rows, cols or cfg.panel.cols)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
-
-
 def apply_axis_value(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+    """`cfg` with one sweep axis at `value`; a resized panel keeps its
+    constant phase grids."""
     if axis == "transmit_power_dbm":
         return replace(cfg, transmit_power=dbm_to_watts(value))
     if axis == "users_transmission":
         return replace(cfg, users_transmission=int(value))
     if axis == "ris_rows_cols":
-        side = int(value)
-        return _with_panel_size(cfg, side, side)
+        side, panel, phases = int(value), cfg.panel, {}
+        for name in ("phase_reflect", "phase_transmit"):
+            levels = np.unique(getattr(panel, name))
+            if levels.size > 1:
+                raise ConfigError("cannot resize a panel with a non-constant "
+                                  f"{name} grid")
+            phases[name] = levels[0]
+        return replace(cfg, panel=replace(panel, rows=side, cols=side, **phases))
     if axis == "distances":
         return replace(cfg, bs_ris_distance=float(value), ris_ue_distance=float(value))
     raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -214,9 +198,8 @@ def preset_variants(name: str, trials: int, base_seed: int) -> list[SweepVariant
             base_seed=base_seed,
             outputs=("closed_form", "upper_bound", "monte_carlo", "decision"),
         )
-        overrides = {"users_transmission": 7, "ris_rows": 50, "ris_cols": 50,
-                     "bs_ris_distance": 50.0, "ris_ue_distance": 50.0}
-        return [SweepVariant("fig2a", overrides, spec)]
+        settings = (("users_transmission", 7), ("ris_rows_cols", 50), ("distances", 50))
+        return [SweepVariant("fig2a", settings, spec)]
 
     split_spec = SweepSpec(
         axis="users_transmission",
@@ -227,17 +210,13 @@ def preset_variants(name: str, trials: int, base_seed: int) -> list[SweepVariant
     )
     if name == "fig2b":
         return [
-            SweepVariant(f"fig2b_d{d}",
-                         {"ris_rows": 100, "ris_cols": 100,
-                          "bs_ris_distance": float(d), "ris_ue_distance": float(d)},
+            SweepVariant(f"fig2b_d{d}", (("ris_rows_cols", 100), ("distances", d)),
                          split_spec)
             for d in (50, 100, 200)
         ]
     if name == "fig2c":
         return [
-            SweepVariant(f"fig2c_mn{side}",
-                         {"ris_rows": side, "ris_cols": side,
-                          "bs_ris_distance": 100.0, "ris_ue_distance": 100.0},
+            SweepVariant(f"fig2c_mn{side}", (("ris_rows_cols", side), ("distances", 100)),
                          split_spec)
             for side in (50, 100, 150)
         ]
@@ -301,25 +280,6 @@ class _Cell:
     diagnostics: AsymptoticDiagnostics | None
 
 
-def _decide(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
-            winner: RisType, scans: dict, searches: dict):
-    """(decision, violation) of one cell whose brute-force verdict is
-    `winner`. `scans` holds the sweep's scan entries and `searches` the
-    crossings found so far, both by the tuple the crossings depend on; a
-    RegimeViolationError is never stored, so each cell raises its own, with
-    its own regime report."""
-    try:
-        thresholds = None
-        if 0 < cfg.users_transmission < cfg.users_total:
-            key = crossing_key(cfg, budget)
-            thresholds = searches.get(key)
-            if thresholds is None:
-                thresholds = searches[key] = find_thresholds(cfg, budget, scans[key])
-        return decide_type(cfg, budget, regime, thresholds, winner), None
-    except RegimeViolationError as exc:
-        return None, exc
-
-
 def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     """Evaluate the cells of one sweep, deriving each number once.
 
@@ -331,9 +291,8 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     `error` is that exception and `cells` holds the cells before it, so a
     caller meets the failures in cell order (too many users or trials to
     allocate fails with no cells). Cell a, type i's one Monte Carlo
-    generator is (seed, a, i). The threshold searches of the interior cells
-    share one scan_differences pass. This is the one place a CapacityReport
-    is built.
+    generator is (seed, a, i). The decisions are one decide_types call over
+    the finite cells. This is the one place a CapacityReport is built.
     """
     staged, error = [], None
     try:
@@ -390,30 +349,23 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     if exact:
         exact_rates = exact_rates.tolist()
     min_snr = min_served_snr(snr[:len(staged), _HYBRID_INDEX]).tolist()
-
-    scans, searches = {}, {}
+    n = len(staged)
+    regimes = [approximation_regime(cfg, m) for cfg, m in zip(cfgs, min_snr)]
+    winners, decisions = [None] * n, [(None, None)] * n
     if "decision" in outputs:
-        keys = list(dict.fromkeys(crossing_key(cfg, budget) for cfg, budget in staged
-                                  if 0 < cfg.users_transmission < cfg.users_total))
-        if keys:
-            signs, brackets = scan_differences(keys)
-            scans = dict(zip(keys, zip(signs, brackets.tolist())))
+        # the closed forms' argmax, ties to the first in R, T, H order, as
+        # brute_force_optimal breaks them
+        winners = [_TYPES[row.index(max(row))] for row in closed[:n]]
+        decisions = decide_types(cfgs[:n], budgets[:n], regimes, winners)
     cells = []
-    for a, (cfg, budget) in enumerate(staged):
+    for a, budget in enumerate(budgets[:n]):
         reports = {ris_type: CapacityReport(
             closed[a][i], bounds[a][i],
             means[a][i] if monte_carlo else None,
             stderrs[a][i] if monte_carlo else None,
             trials if monte_carlo else 0, ris_type,
             exact_rates[a][i] if exact else None) for i, ris_type in enumerate(_TYPES)}
-        regime = approximation_regime(cfg, min_snr[a])
-        decision = violation = winner = None
-        if "decision" in outputs:
-            # the closed forms' argmax, ties to the first in R, T, H order,
-            # as brute_force_optimal breaks them
-            winner = _TYPES[closed[a].index(max(closed[a]))]
-            decision, violation = _decide(cfg, budget, regime, winner, scans, searches)
-        cells.append(_Cell(budget, regime, reports, decision, violation, winner,
+        cells.append(_Cell(budget, regimes[a], reports, *decisions[a], winners[a],
                            diagnostics[a]))
     return cells, error
 
@@ -565,7 +517,9 @@ def run_sweep(scenario_path: Path, variants: list[SweepVariant], out_dir: Path,
 
     for variant in variants:
         try:
-            base_cfg = apply_overrides(cfg, variant.overrides)
+            base_cfg = cfg
+            for axis, value in variant.settings:
+                base_cfg = apply_axis_value(base_cfg, axis, value)
             rows, diagnostics_rows = _sweep_rows(base_cfg, variant.spec, strict)
         except (ConfigError, DegenerateGeometryError, RegimeViolationError) as exc:
             print(f"error [{variant.name}]: {exc}", file=sys.stderr)
@@ -655,7 +609,7 @@ def main(argv=None) -> int:
         except (ConfigError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        variant = SweepVariant(Path(args.sweep).stem, {}, spec)
+        variant = SweepVariant(Path(args.sweep).stem, (), spec)
         return run_sweep(args.scenario, [variant], args.out, args.strict)
 
     if trials < 1:

@@ -9,6 +9,8 @@ work. Outside that regime the table verdict is still produced but marked
 advisory, and the brute-force comparison of the closed forms is the verdict
 to trust. Each crossing is found by an ITP search on the rate closures,
 started from the grid interval where the array scan sees its sign change.
+`decide_types` decides every cell of a sweep with one scan and one search
+per crossing tuple; `decide_type` is that call for one cell.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ ITP_N0 = 1
 # that the signs change between grid points k and k + 1
 NO_CROSSING = -1   # one sign throughout
 NOT_MONOTONE = -2  # a sign change against the difference's direction
-UNSURE = -3        # a NaN sign: find_thresholds asks the closures
+UNSURE = -3        # a NaN sign: the search asks the closures
 FD_STEP = 1e-6
 
 
@@ -210,8 +212,8 @@ def scan_differences(keys) -> tuple:
     (len(keys), 3) int array: for a row without NaN, the grid index k
     whose interval [grid[k], grid[k + 1]] holds the row's one sign change
     in the difference's direction, else NO_CROSSING or NOT_MONOTONE; for a
-    row with NaN, UNSURE, and find_thresholds evaluates those points with
-    the closures.
+    row with NaN, UNSURE, and the search evaluates those points with the
+    closures.
     """
     x = np.array([_scan_grid(key[0]) for key in keys])
     columns = np.array(keys, dtype=float)
@@ -261,43 +263,29 @@ def _fill_from_closures(row, first, second, users_total: int) -> list:
     return values
 
 
-def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget,
-                    scan: np.ndarray | None = None) -> SelectionThresholds:
-    """Locate the pairwise crossings of the three rate curves on [1, S-1].
+def _search(cfg: ScenarioConfig, budget: LinkBudget, signs, brackets):
+    """The crossings of cfg's tuple from its scan_differences entry (with
+    brackets as a list), or the message naming a difference whose sign
+    pattern is not monotone.
 
-    Each difference is sampled at SCAN_POINTS grid points. `scan` is this
-    config's (signs, brackets) entry of scan_differences, with brackets as
-    a list (computed here when not given); a row's bracket says where its
-    sign changes, and a row with NaN signs is evaluated with the rate
-    closures there, so every sampled sign is the closures' own. A sign
-    pattern that is not monotone means the closed-form comparisons cannot
-    be trusted and a RegimeViolationError (carrying the regime report) is
-    raised. Otherwise each crossing is found by an ITP search with the
-    closures (_itp_root) on the grid interval of its sign change, to within
-    ROOT_TOL / 2 in the continuous split, or reported absent when the
-    difference never changes sign. An exact zero of the closures at split
-    1 or S-1 is the crossing.
+    A row's bracket says where its sign changes, and a row with NaN signs is
+    evaluated with the rate closures there, so every sampled sign is the
+    closures' own. Each crossing is found by an ITP search with the closures
+    (_itp_root) on the grid interval of its sign change, to within ROOT_TOL
+    / 2 in the continuous split, or reported absent when the difference
+    never changes sign. An exact zero of the closures at split 1 or S-1 is
+    the crossing.
     """
-    if cfg.users_total < 2:
-        raise ValueError("threshold search needs at least two users")
     curves = _curves(cfg, budget)
-    if scan is None:
-        signs, brackets = scan_differences([crossing_key(cfg, budget)])
-        scan = signs[0], brackets[0].tolist()
-    signs, brackets = scan
     grid = _scan_grid(cfg.users_total)
-
     roots = []
     for (name, i, j, increasing), row, k in zip(_DIFFERENCES, signs, brackets):
         first, second = curves[i], curves[j]
         k, m = (k, k + 1) if k != UNSURE else _closure_bracket(
             _fill_from_closures(row, first, second, cfg.users_total), increasing)
         if k == NOT_MONOTONE:
-            raise RegimeViolationError(
-                f"approximation regime violated: the {name} difference is not "
-                f"monotone over the user split",
-                regime=_regime_report(cfg, budget),
-            )
+            return (f"approximation regime violated: the {name} difference is not "
+                    f"monotone over the user split")
         roots.append(None if k == NO_CROSSING
                      else _itp_root(first, second, float(grid[k]), float(grid[m])))
 
@@ -309,6 +297,20 @@ def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget,
         split_transmit_hybrid=split_th,
         rate_at_equal_split=rate_eq,
     )
+
+
+def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresholds:
+    """Locate the pairwise crossings of the three rate curves on [1, S-1]
+    from a scan of cfg's one tuple. A sign pattern that is not monotone means
+    the closed-form comparisons cannot be trusted: RegimeViolationError,
+    carrying the regime report."""
+    if cfg.users_total < 2:
+        raise ValueError("threshold search needs at least two users")
+    signs, brackets = scan_differences([crossing_key(cfg, budget)])
+    found = _search(cfg, budget, signs[0], brackets[0].tolist())
+    if isinstance(found, str):
+        raise RegimeViolationError(found, regime=_regime_report(cfg, budget))
+    return found
 
 
 # --- the decision -----------------------------------------------------------------
@@ -364,99 +366,113 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None,
-                regime: RegimeReport | None = None,
-                thresholds: SelectionThresholds | None = None,
-                brute: RisType | None = None) -> SelectionDecision:
-    """Pick the best surface type for a deployment.
+# Where a hybrid verdict sits, by whether the hybrid curve beats the
+# reflective one at split 1 and the transmissive one at split S-1
+_HYBRID_POSITIONS = {
+    (True, True): "every split",
+    (True, False): "below transmit/hybrid split",
+    (False, True): "above reflect/hybrid split",
+    (False, False): "between the hybrid splits",
+}
 
-    Boundary splits (no users on one side) go straight to the single-zone
-    type. Otherwise the condition table is evaluated from the crossing
-    thresholds and compared against the brute-force argmax. A failing regime
-    report (or a missing reflect/transmit crossing) marks the table verdict
-    advisory; monotonicity violations raise RegimeViolationError from the
-    threshold search. Pass `regime` when the caller already holds the
-    report for this config; otherwise it is built from the hybrid split.
 
-    The crossings depend only on (users_total, radiation_reflect,
-    radiation_transmit, link_constant), none of which moves along a
-    user-split sweep. Pass `thresholds` when the caller already holds
-    find_thresholds' result for that tuple; otherwise the search runs here
-    (boundary splits need none). Pass `brute` when the caller already holds
-    brute_force_optimal's winner.
-    """
-    if budget is None:
-        budget = link_budget(cfg)
-    if regime is None:
-        regime = _regime_report(cfg, budget)
-    if brute is None:
-        brute, _ = brute_force_optimal(cfg, budget)
-    s = cfg.users_total
-    s_t = cfg.users_transmission
-
-    if s_t == 0 or s_t == s:
-        empty = SelectionThresholds(None, None, None, None)
+def _decision(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
+              brute: RisType, thresholds: SelectionThresholds | None) -> SelectionDecision:
+    """The condition table's verdict for one cell from its crossings (None
+    at a boundary split), set against the brute-force verdict `brute`."""
+    s, s_t = cfg.users_total, cfg.users_transmission
+    if thresholds is None:
+        thresholds = SelectionThresholds(None, None, None, None)
         verdict = RisType.REFLECTIVE if s_t == 0 else RisType.TRANSMISSIVE
         side = "transmission" if s_t == 0 else "reflection"
         row = TableRow(0, 0, 0, position=f"boundary: empty {side} zone",
                        advisory=False, note="single-zone split decided directly")
-        return SelectionDecision(optimal=verdict, table_row=row, thresholds=empty,
-                                 regime=regime, brute_force_optimal=brute,
-                                 agrees=verdict is brute)
-
-    if thresholds is None:
-        thresholds = find_thresholds(cfg, budget)
-    c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
-    advisory = not regime.ok
-    note = "" if regime.ok else "regime report failed; trust the brute-force verdict"
-
-    split_rt = thresholds.split_reflect_transmit
-    if split_rt is None:
+    elif thresholds.split_reflect_transmit is None:
         # The two single-zone curves never meet, so the table's case split
         # does not apply; fall back to the direct comparison.
+        verdict = brute
         row = TableRow(0, 0, 0, position="not applicable", advisory=True,
                        note="reflective and transmissive curves do not cross")
-        return SelectionDecision(optimal=brute, table_row=row, thresholds=thresholds,
-                                 regime=regime, brute_force_optimal=brute, agrees=True)
-
-    hyb_at_cross = c_hybrid(split_rt) - thresholds.rate_at_equal_split
-    hyb_low = c_hybrid(1.0) - c_reflect(1.0)
-    hyb_high = c_hybrid(float(s - 1)) - c_transmit(float(s - 1))
-    signs = (_sign(hyb_at_cross), _sign(hyb_low), _sign(hyb_high))
-
-    if hyb_at_cross <= 0.0:
-        if s_t > split_rt:
-            verdict, position = RisType.TRANSMISSIVE, "above reflect/transmit split"
-        else:
-            verdict, position = RisType.REFLECTIVE, "at or below reflect/transmit split"
-    elif hyb_low > 0.0 and hyb_high > 0.0:
-        verdict, position = RisType.HYBRID, "every split"
-    elif hyb_low > 0.0:
-        split_th = thresholds.split_transmit_hybrid
-        if split_th is not None and s_t >= split_th:
-            verdict, position = RisType.TRANSMISSIVE, "at or above transmit/hybrid split"
-        else:
-            verdict, position = RisType.HYBRID, "below transmit/hybrid split"
-    elif hyb_high > 0.0:
-        split_rh = thresholds.split_reflect_hybrid
-        if split_rh is not None and s_t <= split_rh:
-            verdict, position = RisType.REFLECTIVE, "at or below reflect/hybrid split"
-        else:
-            verdict, position = RisType.HYBRID, "above reflect/hybrid split"
     else:
+        split_rt = thresholds.split_reflect_transmit
         split_rh = thresholds.split_reflect_hybrid
         split_th = thresholds.split_transmit_hybrid
-        if split_rh is not None and s_t <= split_rh:
+        c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
+        hyb_at_cross = c_hybrid(split_rt) - thresholds.rate_at_equal_split
+        hyb_low = c_hybrid(1.0) - c_reflect(1.0)
+        hyb_high = c_hybrid(float(s - 1)) - c_transmit(float(s - 1))
+        # with no hybrid gain where R and T meet, their split decides; else
+        # R, then T, else H (`not x > 0` sends a NaN edge gap to the split test)
+        if hyb_at_cross <= 0.0:
+            verdict, position = (
+                (RisType.TRANSMISSIVE, "above reflect/transmit split") if s_t > split_rt
+                else (RisType.REFLECTIVE, "at or below reflect/transmit split"))
+        elif not hyb_low > 0.0 and split_rh is not None and s_t <= split_rh:
             verdict, position = RisType.REFLECTIVE, "at or below reflect/hybrid split"
-        elif split_th is not None and s_t >= split_th:
+        elif not hyb_high > 0.0 and split_th is not None and s_t >= split_th:
             verdict, position = RisType.TRANSMISSIVE, "at or above transmit/hybrid split"
         else:
-            verdict, position = RisType.HYBRID, "between the hybrid splits"
-
-    row = TableRow(*signs, position=position, advisory=advisory, note=note)
+            verdict = RisType.HYBRID
+            position = _HYBRID_POSITIONS[hyb_low > 0.0, hyb_high > 0.0]
+        note = "" if regime.ok else "regime report failed; trust the brute-force verdict"
+        row = TableRow(_sign(hyb_at_cross), _sign(hyb_low), _sign(hyb_high),
+                       position=position, advisory=not regime.ok, note=note)
     return SelectionDecision(optimal=verdict, table_row=row, thresholds=thresholds,
                              regime=regime, brute_force_optimal=brute,
                              agrees=verdict is brute)
+
+
+def decide_types(cfgs, budgets, regimes, winners) -> list:
+    """Pick the best surface type for each cell of a sweep.
+
+    `regimes` holds each cell's regime report and `winners` its brute-force
+    verdict (brute_force_optimal's winner). Returns one (decision,
+    violation) per cell: a SelectionDecision and None, or None and the
+    RegimeViolationError of a condition table that broke down.
+
+    Boundary splits (no users on one side) go straight to the single-zone
+    type. The crossings depend only on crossing_key's tuple, so the distinct
+    tuples of the interior cells are scanned in one scan_differences pass
+    and each is searched once. When a tuple's sign pattern is not monotone,
+    each of its cells gets its own RegimeViolationError, carrying its own
+    regime report. Otherwise the condition table is evaluated from the
+    crossings; a failing regime report (or a missing reflect/transmit
+    crossing) marks the table verdict advisory.
+    """
+    keys = [crossing_key(cfg, budget) if 0 < cfg.users_transmission < cfg.users_total
+            else None for cfg, budget in zip(cfgs, budgets)]
+    firsts = {}  # each distinct tuple's first cell
+    for a, key in enumerate(keys):
+        if key is not None:
+            firsts.setdefault(key, a)
+    found = {}
+    if firsts:
+        signs, brackets = scan_differences(list(firsts))
+        for (key, a), row, bracket in zip(firsts.items(), signs, brackets.tolist()):
+            found[key] = _search(cfgs[a], budgets[a], row, bracket)
+    results = []
+    for cfg, budget, regime, winner, key in zip(cfgs, budgets, regimes, winners, keys):
+        thresholds = found.get(key)
+        if isinstance(thresholds, str):
+            results.append((None, RegimeViolationError(thresholds, regime)))
+        else:
+            results.append((_decision(cfg, budget, regime, winner, thresholds), None))
+    return results
+
+
+def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None) -> SelectionDecision:
+    """Pick the best surface type for one deployment: decide_types for a
+    one-cell sweep, with the regime report of the hybrid split and the
+    brute-force winner. A broken condition table raises its
+    RegimeViolationError."""
+    if budget is None:
+        budget = link_budget(cfg)
+    regime = _regime_report(cfg, budget)
+    winner, _ = brute_force_optimal(cfg, budget)
+    ((decision, violation),) = decide_types([cfg], [budget], [regime], [winner])
+    if violation is not None:
+        raise violation
+    return decision
 
 
 # --- monotonicity certificate -------------------------------------------------------

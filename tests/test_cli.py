@@ -254,7 +254,20 @@ def test_unknown_preset_axis_and_resize_are_refused(tmp_path, capsys):
         cli.apply_axis_value(cfg, "bogus", 1.0)
     graded = make_config(rows=3, cols=3, phase_transmit=np.arange(9.0).reshape(3, 3))
     with pytest.raises(ConfigError, match="non-constant phase_transmit grid"):
-        cli.apply_overrides(graded, {"ris_rows": 4})
+        cli.apply_axis_value(graded, "ris_rows_cols", 4)
+
+
+def test_every_preset_setting_names_a_sweep_axis():
+    # a preset is a list of sweeps, each run under (axis, value) settings
+    # that apply_axis_value applies like sweep values
+    (preset,) = [a for a in cli.build_parser()._actions if a.dest == "preset"]
+    cfg = load_scenario(REFERENCE_SCENARIO)
+    for name in preset.choices:
+        for variant in cli.preset_variants(name, 10, 0):
+            assert variant.settings
+            for axis, value in variant.settings:
+                assert axis in cli.SWEEP_AXES, (variant.name, axis)
+                cfg = cli.apply_axis_value(cfg, axis, value)
 
 
 def test_preset_fig2b_closed_form_dataset(tmp_path):
@@ -388,10 +401,11 @@ def test_evaluate_survives_threshold_breakdown(tmp_path, monkeypatch, capsys):
     import ris_select.cli as cli
     from ris_select import RegimeViolationError
 
-    def broken(cfg, budget=None, regime=None, thresholds=None, brute=None):
-        raise RegimeViolationError("approximation regime violated: stub", regime)
+    def broken(cfgs, budgets, regimes, winners):
+        return [(None, RegimeViolationError("approximation regime violated: stub",
+                                            regime)) for regime in regimes]
 
-    monkeypatch.setattr(cli, "decide_type", broken)
+    monkeypatch.setattr(cli, "decide_types", broken)
     rc = main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path),
                "--trials", "2"])
     assert rc == 0
@@ -410,10 +424,11 @@ def test_sweep_survives_threshold_breakdown(tmp_path, monkeypatch):
     import ris_select.cli as cli
     from ris_select import RegimeViolationError
 
-    def broken(cfg, budget=None, regime=None, thresholds=None, brute=None):
-        raise RegimeViolationError("approximation regime violated: stub", regime)
+    def broken(cfgs, budgets, regimes, winners):
+        return [(None, RegimeViolationError("approximation regime violated: stub",
+                                            regime)) for regime in regimes]
 
-    monkeypatch.setattr(cli, "decide_type", broken)
+    monkeypatch.setattr(cli, "decide_types", broken)
     spec = tmp_path / "sweep.cfg"
     spec.write_text(SMALL_SWEEP)
     out = tmp_path / "fallback"
@@ -593,7 +608,9 @@ def test_fig2a_monte_carlo_at_scale_matches_the_exact_rate(tmp_path):
     rows = _rows(tmp_path / "fig2a.csv")
     assert len(rows) == 48
     (variant,) = cli.preset_variants("fig2a", trials, 7)
-    base = cli.apply_overrides(load_scenario(REFERENCE_SCENARIO), variant.overrides)
+    base = load_scenario(REFERENCE_SCENARIO)
+    for axis, value in variant.settings:
+        base = cli.apply_axis_value(base, axis, value)
     for row in rows:
         cell = cli.apply_axis_value(base, variant.spec.axis, float(row[0]))
         ris_type = next(t for t in RisType if t.letter == row[1])

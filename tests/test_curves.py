@@ -27,7 +27,7 @@ from ris_select import (
     type_curves,
 )
 from ris_select.capacity import LN2, hybrid_share
-from ris_select.cli import apply_axis_value, apply_overrides, preset_variants
+from ris_select.cli import apply_axis_value, preset_variants
 
 GOLDEN = REPO_ROOT / "tests" / "data" / "curves.json"
 RANDOM_DEPLOYMENTS = 200
@@ -39,7 +39,9 @@ def _deployments() -> dict:
     cells = {f"random/{i:03d}": random_config(rng)
              for i in range(RANDOM_DEPLOYMENTS)}
     (variant,) = preset_variants("fig2a", trials=1, base_seed=0)
-    base = apply_overrides(load_scenario(REFERENCE_SCENARIO), variant.overrides)
+    base = load_scenario(REFERENCE_SCENARIO)
+    for axis, value in variant.settings:
+        base = apply_axis_value(base, axis, value)
     for value in variant.spec.values:
         cells[f"fig2a/{value:g}"] = apply_axis_value(base, variant.spec.axis, value)
     return cells

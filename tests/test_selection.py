@@ -199,6 +199,11 @@ def test_non_monotone_difference_raises_with_regime(monkeypatch):
                        match="approximation regime violated") as excinfo:
         find_thresholds(cfg, budget)
     assert excinfo.value.regime.isotropic  # the report rides along
+    # decide_type raises the same violation, with the same report
+    with pytest.raises(selection.RegimeViolationError) as decided:
+        decide_type(cfg, budget)
+    assert str(decided.value) == str(excinfo.value)
+    assert decided.value.regime == excinfo.value.regime
 
 
 # --- the decision table -----------------------------------------------------------

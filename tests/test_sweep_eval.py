@@ -29,7 +29,7 @@ from ris_select import (
     monte_carlo_capacity,
     upper_bound,
 )
-from ris_select import cli
+from ris_select import cli, selection
 
 GOLDEN = Path(__file__).parent / "data"
 SPLIT_DEPLOYMENTS = 20
@@ -172,20 +172,20 @@ def test_sweep_reports_equal_the_scalar_functions():
 
 
 def _spy(monkeypatch, name, calls):
-    """Record each call of cli.<name> in `calls`, by name."""
-    real = getattr(cli, name)
+    """Record each call of selection.<name> in `calls`, by name."""
+    real = getattr(selection, name)
 
     def spy(*args):
         calls.append((name, args))
         return real(*args)
 
-    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(selection, name, spy)
 
 
 @pytest.mark.filterwarnings("ignore:no served UEs")
 def test_a_sweep_scans_each_crossing_tuple_once(monkeypatch):
     calls = []
-    for name in ("scan_differences", "find_thresholds"):
+    for name in ("scan_differences", "_search"):
         _spy(monkeypatch, name, calls)
     # a power sweep moves the link constant: one tuple per interior cell,
     # all scanned in one pass and searched once each
@@ -193,18 +193,48 @@ def test_a_sweep_scans_each_crossing_tuple_once(monkeypatch):
     powers = [cli.apply_axis_value(cfg, "transmit_power_dbm", p)
               for p in range(20, 51, 2)]
     cells = _evaluate(powers + powers[:3], ("decision",), 1, 0)
-    assert [name for name, _ in calls] == ["scan_differences"] + ["find_thresholds"] * 16
+    assert [name for name, _ in calls] == ["scan_differences"] + ["_search"] * 16
     assert len(calls[0][1][0]) == 16
-    for cell, (_, (cell_cfg, budget, _row)) in zip(cells, calls[1:]):
+    for cell, (_, (cell_cfg, budget, _signs, _brackets)) in zip(cells, calls[1:]):
         assert cell.decision == decide_type(cell_cfg, budget)
     # a split sweep keeps it: one tuple, searched once; boundary splits none
     calls.clear()
     _evaluate([replace(cfg, users_transmission=x) for x in range(11)], ("decision",),
               1, 0)
-    assert [name for name, _ in calls] == ["scan_differences", "find_thresholds"]
+    assert [name for name, _ in calls] == ["scan_differences", "_search"]
     calls.clear()
     _evaluate([replace(cfg, users_transmission=x) for x in (0, 10)], ("decision",), 1, 0)
     assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:no served UEs")
+def test_a_violating_tuple_is_searched_once_per_sweep(monkeypatch):
+    # two violating tuples (two powers) over every split: one scan, one
+    # search per tuple, and still one violation object per interior cell,
+    # carrying the regime report decide_types was given for that cell
+    wiggle_hybrid_curve(monkeypatch)
+    calls = []
+    for name in ("scan_differences", "_search"):
+        _spy(monkeypatch, name, calls)
+    cfgs = [cli.apply_axis_value(make_config(users_transmission=x),
+                                 "transmit_power_dbm", p)
+            for p in (30.0, 40.0) for x in range(11)]
+    budgets = [link_budget(cfg) for cfg in cfgs]
+    regimes = [regime_report(cfg) for cfg in cfgs]
+    winners = [brute_force_optimal(cfg, budget)[0] for cfg, budget in zip(cfgs, budgets)]
+    results = selection.decide_types(cfgs, budgets, regimes, winners)
+    assert [name for name, _ in calls] == ["scan_differences", "_search", "_search"]
+    assert len(results) == 22
+    violations = []
+    for cfg, regime, (decision, violation) in zip(cfgs, regimes, results):
+        if cfg.users_transmission in (0, 10):
+            assert violation is None and decision.regime is regime
+            continue
+        assert decision is None and isinstance(violation, RegimeViolationError)
+        assert violation.regime is regime
+        violations.append(violation)
+    assert len({id(v) for v in violations}) == len(violations) == 18
+    assert len({str(v) for v in violations}) == 1
 
 
 @pytest.mark.filterwarnings("ignore:no served UEs")

@@ -4,8 +4,8 @@
 one array pass: every curve evaluated by its closure at each grid point,
 and each root searched on the grid interval where the closures' signs
 change. The array scan must give the same crossings and the same violation
-verdicts, bit for bit, in its one-call form and with entries from one
-`scan_differences` call over many tuples.
+verdicts, bit for bit, in its one-call form (`find_thresholds`) and in one
+`decide_types` call over many tuples.
 """
 
 import math
@@ -18,6 +18,7 @@ from conftest import make_config, near_isotropic_config, random_config
 from ris_select import (
     RegimeViolationError,
     RisType,
+    brute_force_optimal,
     find_thresholds,
     link_budget,
     type_curves,
@@ -34,6 +35,7 @@ from ris_select.selection import (
     _regime_report,
     _sign_pattern_monotone,
     crossing_key,
+    decide_types,
     scan_differences,
 )
 from test_curves import _deployments
@@ -83,28 +85,44 @@ def _scalar_find_thresholds(cfg, budget):
     return SelectionThresholds(split_rt, split_rh, split_th, rate_eq)
 
 
+def _hexes(th):
+    """The crossings as float.hex strings."""
+    return tuple(None if v is None else float(v).hex() for v in (
+        th.split_reflect_transmit, th.split_reflect_hybrid,
+        th.split_transmit_hybrid, th.rate_at_equal_split))
+
+
 def _outcome(search, *args):
     """The crossings as float.hex strings, or the violation message."""
     try:
         th = search(*args)
     except RegimeViolationError as exc:
         return ("violation", str(exc))
-    return tuple(None if v is None else float(v).hex() for v in (
-        th.split_reflect_transmit, th.split_reflect_hybrid,
-        th.split_transmit_hybrid, th.rate_at_equal_split))
+    return _hexes(th)
+
+
+def _batched_outcomes(deployments) -> list:
+    """_outcome of each deployment's crossings at split 1, from one
+    decide_types call over all of them."""
+    cfgs = [replace(cfg, users_transmission=1) for cfg, _ in deployments]
+    budgets = [budget for _, budget in deployments]
+    regimes = [_regime_report(cfg, budget) for cfg, budget in zip(cfgs, budgets)]
+    winners = [brute_force_optimal(cfg, budget)[0] for cfg, budget in zip(cfgs, budgets)]
+    return [("violation", str(violation)) if violation is not None
+            else _hexes(decision.thresholds)
+            for decision, violation in decide_types(cfgs, budgets, regimes, winners)]
 
 
 def _assert_scan_matches_oracle(deployments):
     """One-call and batched searches equal the oracle; returns the number of
     scanned values left to the closures and the violations seen."""
-    keys = [crossing_key(cfg, budget) for cfg, budget in deployments]
-    signs, brackets = scan_differences(keys)
+    signs, _ = scan_differences([crossing_key(cfg, budget) for cfg, budget in deployments])
     violations = 0
-    for (cfg, budget), row, bracket in zip(deployments, signs, brackets.tolist()):
+    for (cfg, budget), batched in zip(deployments, _batched_outcomes(deployments)):
         expected = _outcome(_scalar_find_thresholds, cfg, budget)
         assert _outcome(find_thresholds, cfg, budget) == expected, \
             crossing_key(cfg, budget)
-        assert _outcome(find_thresholds, cfg, budget, (row, bracket)) == expected
+        assert batched == expected
         violations += expected[0] == "violation"
     return int(np.isnan(signs[:, :, 1:-1]).sum()), violations
 
