@@ -11,14 +11,17 @@ ints keyed through SeedSequence, so tuple-extended substreams are
 replayable and safe to farm out in parallel.
 
 Fading laws are plain callables law(rng, shape); uniform_phase computes
-exp(2 pi i u) by a table-driven unit-phasor kernel. zone_gain_statistics
-cuts its trials into blocks of _STAT_CHUNK rows, and block b draws from its
-own generator zone_seed + (b,). _on_two_threads runs such keyed tasks on
-the calling thread and one executor worker opened for the call, which take
-the next index from one shared iterator; each task writes only its own
-rows, so a sample's bits depend on the seed and the block cut, never on
-threads or timing. numpy's generator fills release the GIL, so the two
-threads' draws overlap, where one generator's draws stay serial.
+exp(2 pi i u) by a table-driven unit-phasor kernel, in passes of
+_PHASOR_CHUNK values through scratch that each thread allocates once and
+keeps (the executor worker's goes with it when its call ends).
+zone_gain_statistics cuts its trials into blocks of _STAT_CHUNK rows, and
+block b draws from its own generator zone_seed + (b,). _on_two_threads
+runs such keyed tasks on the calling thread and one executor worker opened
+for the call, which take the next index from one shared iterator; each
+task writes only its own rows, so a sample's bits depend on the seed and
+the block cut, never on threads or timing. numpy's generator fills release
+the GIL, so the two threads' draws overlap, where one generator's draws
+stay serial.
 prepare_sampler's draw is one stream, drawn a few user rows at a time in
 stream order on the calling thread; element_monte_carlo runs its keyed
 trials through _on_two_threads.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -140,14 +144,19 @@ def gaussian_fading(rng, shape):
 # turns are exact); the degree 6 and 7 Taylor polynomials of cos and sin
 # leave truncation errors below 1e-19.
 _PHASOR_STEPS = 256
-# Values per pass of the kernel: its five buffers of this many values (320
-# KB) stay in a core's L2 cache. Each of a pass's 16 numpy calls can hand the
-# GIL to the element path's other thread, which is why the real and
-# imaginary parts share calls as the rows of (2, n) arrays (27 calls per
-# pass, one per part, ran about 15% slower with a worker thread running).
-# 16384 values were no faster and raised the peak memory of gain_stats by
-# 2.2 MB, against 0.9 MB at 8192.
-_PHASOR_CHUNK = 8192
+# Values per pass of the kernel. Each of a pass's 16 numpy calls can hand
+# the GIL to the element path's other thread, so a call must last long
+# enough for the hand-off to be cheap: at 8192 values (about 6 us a call)
+# two threads ran uniform_phase no faster than one, at half again the CPU.
+# The real and imaginary parts share calls as the rows of (2, n) arrays for
+# the same reason. Longer passes need the scratch to outlive the call:
+# buffers allocated per call and this large fall above glibc's mmap
+# threshold and fault their pages in again on every call (about 25000
+# faults per 3 zone calls at 16384 values, 12 at 8192), so each thread
+# allocates its scratch once (_phasor_scratch). At 32768 values the scratch
+# is 1 MB, inside a core's 2 MB L2 cache.
+_PHASOR_CHUNK = 32768
+_SCRATCH = threading.local()
 
 
 def _phasor_table() -> np.ndarray:
@@ -168,26 +177,44 @@ _PHASOR_POLY = np.array([
      for odd in (0, 1)] for k in (3, 2, 1, 0)])[:, :, None]
 
 
-def _unit_phasors(u):
+def _phasor_scratch(size: int) -> tuple:
+    """The running thread's two flat kernel buffers of at least 2 size
+    floats: allocated on the thread's first call, again only when a call
+    needs more, and dropped with the thread."""
+    held = getattr(_SCRATCH, "buffers", None)
+    if held is None or held[0].size < 2 * size:
+        held = np.empty(2 * size), np.empty(2 * size)
+        _SCRATCH.buffers = held
+    return held
+
+
+def _unit_phasors(u, out=None):
     """Unit-modulus samples with uniform phase; mean 0, unit variance.
 
     Each sample is exp(2 pi i u) to within about 3e-16. The kernel works in
     flat passes of _PHASOR_CHUNK values, on the real and imaginary parts as
-    the two rows of (2, n) arrays, with real elementwise ufuncs only: a
-    sample's bits do not depend on where it sits in the array, nor on the
-    machine's fused multiply-add (a complex multiply may use one).
+    the two rows of (2, n) arrays held in the running thread's scratch, with
+    real elementwise ufuncs only: a sample's bits do not depend on where it
+    sits in the array, nor on the machine's fused multiply-add (a complex
+    multiply may use one). A pass's table indices wait in the memory of its
+    own output values, which are written last. `out`, a complex array of u's
+    size, may hold u as the upper half of its memory: a pass reads its
+    values before it writes, and writes only below the values still unread.
     """
-    out = np.empty(u.shape, dtype=complex)
+    if out is None:
+        out = np.empty(u.shape, dtype=complex)
     flat = u.reshape(-1)
     parts = out.reshape(-1).view(float).reshape(-1, 2).T  # rows real, imag
-    size = min(_PHASOR_CHUNK, flat.size)
-    rx, poly = np.empty((2, size)), np.empty((2, size))
-    index = np.empty(size, dtype=np.intp)
+    indices = out.reshape(-1).view(np.int64)
+    scratch_rx, scratch_p = _phasor_scratch(min(_PHASOR_CHUNK, flat.size))
     for start in range(0, flat.size, _PHASOR_CHUNK):
         v = flat[start:start + _PHASOR_CHUNK]
         n = v.size
-        r, x, p, k = rx[0, :n], rx[1, :n], poly[:, :n], index[:n]
+        # contiguous (2, n) views, so that np.take writes its rows in place
+        rx, p = scratch_rx[:2 * n].reshape(2, n), scratch_p[:2 * n].reshape(2, n)
+        r, x = rx
         np.multiply(v, _PHASOR_STEPS, out=r)
+        k = indices[2 * start:2 * start + n]
         np.rint(r, out=k, casting="unsafe")
         r -= k
         np.multiply(r, r, out=x)
@@ -197,7 +224,7 @@ def _unit_phasors(u):
             p *= x
         p += _PHASOR_POLY[-1]
         p[1] *= r  # p = (cos, sin)(2 pi r / 256)
-        table = rx[:, :n]  # the reduced argument is spent
+        table = rx  # the reduced argument is spent
         np.take(_PHASOR_TABLE, k, axis=1, out=table, mode="clip")
         o = parts[:, start:start + n]
         np.multiply(table[0], p, out=o)
@@ -217,7 +244,10 @@ def sign_fading(rng, shape):
 
 def uniform_phase_fading(rng, shape):
     """Unit-modulus samples exp(2 pi i u), u uniform on [0, 1)."""
-    return _unit_phasors(rng.random(shape))
+    out = np.empty(shape, dtype=complex)
+    u = out.reshape(-1).view(float)[out.size:]  # drawn into out's upper half
+    rng.random(out=u)
+    return _unit_phasors(u, out)
 
 
 FADING_LAWS = {

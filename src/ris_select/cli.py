@@ -35,6 +35,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -569,7 +570,20 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    """Run the CLI and return its exit code. The warnings that the active
+    filters let through are printed after a successful run, one `warning:
+    <message>` line per distinct message; a failing run prints its one
+    error line alone."""
     args = _parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(args)
+    if code == 0:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
     if args.sweep is not None and args.preset is not None:
         print("error: pass either --sweep or --preset, not both", file=sys.stderr)
         return 1

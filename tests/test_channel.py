@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,19 +332,111 @@ def test_unit_phasors_at_edge_inputs():
     assert not channel._PHASOR_TABLE.flags.writeable
 
 
-@pytest.mark.parametrize("chunk", [7, 1000, 8192])
+@pytest.mark.parametrize("chunk", [7, 1000, 8192, 32768])
 def test_unit_phasors_do_not_depend_on_the_offset(monkeypatch, chunk):
     # a sample's bits are the same wherever it sits in the array and however
-    # the array is cut into passes
-    u = rng_for_seed(22).random(3 * 8192 + 123)
+    # the array is cut into passes; the input spans several full passes at
+    # the module's pass size
+    size = 3 * channel._PHASOR_CHUNK + 123
+    u = rng_for_seed(22).random(size)
     whole = channel._unit_phasors(u.copy())
     monkeypatch.setattr(channel, "_PHASOR_CHUNK", chunk)
-    for start, stop in ((0, u.size), (1, 2500), (3, 8195), (8191, 20000),
-                        (5, 6), (12345, u.size)):
+    for start, stop in ((0, size), (1, 2500), (3, 8195), (8191, 20000), (5, 6),
+                        (12345, size), (32767, 2 * 32768 + 1)):
         part = channel._unit_phasors(u[start:stop].copy())
         assert part.tobytes() == whole[start:stop].tobytes(), (start, stop)
     rows = channel._unit_phasors(u[:24000].reshape(8, 3000).copy())
     assert rows.tobytes() == whole[:24000].tobytes()
+
+
+def _on_a_fresh_thread(call):
+    """call() run on a new thread, which holds no kernel scratch yet."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(call()))
+    thread.start()
+    thread.join()
+    return result[0]
+
+
+def test_unit_phasors_do_not_depend_on_the_scratch(monkeypatch):
+    u = rng_for_seed(23).random(2 * channel._PHASOR_CHUNK + 77)
+    large, small = u, u[:1000]
+
+    def phasors(v):
+        return channel._unit_phasors(v.copy()).tobytes()
+
+    def held():
+        return channel._phasor_scratch(0)[0].size // 2
+
+    want_large = _on_a_fresh_thread(lambda: phasors(large))
+    want_small = _on_a_fresh_thread(lambda: phasors(small))
+    # the calling thread, with the scratch of earlier calls
+    assert phasors(large) == want_large and phasors(small) == want_small
+    # a smaller call after a larger one keeps the scratch; a larger call
+    # after a smaller one grows it
+    larger_first = _on_a_fresh_thread(lambda: (phasors(large), phasors(small), held()))
+    assert larger_first == (want_large, want_small, channel._PHASOR_CHUNK)
+    smaller_first = _on_a_fresh_thread(
+        lambda: (phasors(small), held(), phasors(large), held()))
+    assert smaller_first == (want_small, small.size, want_large, channel._PHASOR_CHUNK)
+    # passes longer than the scratch this thread holds
+    grown = held() + 4096
+    monkeypatch.setattr(channel, "_PHASOR_CHUNK", grown)
+    assert phasors(large) == want_large
+    assert held() == grown
+
+
+def test_concurrent_unit_phasor_calls_keep_their_own_scratch():
+    # more threads than cores, switching often: a scratch shared between
+    # threads would mix their passes
+    inputs = [rng_for_seed(26 + i).random(2 * channel._PHASOR_CHUNK + 1000 * i)
+              for i in range(4)]
+    expected = [channel._unit_phasors(u).tobytes() for u in inputs]
+    results = [[] for _ in inputs]
+
+    def call(i):
+        for _ in range(5):
+            results[i].append(channel._unit_phasors(inputs[i]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [[want] * 5 for want in expected]
+
+
+def test_a_repeated_unit_phasor_call_allocates_only_its_output():
+    u = rng_for_seed(24).random(3 * channel._PHASOR_CHUNK + 12345)
+    channel._unit_phasors(u)  # this thread now holds its scratch
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = channel._unit_phasors(u)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # beyond the output, numpy's iterator buffer for the float -> int casts
+    # of the table index and a few array views; one pass of per-call scratch
+    # would be 40 bytes per value of a pass
+    slack = np.getbufsize() * 8 + 8192
+    assert out.nbytes <= peak <= out.nbytes + slack
+
+
+def test_uniform_phase_draws_into_its_output():
+    # u is drawn into the upper half of the output's memory; the samples are
+    # those of the kernel run on a separate draw
+    for shape in ((), (5,), (3, 2500), (32, 2500), (2 * channel._PHASOR_CHUNK + 3,)):
+        drawn = uniform_phase_fading(rng_for_seed(25), shape)
+        separate = channel._unit_phasors(rng_for_seed(25).random(shape))
+        assert drawn.shape == separate.shape
+        assert drawn.tobytes() == separate.tobytes(), shape
 
 
 # --- the element path on two threads ------------------------------------------

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -513,6 +516,42 @@ def _single_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error"), err
     return err[0]
+
+
+def _run_cli_process(*argv) -> tuple:
+    """(exit code, stderr lines) of `python -m ris_select.cli` in a child
+    interpreter, whose stderr is what a user sees, warnings included."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "ris_select.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return done.returncode, done.stderr.splitlines()
+
+
+def test_failing_preset_prints_its_error_line_alone(tmp_path):
+    # fig2b on a 5-user scenario: its split-5 cells warn of an empty zone,
+    # then the split-6 cell fails; the warning and its source line used to
+    # reach stderr before the error line
+    scenario = tmp_path / "five.cfg"
+    scenario.write_text(REFERENCE_SCENARIO.read_text()
+                        .replace("users_total = 10", "users_total = 5")
+                        .replace("users_transmission = 7", "users_transmission = 2"))
+    code, err = _run_cli_process("--scenario", scenario, "--preset", "fig2b",
+                                 "--out", tmp_path / "out")
+    assert code == 1
+    assert err == ["error [fig2b_d50]: users_transmission exceeds users_total"]
+
+
+def test_sweep_warnings_are_one_line_each(tmp_path):
+    # splits 0 and 10 leave a zone empty: each warning was two lines, the
+    # message and its source line
+    spec = tmp_path / "ends.cfg"
+    spec.write_text("axis = users_transmission\nvalues = 0, 5, 10\n")
+    code, err = _run_cli_process("--scenario", REFERENCE_SCENARIO, "--sweep", spec,
+                                 "--out", tmp_path / "out")
+    assert code == 0
+    assert err == [
+        "warning: no served UEs: transmissive surface with an empty transmission zone",
+        "warning: no served UEs: reflective surface with an empty reflection zone"]
 
 
 @pytest.mark.parametrize("where", ["flag", "env", "sweep_file"])
