@@ -354,7 +354,8 @@ def _on_a_fresh_thread(call):
     result = []
     thread = threading.Thread(target=lambda: result.append(call()))
     thread.start()
-    thread.join()
+    thread.join(60.0)
+    assert not thread.is_alive()
     return result[0]
 
 
