@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -180,10 +181,16 @@ _PHASOR_POLY = np.array([
 def _phasor_scratch(size: int) -> tuple:
     """The running thread's two flat kernel buffers of at least 2 size
     floats: allocated on the thread's first call, again only when a call
-    needs more, and dropped with the thread."""
+    needs more, and dropped with the thread.
+
+    They are one anonymous memory map, outside the malloc heap: a buffer
+    held between calls fragments no allocator arena, and a worker's goes
+    back to the system when its thread ends (a map is never empty, hence
+    at least one value)."""
     held = getattr(_SCRATCH, "buffers", None)
     if held is None or held[0].size < 2 * size:
-        held = np.empty(2 * size), np.empty(2 * size)
+        block = np.frombuffer(mmap.mmap(-1, 32 * max(size, 1)))
+        held = np.split(block, 2)
         _SCRATCH.buffers = held
     return held
 

@@ -380,6 +380,9 @@ def test_unit_phasors_do_not_depend_on_the_scratch(monkeypatch):
     smaller_first = _on_a_fresh_thread(
         lambda: (phasors(small), held(), phasors(large), held()))
     assert smaller_first == (want_small, small.size, want_large, channel._PHASOR_CHUNK)
+    # an empty first call
+    empty_first = _on_a_fresh_thread(lambda: (phasors(u[:0]), phasors(small)))
+    assert empty_first == (b"", want_small)
     # passes longer than the scratch this thread holds
     grown = held() + 4096
     monkeypatch.setattr(channel, "_PHASOR_CHUNK", grown)
