@@ -183,13 +183,14 @@ def _phasor_scratch(size: int) -> tuple:
     floats: allocated on the thread's first call, again only when a call
     needs more, and dropped with the thread.
 
-    They are one anonymous memory map, outside the malloc heap: a buffer
-    held between calls fragments no allocator arena, and a worker's goes
-    back to the system when its thread ends (a map is never empty, hence
-    at least one value)."""
+    They are one private anonymous memory map, outside the malloc heap: a
+    buffer held between calls fragments no allocator arena, a worker's goes
+    back to the system when its thread ends, and a forked child writes to
+    its own copy (a map is never empty, hence at least one value)."""
     held = getattr(_SCRATCH, "buffers", None)
     if held is None or held[0].size < 2 * size:
-        block = np.frombuffer(mmap.mmap(-1, 32 * max(size, 1)))
+        size = max(size, 1)
+        block = np.frombuffer(mmap.mmap(-1, 32 * size, flags=mmap.MAP_PRIVATE))
         held = np.split(block, 2)
         _SCRATCH.buffers = held
     return held

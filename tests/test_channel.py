@@ -1,6 +1,7 @@
 """Link budget and channel sampling: formulas, statistics, determinism."""
 
 import math
+import multiprocessing
 import sys
 import threading
 import time
@@ -419,6 +420,7 @@ def test_concurrent_unit_phasor_calls_keep_their_own_scratch():
 def test_a_repeated_unit_phasor_call_allocates_only_its_output():
     u = rng_for_seed(24).random(3 * channel._PHASOR_CHUNK + 12345)
     channel._unit_phasors(u)  # this thread now holds its scratch
+    held = channel._phasor_scratch(0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -426,11 +428,44 @@ def test_a_repeated_unit_phasor_call_allocates_only_its_output():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    # tracemalloc does not see the scratch's map: the call must have used
+    # the buffers already held, not mapped new ones
+    assert channel._phasor_scratch(0) is held
     # beyond the output, numpy's iterator buffer for the float -> int casts
     # of the table index and a few array views; one pass of per-call scratch
     # would be 40 bytes per value of a pass
     slack = np.getbufsize() * 8 + 8192
     assert out.nbytes <= peak <= out.nbytes + slack
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_forked_child_keeps_its_own_scratch():
+    # the child inherits the scratch this thread holds; parent and child
+    # run different inputs through it at once, each on its own copy
+    inputs = [rng_for_seed(27 + i).random(2 * channel._PHASOR_CHUNK + 500 * i)
+              for i in range(2)]
+    expected = [channel._unit_phasors(u).tobytes() for u in inputs]
+    context = multiprocessing.get_context("fork")
+    start = context.Barrier(2, timeout=60.0)
+    receiver, sender = context.Pipe(duplex=False)
+
+    def mismatches(i):
+        start.wait()
+        return sum(channel._unit_phasors(inputs[i]).tobytes() != expected[i]
+                   for _ in range(200))
+
+    child = context.Process(target=lambda: sender.send(mismatches(1)))
+    child.start()
+    try:
+        assert mismatches(0) == 0
+        assert receiver.poll(60.0)
+        assert receiver.recv() == 0
+    finally:
+        child.join(60.0)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
 
 
 def test_uniform_phase_draws_into_its_output():
