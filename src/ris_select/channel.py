@@ -208,7 +208,7 @@ def _unit_phasors(u, out=None):
     own output values, which are written last. `out`, a complex array of u's
     size, may hold u as the upper half of its memory: a pass reads its
     values before it writes, and writes only below the values still unread.
-    The two save gain_stats about 1.2 MB of peak memory, which separate
+    The two save gain_stats about 1.1 MB of peak memory, which separate
     index and draw buffers on both threads would hold.
     """
     if out is None:
