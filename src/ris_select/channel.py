@@ -13,10 +13,10 @@ replayable and safe to farm out in parallel.
 Fading laws are plain callables law(rng, shape); uniform_phase computes
 exp(2 pi i u) by a table-driven unit-phasor kernel, in passes of
 _PHASOR_CHUNK values through scratch that each thread allocates once and
-keeps (the executor worker's goes with it when its call ends).
+keeps (a worker thread's goes with it when its call ends).
 zone_gain_statistics cuts its trials into blocks of _STAT_CHUNK rows, and
 block b draws from its own generator zone_seed + (b,). _on_two_threads
-runs such keyed tasks on the calling thread and one executor worker opened
+runs such keyed tasks on the calling thread and one worker thread started
 for the call, which take the next index from one shared iterator; each
 task writes only its own rows, so a sample's bits depend on the seed and
 the block cut, never on threads or timing. numpy's generator fills release
@@ -33,7 +33,6 @@ import functools
 import math
 import mmap
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +154,7 @@ _PHASOR_STEPS = 256
 # threshold and fault their pages in again on every call (about 25000
 # faults per 3 zone calls at 16384 values, 12 at 8192), so each thread
 # allocates its scratch once (_phasor_scratch). At 32768 values the scratch
-# is 1 MB, inside a core's 2 MB L2 cache.
+# is 1.25 MB, inside a core's 2 MB L2 cache.
 _PHASOR_CHUNK = 32768
 _SCRATCH = threading.local()
 
@@ -179,24 +178,24 @@ _PHASOR_POLY = np.array([
 
 
 def _phasor_scratch(size: int) -> tuple:
-    """The running thread's two flat kernel buffers of at least 2 size
-    floats: allocated on the thread's first call, again only when a call
-    needs more, and dropped with the thread.
+    """The running thread's kernel buffers: two flat ones of 2 size floats
+    and one of size int64 table indices, allocated on the thread's first
+    call, again only when a call needs more, and dropped with the thread.
 
     They are one private anonymous memory map, outside the malloc heap: a
     buffer held between calls fragments no allocator arena, a worker's goes
     back to the system when its thread ends, and a forked child writes to
     its own copy (a map is never empty, hence at least one value)."""
     held = getattr(_SCRATCH, "buffers", None)
-    if held is None or held[0].size < 2 * size:
+    if held is None or held[2].size < size:
         size = max(size, 1)
-        block = np.frombuffer(mmap.mmap(-1, 32 * size, flags=mmap.MAP_PRIVATE))
-        held = np.split(block, 2)
+        block = np.frombuffer(mmap.mmap(-1, 40 * size, flags=mmap.MAP_PRIVATE))
+        held = block[:2 * size], block[2 * size:4 * size], block[4 * size:].view(np.int64)
         _SCRATCH.buffers = held
     return held
 
 
-def _unit_phasors(u, out=None):
+def _unit_phasors(u):
     """Unit-modulus samples with uniform phase; mean 0, unit variance.
 
     Each sample is exp(2 pi i u) to within about 3e-16. The kernel works in
@@ -204,19 +203,12 @@ def _unit_phasors(u, out=None):
     the two rows of (2, n) arrays held in the running thread's scratch, with
     real elementwise ufuncs only: a sample's bits do not depend on where it
     sits in the array, nor on the machine's fused multiply-add (a complex
-    multiply may use one). A pass's table indices wait in the memory of its
-    own output values, which are written last. `out`, a complex array of u's
-    size, may hold u as the upper half of its memory: a pass reads its
-    values before it writes, and writes only below the values still unread.
-    The two save gain_stats about 1.1 MB of peak memory, which separate
-    index and draw buffers on both threads would hold.
+    multiply may use one). The result is a new array.
     """
-    if out is None:
-        out = np.empty(u.shape, dtype=complex)
+    out = np.empty(u.shape, dtype=complex)
     flat = u.reshape(-1)
     parts = out.reshape(-1).view(float).reshape(-1, 2).T  # rows real, imag
-    indices = out.reshape(-1).view(np.int64)
-    scratch_rx, scratch_p = _phasor_scratch(min(_PHASOR_CHUNK, flat.size))
+    scratch_rx, scratch_p, indices = _phasor_scratch(min(_PHASOR_CHUNK, flat.size))
     for start in range(0, flat.size, _PHASOR_CHUNK):
         v = flat[start:start + _PHASOR_CHUNK]
         n = v.size
@@ -224,7 +216,7 @@ def _unit_phasors(u, out=None):
         rx, p = scratch_rx[:2 * n].reshape(2, n), scratch_p[:2 * n].reshape(2, n)
         r, x = rx
         np.multiply(v, _PHASOR_STEPS, out=r)
-        k = indices[2 * start:2 * start + n]
+        k = indices[:n]
         np.rint(r, out=k, casting="unsafe")
         r -= k
         np.multiply(r, r, out=x)
@@ -254,10 +246,7 @@ def sign_fading(rng, shape):
 
 def uniform_phase_fading(rng, shape):
     """Unit-modulus samples exp(2 pi i u), u uniform on [0, 1)."""
-    out = np.empty(shape, dtype=complex)
-    u = out.reshape(-1).view(float)[out.size:]  # drawn into out's upper half
-    rng.random(out=u)
-    return _unit_phasors(u, out)
+    return _unit_phasors(rng.random(shape))
 
 
 FADING_LAWS = {
@@ -394,7 +383,7 @@ def _panel_sum(g, coeff, scale, out) -> None:
 
 def _on_two_threads(task, count: int) -> None:
     """Run task(0) .. task(count - 1) on the calling thread and one worker
-    thread opened for the call.
+    thread started for the call.
 
     Both threads take the next index from one shared range iterator (its
     next() is one C call under the GIL, so no index is run twice or
@@ -402,25 +391,34 @@ def _on_two_threads(task, count: int) -> None:
     output, so what they produce does not depend on which thread ran which
     index, nor when. The count is fixed: with the caller, one worker keeps
     both cores of a 2-core host busy. A thread whose task raises takes the
-    indices left, so the other starts no new task, and re-raises; a
-    worker's exception is re-raised here with its own type, and leaving the
-    executor joins the worker on every path.
+    indices left, so the other starts no new task. The worker is joined on
+    every path; the caller's exception wins, else the worker's is raised as is.
     """
     indices = iter(range(count))
+    failed = []
 
     def run():
         try:
             for index in indices:
                 task(index)
-        except BaseException:
+        finally:  # after a failure, no thread starts another task
             for _ in indices:
                 pass
-            raise
 
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        helper = worker.submit(run)
+    def work():
+        try:
+            run()
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
         run()
-        helper.result()
+    finally:
+        worker.join()
+    if failed:
+        raise failed.pop()
 
 
 # --- channel synthesis --------------------------------------------------------
@@ -504,10 +502,11 @@ def zone_gain_statistics(cfg: ScenarioConfig, ris_type: RisType,
     joins the block before it), and block b draws its (rows, M N) fading
     from the generator keyed by zone key + (b,), on either of two threads.
 
-    For a large panel the aggregate tends to a complex normal with mean 0 and
-    variance equal to the squared response amplitude of the zone, whatever the
-    unit-variance fading law; the kurtosis columns let tests check the
-    normality claim for non-Gaussian laws. Requires trials >= 100.
+    For a large panel the aggregate has mean 0 and variance equal to the
+    squared response amplitude of the zone under any unit-variance law. It
+    tends to a complex normal only for a circular law, E[g^2] = 0 (gaussian,
+    uniform_phase); sign on a constant phase grid gives a rotated real normal.
+    The kurtosis columns test normality for any law. Requires trials >= 100.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100 for stable statistics")

@@ -390,6 +390,12 @@ def _strict_failure(cell: _Cell) -> RegimeViolationError | None:
     return cell.violation
 
 
+def _fail(message) -> int:
+    """Print the one line `error: <message>` to stderr; return exit code 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def _load(scenario_path: Path) -> ScenarioConfig | None:
     """Load the scenario file, or print one error line and return None."""
     try:
@@ -453,8 +459,7 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         out_path = out_dir / "evaluate.json"
         out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write results to {out_dir}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"cannot write results to {out_dir}: {exc}")
 
     rates_text = " ".join(
         f"{t.letter}={report.closed_form:.3f}" for t, report in cell.reports.items())
@@ -513,8 +518,7 @@ def run_sweep(scenario_path: Path, variants: list[SweepVariant], out_dir: Path,
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output dir {out_dir}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"cannot create output dir {out_dir}: {exc}")
 
     for variant in variants:
         try:
@@ -534,8 +538,7 @@ def run_sweep(scenario_path: Path, variants: list[SweepVariant], out_dir: Path,
                 csv_path.write_text("\n".join([header] + body) + "\n",
                                     encoding="utf-8")
             except OSError as exc:
-                print(f"error: cannot write {csv_path}: {exc}", file=sys.stderr)
-                return 1
+                return _fail(f"cannot write {csv_path}: {exc}")
             print(f"wrote {csv_path} ({len(body)} rows)")
     return 0
 
@@ -585,8 +588,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     if args.sweep is not None and args.preset is not None:
-        print("error: pass either --sweep or --preset, not both", file=sys.stderr)
-        return 1
+        return _fail("pass either --sweep or --preset, not both")
 
     # seed precedence: --seed flag, then the env fallback, then any sweep-file
     # default, then 0
@@ -595,40 +597,37 @@ def _run(args) -> int:
         try:
             seed_override = int(os.environ[SEED_ENV_VAR])
         except ValueError:
-            print(f"error: {SEED_ENV_VAR} must be an integer", file=sys.stderr)
-            return 1
+            return _fail(f"{SEED_ENV_VAR} must be an integer")
     if seed_override is not None and not 0 <= seed_override < SEED_LIMIT:
         source = "--seed" if args.seed is not None else SEED_ENV_VAR
         rule = "be non-negative" if seed_override < 0 else "be below 2**32"
-        print(f"error: {source} must {rule}; got {seed_override}", file=sys.stderr)
-        return 1
+        return _fail(f"{source} must {rule}; got {seed_override}")
     seed = seed_override if seed_override is not None else 0
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS
 
     if args.preset is not None:
-        variants = preset_variants(args.preset, trials, seed)
+        try:
+            variants = preset_variants(args.preset, trials, seed)
+        except ConfigError as exc:
+            return _fail(exc)
         return run_sweep(args.scenario, variants, args.out, args.strict)
 
     if args.sweep is not None:
         try:
             text = Path(args.sweep).read_text(encoding="utf-8")
         except OSError:
-            print(f"error: cannot read sweep spec {args.sweep}", file=sys.stderr)
-            return 1
+            return _fail(f"cannot read sweep spec {args.sweep}")
         except UnicodeDecodeError:
-            print(f"error: sweep spec {args.sweep} is not UTF-8 text", file=sys.stderr)
-            return 1
+            return _fail(f"sweep spec {args.sweep} is not UTF-8 text")
         try:
             spec = parse_sweep_spec(text, trials=args.trials, base_seed=seed_override)
         except (ConfigError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc)
         variant = SweepVariant(Path(args.sweep).stem, (), spec)
         return run_sweep(args.scenario, [variant], args.out, args.strict)
 
     if trials < 1:
-        print(f"error: --trials must be at least 1; got {trials}", file=sys.stderr)
-        return 1
+        return _fail(f"--trials must be at least 1; got {trials}")
     return run_evaluate(args.scenario, args.out, trials, seed, args.strict)
 
 

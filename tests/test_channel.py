@@ -468,19 +468,30 @@ def test_a_forked_child_keeps_its_own_scratch():
     assert child.exitcode == 0
 
 
-def test_uniform_phase_draws_into_its_output():
-    # u is drawn into the upper half of the output's memory; the samples are
-    # those of the kernel run on a separate draw
-    for shape in ((), (5,), (3, 2500), (32, 2500), (2 * channel._PHASOR_CHUNK + 3,)):
-        drawn = uniform_phase_fading(rng_for_seed(25), shape)
-        separate = channel._unit_phasors(rng_for_seed(25).random(shape))
-        assert drawn.shape == separate.shape
-        assert drawn.tobytes() == separate.tobytes(), shape
+def test_uniform_phase_samples_share_no_memory_with_their_draw():
+    drawn = []
+
+    class Recording:
+        """A generator that keeps what its random() returns."""
+
+        def random(self, *args, **kwargs):
+            drawn.append(rng_for_seed(25).random(*args, **kwargs))
+            return drawn[-1]
+
+    for shape in ((), (5,), (32, 2500), (2 * channel._PHASOR_CHUNK + 3,)):
+        samples = uniform_phase_fading(Recording(), shape)
+        assert samples.shape == shape
+        assert not np.shares_memory(samples, drawn[-1]), shape
+        assert samples.tobytes() == channel._unit_phasors(drawn[-1]).tobytes()
 
 
 # --- the element path on two threads ------------------------------------------
 
 class DrawFailed(RuntimeError):
+    pass
+
+
+class WorkerFailed(LookupError):
     pass
 
 
@@ -565,25 +576,20 @@ def test_draw_failure_with_blocks_in_flight_leaves_no_thread():
     assert threading.active_count() == before
 
 
-def test_one_worker_thread_finishes_every_handed_block(monkeypatch):
-    # each call opens one single-worker executor, and the caller and that
-    # worker draw every block exactly once between them
-    executors = []
-
-    class Counted(channel.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            executors.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(channel, "ThreadPoolExecutor", Counted)
-    before = threading.active_count()
+def test_one_worker_thread_finishes_every_handed_block():
+    # each call starts one worker thread of its own, the only thread beyond
+    # those running before it, and the caller and that worker draw every
+    # block exactly once between them
+    before = set(threading.enumerate())
+    workers = []
     for call in range(3):
         worker_in = threading.Event()
-        shapes, threads = [], set()
+        shapes, threads, started = [], set(), set()
 
         def law(rng, shape):
             thread = threading.current_thread()
             threads.add(thread)
+            started.update(set(threading.enumerate()) - before)
             if thread is threading.main_thread():
                 assert worker_in.wait(10.0)
             else:
@@ -592,10 +598,50 @@ def test_one_worker_thread_finishes_every_handed_block(monkeypatch):
             return uniform_phase_fading(rng, shape)
 
         _gain_call(law)
-        assert executors == [1] * (call + 1)
-        assert len(threads - {threading.main_thread()}) == 1
+        assert threads - {threading.main_thread()} == started
+        workers += started
+        assert len(workers) == call + 1 and len(set(workers)) == call + 1
         assert sorted(shapes) == sorted([(32, 2500)] * 31 + [(8, 2500)])
-        assert threading.active_count() == before
+        assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("first", ["worker", "caller"])
+def test_caller_failure_wins_when_both_threads_fail(monkeypatch, first):
+    # the caller's block and the worker's block both raise, in either order:
+    # the caller's exception type propagates, and no thread is left running
+    # or reports an exception of its own
+    before = threading.active_count()
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    caller_in, worker_in, caller_out, worker_out = (threading.Event() for _ in range(4))
+    callers = []
+
+    def task(index):
+        # each thread holds a block before either fails
+        if threading.current_thread() is callers[0]:
+            caller_in.set()
+            assert worker_in.wait(10.0)
+            if first == "worker":
+                assert worker_out.wait(10.0)
+            caller_out.set()
+            raise DrawFailed("caller block failed")
+        worker_in.set()
+        assert caller_in.wait(10.0)
+        if first == "caller":
+            assert caller_out.wait(10.0)
+            time.sleep(0.05)  # the caller's exception is on its way
+        worker_out.set()
+        raise WorkerFailed("worker block failed")
+
+    def call():
+        callers.append(threading.current_thread())
+        channel._on_two_threads(task, 8)
+
+    error, _ = _run_with_watchdog(call)
+    assert type(error) is DrawFailed
+    assert worker_out.is_set() and caller_out.is_set()
+    assert threading.active_count() == before
+    assert hooked == []
 
 
 def test_two_threads_run_every_index_exactly_once():
@@ -636,15 +682,15 @@ def test_gain_statistics_do_not_depend_on_thread_timing(monkeypatch, name):
         patch.setattr(channel, "_on_two_threads", serial)
         assert repr(_gain_call(name)) == expected
 
-    class Late(channel.ThreadPoolExecutor):
-        def submit(self, fn):
-            def late():
-                time.sleep(0.05)  # the caller takes the first blocks
-                fn()
-            return super().submit(late)
+    delayed = []
 
-    monkeypatch.setattr(channel, "ThreadPoolExecutor", Late)
-    assert repr(_gain_call(name)) == expected
+    def late(rng, shape):
+        if threading.current_thread() is not threading.main_thread() and not delayed:
+            delayed.append(shape)
+            time.sleep(0.05)  # the worker holds its first block; the caller runs on
+        return FADING_LAWS[name](rng, shape)
+
+    assert repr(_gain_call(late)) == expected
 
 
 def test_sampler_draws_stay_on_the_calling_thread():

@@ -504,12 +504,18 @@ def test_negative_seed_is_rejected(tmp_path, monkeypatch, capsys, where):
 
 
 def test_evaluate_rejects_zero_trials(tmp_path, capsys):
-    rc = main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path),
-               "--trials", "0"])
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "trials" in err[0]
-    assert not (tmp_path / "evaluate.json").exists()
+    # a single evaluation, and the one preset that runs Monte Carlo
+    for extra in ([], ["--preset", "fig2a"]):
+        out = tmp_path / "_".join(["out"] + extra)
+        rc = main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(out),
+                   "--trials", "0"] + extra)
+        assert rc == 1, extra
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "trials" in err[0]
+        assert not out.exists(), extra
+    # fig2b runs no Monte Carlo, so its trial count is not checked
+    assert main(["--scenario", str(REFERENCE_SCENARIO), "--out", str(tmp_path / "b"),
+                 "--trials", "0", "--preset", "fig2b"]) == 0
 
 
 def _single_error_line(capsys):

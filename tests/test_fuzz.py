@@ -10,6 +10,10 @@ contract: exit 0 with every number written finite and stderr holding only
 distinct `warning:` lines, or exit 1 or 2 with exactly one stderr line,
 starting with "error"; main never raises. A warning that escaped main would
 reach stderr as Python prints it, so the lines counted are the real stderr.
+
+A second generator draws cases under the same contract that also run the
+presets and set --trials and --seed, each at an integer edge value half of
+the time, so that the cases of the first stay as they are.
 """
 
 import json
@@ -28,6 +32,12 @@ DUPLICATE = object()  # the mutation that repeats a key's line
 # optional scenario keys, appended when a case mutates them
 OPTIONAL_KEYS = ("phase_reflect_rad", "phase_transmit_rad", "iso_tol", "snr_floor",
                  "transmit_power_w", "noise_w")
+FLAG_CASES = 120
+PRESETS = ("fig2a", "fig2b", "fig2c")
+# integer edge values of the flags (argparse rejects the rest itself); 2**32
+# is no --trials edge, as a host with enough memory would run those trials
+FLAG_VALUES = {"--trials": ("0", "-1", str(10 ** 20)),
+               "--seed": ("0", "-1", str(2 ** 32), str(10 ** 20))}
 SWEEP_VALUES = {
     "transmit_power_dbm": "20, 35, 50",
     "users_transmission": "0, 3, 7, 10",
@@ -104,12 +114,16 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
-def _case(rng: random.Random, work) -> tuple:
-    """(argv, mutations) of one case, its input files written under `work`."""
+def _case(rng: random.Random, work, preset=None, fewest=1) -> tuple:
+    """(argv, mutations) of one case, its input files written under `work`:
+    a run of `preset` when one is given, else a sweep or an evaluation, with
+    `fewest` to three keys mutated."""
     scenario = _parse(REFERENCE_SCENARIO.read_text(encoding="utf-8"))
     sweep = None
     argv = ["--scenario", str(work / "scenario.cfg"), "--out", str(work / "out")]
-    if rng.random() < 0.5:
+    if preset is not None:
+        argv += ["--preset", preset]
+    elif rng.random() < 0.5:
         axis = rng.choice(cli.SWEEP_AXES)
         sweep = {"axis": axis, "values": SWEEP_VALUES[axis], "trials": "2",
                  "base_seed": str(rng.randrange(2 ** 32)),
@@ -124,7 +138,7 @@ def _case(rng: random.Random, work) -> tuple:
     if sweep is not None:
         targets += [(sweep, key) for key in sweep]
     scenario_duplicates, sweep_duplicates, mutations = [], [], []
-    for entries, key in rng.sample(targets, rng.randint(1, 3)):
+    for entries, key in rng.sample(targets, rng.randint(fewest, 3)):
         duplicates = scenario_duplicates if entries is scenario else sweep_duplicates
         mutations.append(_mutate(rng, entries, key, duplicates))
 
@@ -136,13 +150,28 @@ def _case(rng: random.Random, work) -> tuple:
     return argv, mutations
 
 
-def test_every_input_gives_finite_output_or_one_error_line(tmp_path, capsys):
-    rng = random.Random(20261019)
+def _flag_case(rng: random.Random, work) -> tuple:
+    """(argv, mutations) of a preset run (half of the cases) or of a _case,
+    with none to three keys mutated and --trials and --seed given last, so
+    that they win."""
+    preset = rng.choice(PRESETS) if rng.random() < 0.5 else None
+    argv, mutations = _case(rng, work, preset, fewest=0)
+    flags = {"--trials": "2", "--seed": str(rng.randrange(2 ** 32))}
+    for flag in flags:
+        if rng.random() < 0.5:
+            flags[flag] = rng.choice(FLAG_VALUES[flag])
+            mutations.append(f"{flag} {flags[flag]}")
+    return argv + [word for flag in flags.items() for word in flag], mutations
+
+
+def _run_cases(tmp_path, capsys, rng: random.Random, make_case, count: int) -> dict:
+    """Run `count` cases of make_case through cli.main, each checked against
+    the contract; returns how many ended with each exit code."""
     codes = {}
-    for index in range(CASES):
+    for index in range(count):
         work = tmp_path / f"case{index:03d}"
         work.mkdir()
-        argv, mutations = _case(rng, work)
+        argv, mutations = make_case(rng, work)
         where = f"case {index}: {' '.join(argv[4:])}; {'; '.join(mutations)}"
         with warnings.catch_warnings():  # warnings are not errors
             warnings.simplefilter("always")
@@ -160,5 +189,17 @@ def test_every_input_gives_finite_output_or_one_error_line(tmp_path, capsys):
         else:
             assert code in (1, 2), where
             assert len(err) == 1 and err[0].startswith("error"), (where, err)
+    return codes
+
+
+def test_every_input_gives_finite_output_or_one_error_line(tmp_path, capsys):
+    codes = _run_cases(tmp_path, capsys, random.Random(20261019), _case, CASES)
     # the cases reach success (some tens of them) and both failure codes
     assert set(codes) == {0, 1, 2} and codes[0] >= 20, codes
+
+
+def test_integer_flags_and_presets_give_finite_output_or_one_error_line(tmp_path,
+                                                                          capsys):
+    codes = _run_cases(tmp_path, capsys, random.Random(20261020), _flag_case,
+                       FLAG_CASES)
+    assert codes.get(0, 0) >= 10 and codes.get(1, 0) >= 10, codes

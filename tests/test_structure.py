@@ -1,8 +1,12 @@
-"""Module layout: no imports inside functions, traced names still resolve."""
+"""Module layout: no imports inside functions, traced names still resolve,
+the CLI loads no module it does not use."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 
 from conftest import REPO_ROOT
 
@@ -36,3 +40,14 @@ def test_layer_trace_names_resolve():
     assert not missing, missing
     channel = importlib.import_module("ris_select.channel")
     assert channel.FADING_LAWS and all(callable(law) for law in channel.FADING_LAWS.values())
+
+
+def test_the_cli_loads_no_executor():
+    # the element path's worker is a plain thread, so a CLI process imports
+    # neither concurrent.futures nor the logging and queue modules it brings
+    code = ("import sys, ris_select.cli; print(' '.join(name for name in "
+            "('concurrent.futures', 'logging', 'queue') if name in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.split() == []
