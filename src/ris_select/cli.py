@@ -170,7 +170,8 @@ def parse_sweep_spec(text: str, trials: int | None = None,
 
 def apply_axis_value(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     """`cfg` with one sweep axis at `value`; a resized panel keeps its
-    constant phase grids."""
+    constant phase grids. A grid is constant when no entry differs from its
+    first (one comparison pass; np.unique would sort it and load numpy.ma)."""
     if axis == "transmit_power_dbm":
         return replace(cfg, transmit_power=dbm_to_watts(value))
     if axis == "users_transmission":
@@ -178,11 +179,11 @@ def apply_axis_value(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioCo
     if axis == "ris_rows_cols":
         side, panel, phases = int(value), cfg.panel, {}
         for name in ("phase_reflect", "phase_transmit"):
-            levels = np.unique(getattr(panel, name))
-            if levels.size > 1:
+            grid = getattr(panel, name)
+            if (grid != grid.flat[0]).any():
                 raise ConfigError("cannot resize a panel with a non-constant "
                                   f"{name} grid")
-            phases[name] = levels[0]
+            phases[name] = grid.flat[0]
         return replace(cfg, panel=replace(panel, rows=side, cols=side, **phases))
     if axis == "distances":
         return replace(cfg, bs_ris_distance=float(value), ris_ue_distance=float(value))

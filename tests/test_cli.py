@@ -255,9 +255,21 @@ def test_unknown_preset_axis_and_resize_are_refused(tmp_path, capsys):
     cfg = load_scenario(REFERENCE_SCENARIO)
     with pytest.raises(ConfigError, match="unknown sweep axis 'bogus'"):
         cli.apply_axis_value(cfg, "bogus", 1.0)
-    graded = make_config(rows=3, cols=3, phase_transmit=np.arange(9.0).reshape(3, 3))
-    with pytest.raises(ConfigError, match="non-constant phase_transmit grid"):
-        cli.apply_axis_value(graded, "ris_rows_cols", 4)
+    # a graded grid, and one that differs from its first entry only at its last
+    last_differs = np.full(9, 0.25)
+    last_differs[-1] = 0.5
+    for grid in (np.arange(9.0), last_differs):
+        graded = make_config(rows=3, cols=3, phase_transmit=grid.reshape(3, 3))
+        with pytest.raises(ConfigError, match="non-constant phase_transmit grid"):
+            cli.apply_axis_value(graded, "ris_rows_cols", 4)
+    # a constant grid's phase survives the resize bit for bit
+    phase = 0.1 + 0.2
+    constant = make_config(rows=3, cols=3, phase_reflect=phase, phase_transmit=-phase)
+    resized = cli.apply_axis_value(constant, "ris_rows_cols", 4).panel
+    assert resized.phase_reflect.shape == resized.phase_transmit.shape == (4, 4)
+    assert {v.hex() for v in resized.phase_reflect.ravel().tolist()} == {phase.hex()}
+    assert {v.hex() for v in resized.phase_transmit.ravel().tolist()} \
+        == {(-phase).hex()}
 
 
 def test_every_preset_setting_names_a_sweep_axis():
