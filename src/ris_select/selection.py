@@ -158,6 +158,8 @@ def _itp_root(first, second, lo: float, hi: float) -> float | None:
         # the projection keeps bisection's worst case plus ITP_N0 steps
         radius = math.ldexp(ROOT_TOL, n_max - j - 1) - 0.5 * (hi - lo)
         x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        if not lo < x < hi:  # a truncation below the float spacing left x at an end
+            x = mid
         fx = first(x) - second(x)
         if fx == 0.0:
             return x

@@ -95,10 +95,10 @@ def test_every_crossing_straddles_a_sign_change_and_matches_bisection():
     assert _check_crossings(deployments) > 800
 
 
-def _evaluation_counts(monkeypatch, deployments) -> list:
-    """(difference evaluations, bracket width) of every search that
-    find_thresholds runs, the two end values included."""
-    counts = []
+def _searches(monkeypatch, deployments) -> list:
+    """(points where the difference was evaluated, bracket width) of every
+    search that find_thresholds runs, the two end values included."""
+    searches = []
 
     def counted(first, second, lo, hi):
         calls = []
@@ -108,7 +108,7 @@ def _evaluation_counts(monkeypatch, deployments) -> list:
             return first(x)
 
         root = _itp_root(counted_first, second, lo, hi)
-        counts.append((len(calls), hi - lo))
+        searches.append((calls, hi - lo))
         return root
 
     monkeypatch.setattr(selection, "_itp_root", counted)
@@ -117,7 +117,13 @@ def _evaluation_counts(monkeypatch, deployments) -> list:
             find_thresholds(cfg, budget)
         except RegimeViolationError:
             pass
-    return counts
+    return searches
+
+
+def _evaluation_counts(monkeypatch, deployments) -> list:
+    """(difference evaluations, bracket width) of every search."""
+    return [(len(points), width)
+            for points, width in _searches(monkeypatch, deployments)]
 
 
 def test_searches_stay_within_bisections_count_plus_three(monkeypatch):
@@ -141,6 +147,22 @@ def test_searches_stay_within_bisections_count_plus_three(monkeypatch):
     steps = [width for _, width in random_counts]
     assert np.median(steps) < 1.0 and min(steps) > 0.0
     assert np.mean([evaluations for evaluations, _ in random_counts]) <= 7.0
+
+
+def test_no_search_evaluates_a_point_twice(monkeypatch):
+    # once the bracket is about 1e-6 wide, the truncation step falls below
+    # the float spacing and a one-sided regula falsi step can land on an
+    # end already evaluated; the search bisects instead (the fig2a cells at
+    # 20, 40 and 44 dBm took 26-30 evaluations before it did)
+    rng = np.random.default_rng(16)
+    cfgs = list(_deployments().values()) \
+        + [random_config(rng) for _ in range(500)] \
+        + [near_isotropic_config(rng) for _ in range(200)]
+    searches = _searches(monkeypatch, [(cfg, link_budget(cfg)) for cfg in cfgs])
+    assert len(searches) > 300
+    for points, width in searches:
+        # a one-point bracket is its own two ends
+        assert len(set(points)) == len(points) or width == 0.0, points
 
 
 def test_edge_brackets(monkeypatch):
