@@ -21,6 +21,9 @@ from .channel import LinkBudget, _on_two_threads, prepare_sampler, rng_for_seeds
 from .scenario import ConfigValidationError, RisType, ScenarioConfig, reflection_zone_mask
 
 LN2 = math.log(2.0)
+# The most gamma values one monte_carlo_capacity block may hold: 1 GiB of
+# float64, whatever the host could allocate (fig2a at 10000 trials: 4.8e6).
+MONTE_CARLO_BLOCK_VALUES = 2 ** 27
 
 
 # --- the surface types: one rule each ------------------------------------------
@@ -373,18 +376,24 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
     idx, with K_t = bs_antennas broadcast to the leading axes at idx, draws
     from base_seed + idx and equals its own estimate bit for bit. The
     block's generators are seeded in one channel.rng_for_seeds call.
-    A trial count too large to allocate is a ConfigValidationError.
+    A block of more than MONTE_CARLO_BLOCK_VALUES gamma values (vectors x
+    trials x users), or one the host cannot allocate, is a
+    ConfigValidationError raised before anything is drawn.
     """
     base = _base_key(trials, base_seed)
     snr = np.asarray(snr, dtype=float)
     lead, users = snr.shape[:-1], snr.shape[-1]
     antennas = np.broadcast_to(bs_antennas, lead).ravel().tolist()
     rows = snr.reshape(-1, users)
+    too_large = ConfigValidationError(
+        f"{trials} Monte Carlo trials per cell are too large to allocate "
+        f"(a block holds at most 2**27 gamma values)")
+    if len(rows) * trials * users > MONTE_CARLO_BLOCK_VALUES:
+        raise too_large
     try:
         row_gamma = np.empty((len(rows), trials, users))
-    except (MemoryError, ValueError):  # numpy: cannot allocate, or "too big"
-        raise ConfigValidationError(
-            f"{trials} Monte Carlo trials per cell are too large to allocate") from None
+    except MemoryError:
+        raise too_large from None
     rngs = rng_for_seeds([base + index for index in np.ndindex(lead)])
     for r, (rng, k) in enumerate(zip(rngs, antennas)):
         rng.standard_gamma(k, out=row_gamma[r])

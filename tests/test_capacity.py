@@ -23,7 +23,7 @@ from ris_select import (
 from ris_select import capacity
 from ris_select.capacity import average_snr
 from ris_select.channel import rng_for_seed
-from ris_select.scenario import min_served_snr
+from ris_select.scenario import ConfigValidationError, min_served_snr
 
 LN2 = math.log(2.0)
 
@@ -252,6 +252,19 @@ def test_monte_carlo_requires_a_trial():
     with pytest.raises(ValueError):
         monte_carlo_capacity(average_snr(cfg, RisType.HYBRID, alloc, link_budget(cfg)),
                              cfg.bs_antennas, trials=0, base_seed=0)
+
+
+def test_monte_carlo_block_limit_does_not_depend_on_the_host(monkeypatch):
+    # 2**27 gamma values (1 GiB) is the fixed limit; a block past it is
+    # refused before anything is allocated, one at it runs
+    assert capacity.MONTE_CARLO_BLOCK_VALUES == 2 ** 27
+    snr = np.full((2, 3, 4), 5.0)  # 6 vectors of 4 users
+    with pytest.raises(ConfigValidationError, match="at most 2\\*\\*27"):
+        monte_carlo_capacity(snr, 4, 2 ** 32, 0)
+    monkeypatch.setattr(capacity, "MONTE_CARLO_BLOCK_VALUES", 6 * 4 * 5)
+    assert monte_carlo_capacity(snr, 4, 5, 0)[0].shape == (2, 3)
+    with pytest.raises(ConfigValidationError, match="6 Monte Carlo trials per cell"):
+        monte_carlo_capacity(snr, 4, 6, 0)
 
 
 def test_mean_and_stderr_are_numpys_bit_for_bit():

@@ -771,10 +771,12 @@ def test_oversized_user_count_gives_one_error_line(tmp_path, capsys, mode, users
 
 
 @pytest.mark.parametrize("mode, trials", [
-    ("evaluate", 10 ** 13), ("fig2a", 10 ** 20), ("sweep", 10 ** 13)])
+    ("evaluate", 2 ** 32), ("evaluate", 10 ** 13), ("fig2a", 10 ** 20),
+    ("sweep", 10 ** 13)])
 def test_oversized_trial_count_gives_one_error_line(tmp_path, capsys, mode, trials):
-    # at S = 10, 10**13 trials ask for 800 TB and 10**20 exceed numpy's
-    # largest array, so both fail at once without allocating anything
+    # at S = 10, 2**32 trials ask for about 1 TB, which some hosts could
+    # allocate; every count here passes the fixed 2**27-value block limit,
+    # so each fails at once, on any host, without allocating anything
     argv = ["--trials", str(trials)]
     if mode == "fig2a":
         argv += ["--preset", "fig2a"]

@@ -32,11 +32,11 @@ DUPLICATE = object()  # the mutation that repeats a key's line
 # optional scenario keys, appended when a case mutates them
 OPTIONAL_KEYS = ("phase_reflect_rad", "phase_transmit_rad", "iso_tol", "snr_floor",
                  "transmit_power_w", "noise_w")
-FLAG_CASES = 120
+FLAG_CASES = 160
 PRESETS = ("fig2a", "fig2b", "fig2c")
 # integer edge values of the flags (argparse rejects the rest itself); 2**32
-# is no --trials edge, as a host with enough memory would run those trials
-FLAG_VALUES = {"--trials": ("0", "-1", str(10 ** 20)),
+# trials pass the Monte Carlo block limit on every host
+FLAG_VALUES = {"--trials": ("0", "-1", str(2 ** 32), str(10 ** 20)),
                "--seed": ("0", "-1", str(2 ** 32), str(10 ** 20))}
 SWEEP_VALUES = {
     "transmit_power_dbm": "20, 35, 50",
