@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import REPO_ROOT
 
 PACKAGE = REPO_ROOT / "src" / "ris_select"
@@ -51,3 +53,25 @@ def test_the_cli_loads_no_executor():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert done.stdout.split() == []
+
+
+@pytest.mark.parametrize("run", ["evaluate", "fig2a", "fig2b", "fig2c", "sweep"])
+def test_no_cli_run_loads_numpy_ma(tmp_path, run):
+    # a resize proves a phase grid constant by one comparison; np.unique
+    # would sort it and import all of numpy.ma through np.ma.is_masked
+    argv = ["--scenario", str(REPO_ROOT / "scenarios" / "reference.cfg"),
+            "--out", str(tmp_path / "out"), "--trials", "1"]
+    if run == "sweep":
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("axis = ris_rows_cols\nvalues = 10, 20\n", encoding="utf-8")
+        argv += ["--sweep", str(spec)]
+    elif run != "evaluate":
+        argv += ["--preset", run]
+    code = ("import sys; from ris_select.cli import main; code = main(sys.argv[1:]); "
+            "print(' '.join(name for name in sys.modules if name == 'numpy.ma' "
+            "or name.startswith('numpy.ma.')) or '-'); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "-"
