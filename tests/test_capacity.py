@@ -266,6 +266,14 @@ def test_monte_carlo_block_limit_does_not_depend_on_the_host(monkeypatch):
     with pytest.raises(ConfigValidationError, match="6 Monte Carlo trials per cell"):
         monte_carlo_capacity(snr, 4, 6, 0)
 
+    # a block inside the limit that the host cannot allocate fails alike
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(capacity.np, "empty", refuse)
+    with pytest.raises(ConfigValidationError, match="5 Monte Carlo trials per cell"):
+        monte_carlo_capacity(snr, 4, 5, 0)
+
 
 def test_mean_and_stderr_are_numpys_bit_for_bit():
     # the estimators' summary replays rates.mean() and rates.std(ddof=1)
