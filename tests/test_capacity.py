@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_config, mc_tolerance, random_config
 from ris_select import (
+    ConfigValidationError,
     PowerAllocation,
     RisType,
     allocate_power,
@@ -23,7 +24,7 @@ from ris_select import (
 from ris_select import capacity
 from ris_select.capacity import average_snr
 from ris_select.channel import rng_for_seed
-from ris_select.scenario import ConfigValidationError, min_served_snr
+from ris_select.scenario import min_served_snr
 
 LN2 = math.log(2.0)
 

@@ -152,8 +152,8 @@ def test_searches_stay_within_bisections_count_plus_three(monkeypatch):
 def test_no_search_evaluates_a_point_twice(monkeypatch):
     # once the bracket is about 1e-6 wide, the truncation step falls below
     # the float spacing and a one-sided regula falsi step can land on an
-    # end already evaluated; the search bisects instead (the fig2a cells at
-    # 20, 40 and 44 dBm took 26-30 evaluations before it did)
+    # end already evaluated (in the fig2a cells at 20, 40 and 44 dBm); the
+    # search must bisect there instead
     rng = np.random.default_rng(16)
     cfgs = list(_deployments().values()) \
         + [random_config(rng) for _ in range(500)] \
