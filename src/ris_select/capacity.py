@@ -70,11 +70,13 @@ def type_curves(cfg: ScenarioConfig, budget: LinkBudget):
 
 @functools.lru_cache(maxsize=32)
 def _type_curves(s, eps_r, eps_t, big_l):
-    # Each rate is one straight-line closure: find_thresholds' root searches
-    # call them about sixty times per search (type_rate_arrays is the
-    # scan's array form). hybrid_rate writes hybrid_shares out
-    # (hybrid_share's formula and the clamp) with the same operations in the
-    # same order, so it equals the rate at hybrid_shares(x) bit for bit.
+    # Each rate is one straight-line closure (type_rate_arrays is the scan's
+    # array form). hybrid_rate writes hybrid_shares out (hybrid_share's
+    # formula and the clamp) with the same operations in the same order, so
+    # it equals the rate at hybrid_shares(x) bit for bit in half the time of
+    # a call through hybrid_shares (0.53 against 1.10 us), and a fig2a preset
+    # plus one evaluation calls it about 285 times (closed forms and root
+    # searches).
     def reflect_rate(x):
         n = s - x
         return n * (math.log1p(eps_r / (big_l * n)) / LN2) if n > 0.0 else 0.0
@@ -288,7 +290,7 @@ def upper_bound(snr):
     log2(1 + snr). By Jensen's inequality this bounds each user's ergodic
     rate E[log2(1 + snr * X / K_t)], where X / K_t is the unit-mean
     normalized row power. With the type's own allocation it equals the
-    closed form exactly.
+    closed form up to rounding, within about 1e-15 relative.
 
     Users run along the last axis: a vector gives a float, and a block an
     array of the same sums bit for bit (one pairwise sum per row).
@@ -344,18 +346,12 @@ def _base_key(trials: int, base_seed) -> tuple:
 
 def _mean_and_stderr(rates: np.ndarray) -> tuple:
     """Mean and standard error (0 for one trial) of the per-trial rates,
-    which run along the last axis.
-
-    The reductions of rates.mean(-1) and rates.std(-1, ddof=1), bit for
-    bit, without their Python wrappers (which cost more than the arithmetic).
-    """
+    which run along the last axis."""
     trials = rates.shape[-1]
-    mean = np.add.reduce(rates, axis=-1) / trials
+    mean = rates.mean(-1)
     if trials < 2:
         return mean, np.zeros_like(mean)
-    dev = rates - np.expand_dims(mean, -1)
-    std = np.sqrt(np.add.reduce(dev * dev, axis=-1) / (trials - 1))
-    return mean, std / math.sqrt(trials)
+    return mean, rates.std(-1, ddof=1) / math.sqrt(trials)
 
 
 def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):

@@ -8,9 +8,11 @@ user) is one block, and the bounds, the regime's minimum served SNR and the
 Monte Carlo estimates are one array pass each over it. These equal the
 per-vector functions' results bit for bit: numpy rounds each elementwise
 operation alike whatever the array's shape, and sums a row of a block along
-its contiguous last axis exactly as it sums the row alone. `run_evaluate`
-serializes the cell to evaluate.json, and `run_sweep` the cells to CSV rows.
-A preset is a list of sweeps, each run under (axis, value) settings that
+its contiguous last axis exactly as it sums the row alone. The evaluator
+returns every cell or raises the first failure in cell order. `run_evaluate`
+serializes the cell to evaluate.json, and `run_sweep` the cells to CSV rows
+once every sweep has run, so a failing run writes no file. A preset is a
+list of sweeps, each run under (axis, value) settings that
 `apply_axis_value` applies like sweep values.
 
 Exit codes: 0 success, 1 ingestion/validation failure (including a link
@@ -190,39 +192,29 @@ def apply_axis_value(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioCo
     raise ConfigError(f"unknown sweep axis {axis!r}")
 
 
-def preset_variants(name: str, trials: int, base_seed: int) -> list[SweepVariant]:
-    """The built-in figure-dataset sweeps."""
-    if name == "fig2a":
-        spec = SweepSpec(
-            axis="transmit_power_dbm",
-            values=tuple(float(p) for p in range(20, 51, 2)),
-            trials=trials,
-            base_seed=base_seed,
-            outputs=("closed_form", "upper_bound", "monte_carlo", "decision"),
-        )
-        settings = (("users_transmission", 7), ("ris_rows_cols", 50), ("distances", 50))
-        return [SweepVariant("fig2a", settings, spec)]
+# The built-in figure datasets: name -> (axis, values, outputs, sweeps), each
+# sweep a (name, settings) pair; the sweeps of a preset share one spec.
+_SPLIT = ("users_transmission", tuple(float(v) for v in range(1, 10)),
+          ("closed_form", "upper_bound", "decision"))
+PRESETS = {
+    "fig2a": ("transmit_power_dbm", tuple(float(p) for p in range(20, 51, 2)),
+              ("closed_form", "upper_bound", "monte_carlo", "decision"),
+              [("fig2a", (("users_transmission", 7), ("ris_rows_cols", 50),
+                          ("distances", 50)))]),
+    "fig2b": (*_SPLIT, [(f"fig2b_d{d}", (("ris_rows_cols", 100), ("distances", d)))
+                        for d in (50, 100, 200)]),
+    "fig2c": (*_SPLIT, [(f"fig2c_mn{m}", (("ris_rows_cols", m), ("distances", 100)))
+                        for m in (50, 100, 150)]),
+}
 
-    split_spec = SweepSpec(
-        axis="users_transmission",
-        values=tuple(float(v) for v in range(1, 10)),
-        trials=trials,
-        base_seed=base_seed,
-        outputs=("closed_form", "upper_bound", "decision"),
-    )
-    if name == "fig2b":
-        return [
-            SweepVariant(f"fig2b_d{d}", (("ris_rows_cols", 100), ("distances", d)),
-                         split_spec)
-            for d in (50, 100, 200)
-        ]
-    if name == "fig2c":
-        return [
-            SweepVariant(f"fig2c_mn{side}", (("ris_rows_cols", side), ("distances", 100)),
-                         split_spec)
-            for side in (50, 100, 150)
-        ]
-    raise ConfigError(f"unknown preset {name!r}")
+
+def preset_variants(name: str, trials: int, base_seed: int) -> list[SweepVariant]:
+    """The sweeps of the built-in preset `name`."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    axis, values, outputs, sweeps = PRESETS[name]
+    spec = SweepSpec(axis, values, trials, base_seed, outputs)
+    return [SweepVariant(sweep, settings, spec) for sweep, settings in sweeps]
 
 
 # --- serialization helpers --------------------------------------------------------
@@ -282,19 +274,18 @@ class _Cell:
     diagnostics: AsymptoticDiagnostics | None
 
 
-def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
+def _evaluate_cells(cfgs, outputs, trials: int, seed: int, strict: bool):
     """Evaluate the cells of one sweep, deriving each number once.
 
-    `cfgs` is an iterable of deployments sharing users_total. Returns
-    (cells, error): when building a config or its link budget raises
-    ConfigError or DegenerateGeometryError, or a cell's averaged SNR, closed
-    forms, bounds, estimates or diagnostics are not finite (a
-    ConfigValidationError),
-    `error` is that exception and `cells` holds the cells before it, so a
-    caller meets the failures in cell order (too many users or trials to
-    allocate fails with no cells). Cell a, type i's one Monte Carlo
-    generator is (seed, a, i). The decisions are one decide_types call over
-    the finite cells. This is the one place a CapacityReport is built.
+    `cfgs` is an iterable of deployments sharing users_total. Returns every
+    cell, or raises the first failure in cell order: a cell that `strict`
+    rejects (_strict_failure), a ConfigError or DegenerateGeometryError from
+    building a config or its link budget, or a ConfigValidationError for a
+    cell whose averaged SNR, closed forms, bounds, estimates or diagnostics
+    are not finite. Too many users or trials to allocate fails before any
+    cell. Cell a, type i's one Monte Carlo generator is (seed, a, i). The
+    decisions are one decide_types call over the finite cells. This is the
+    one place a CapacityReport is built.
     """
     staged, error = [], None
     try:
@@ -303,17 +294,14 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
     except (ConfigError, DegenerateGeometryError) as exc:
         error = exc
     if not staged:
-        return [], error
+        raise error
     cfgs, budgets = zip(*staged)
 
     monte_carlo, exact = "monte_carlo" in outputs, "exact" in outputs
     # Out-of-range numbers come out inf or NaN; their cells are rejected
     # below, so numpy's warnings about them would only repeat the error.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            snr = average_snr_block(cfgs, budgets)
-        except ConfigValidationError as exc:
-            return [], exc
+        snr = average_snr_block(cfgs, budgets)
         closed = np.array([[rate(cfg.users_transmission)
                             for rate, _ in type_curves(cfg, budget).values()]
                            for cfg, budget in staged])
@@ -321,10 +309,7 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
         blocks = [snr, closed, bounds]
         if monte_carlo:
             antennas = np.array([cfg.bs_antennas for cfg in cfgs])[:, None]
-            try:
-                means, stderrs = monte_carlo_capacity(snr, antennas, trials, seed)
-            except ConfigValidationError as exc:
-                return [], exc
+            means, stderrs = monte_carlo_capacity(snr, antennas, trials, seed)
             blocks += [means, stderrs]
         if exact:
             exact_rates = np.array([ergodic_rate_exact(rows, cfg.bs_antennas)
@@ -367,9 +352,14 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int):
             stderrs[a][i] if monte_carlo else None,
             trials if monte_carlo else 0, ris_type,
             exact_rates[a][i] if exact else None) for i, ris_type in enumerate(_TYPES)}
-        cells.append(_Cell(budget, regimes[a], reports, *decisions[a], winners[a],
-                           diagnostics[a]))
-    return cells, error
+        cell = _Cell(budget, regimes[a], reports, *decisions[a], winners[a],
+                     diagnostics[a])
+        if strict and (failure := _strict_failure(cell)) is not None:
+            raise failure
+        cells.append(cell)
+    if error is not None:
+        raise error
+    return cells
 
 
 def _error_exit(exc: Exception, strict: bool) -> int:
@@ -418,16 +408,11 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
     cfg = _load(scenario_path)
     if cfg is None:
         return 1
-    cells, error = _evaluate_cells([cfg], EVALUATE_OUTPUTS, trials, seed)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return _error_exit(error, strict)
-    cell, = cells
-
-    failure = _strict_failure(cell) if strict else None
-    if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-        return 2
+    try:
+        cell, = _evaluate_cells([cfg], EVALUATE_OUTPUTS, trials, seed, strict)
+    except (ConfigError, DegenerateGeometryError, RegimeViolationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _error_exit(exc, strict)
 
     record = {
         "scenario_digest": config_digest(cfg),
@@ -481,16 +466,12 @@ def _diagnostics_row(value, diag) -> str:
 
 
 def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
-    rows = []
-    diagnostics_rows = []
+    rows, diagnostics_rows = [], []
     outputs = spec.outputs
-    cells, error = _evaluate_cells(
+    cells = _evaluate_cells(
         (apply_axis_value(cfg, spec.axis, value) for value in spec.values), outputs,
-        spec.trials, spec.base_seed)
+        spec.trials, spec.base_seed, strict)
     for value, cell in zip(spec.values, cells):
-        failure = _strict_failure(cell) if strict else None
-        if failure is not None:
-            raise failure
         decision_letter = cell.winner.letter if cell.winner is not None else ""
         agrees = cell.decision.agrees if cell.decision is not None else None
         for ris_type, report in cell.reports.items():
@@ -503,8 +484,6 @@ def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
             ]))
         if "diagnostics" in outputs:
             diagnostics_rows.append(_diagnostics_row(value, cell.diagnostics))
-    if error is not None:
-        raise error
     return rows, diagnostics_rows
 
 
@@ -521,6 +500,7 @@ def run_sweep(scenario_path: Path, variants: list[SweepVariant], out_dir: Path,
     except OSError as exc:
         return _fail(f"cannot create output dir {out_dir}: {exc}")
 
+    files = []  # every variant is evaluated before any file is written
     for variant in variants:
         try:
             base_cfg = cfg
@@ -530,17 +510,16 @@ def run_sweep(scenario_path: Path, variants: list[SweepVariant], out_dir: Path,
         except (ConfigError, DegenerateGeometryError, RegimeViolationError) as exc:
             print(f"error [{variant.name}]: {exc}", file=sys.stderr)
             return _error_exit(exc, strict)
-        outputs = [(out_dir / f"{variant.name}.csv", CSV_HEADER, rows)]
+        files.append((out_dir / f"{variant.name}.csv", CSV_HEADER, rows))
         if diagnostics_rows:
-            outputs.append((out_dir / f"{variant.name}_diagnostics.csv",
-                            DIAGNOSTICS_HEADER, diagnostics_rows))
-        for csv_path, header, body in outputs:
-            try:
-                csv_path.write_text("\n".join([header] + body) + "\n",
-                                    encoding="utf-8")
-            except OSError as exc:
-                return _fail(f"cannot write {csv_path}: {exc}")
-            print(f"wrote {csv_path} ({len(body)} rows)")
+            files.append((out_dir / f"{variant.name}_diagnostics.csv",
+                          DIAGNOSTICS_HEADER, diagnostics_rows))
+    for csv_path, header, body in files:
+        try:
+            csv_path.write_text("\n".join([header] + body) + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _fail(f"cannot write {csv_path}: {exc}")
+        print(f"wrote {csv_path} ({len(body)} rows)")
     return 0
 
 
@@ -556,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario config file (key = value text)")
     parser.add_argument("--sweep", type=Path,
                         help="sweep spec file; runs a sweep instead of a single evaluation")
-    parser.add_argument("--preset", choices=["fig2a", "fig2b", "fig2c"],
+    parser.add_argument("--preset", choices=tuple(PRESETS),
                         help="built-in sweep preset")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")

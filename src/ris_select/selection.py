@@ -56,6 +56,7 @@ NO_CROSSING = -1   # one sign throughout
 NOT_MONOTONE = -2  # a sign change against the difference's direction
 UNSURE = -3        # a NaN sign: the search asks the closures
 FD_STEP = 1e-6
+CERTIFICATE_POINTS = 41  # interior splits the monotonicity certificate checks
 
 
 class RegimeViolationError(RuntimeError):
@@ -491,8 +492,8 @@ class MonotonicityCertificate:
     lemma_points: int
 
 
-def monotonicity_certificate(cfg: ScenarioConfig, budget: LinkBudget,
-                             grid_points: int = 41) -> MonotonicityCertificate:
+def monotonicity_certificate(cfg: ScenarioConfig,
+                             budget: LinkBudget) -> MonotonicityCertificate:
     """Certify the analytic slopes against finite differences.
 
     Evaluates the analytic slope of both single-zone curves on an interior
@@ -509,7 +510,7 @@ def monotonicity_certificate(cfg: ScenarioConfig, budget: LinkBudget,
     s = float(cfg.users_total)
     c_reflect, c_transmit, _ = _curves(cfg, budget)
 
-    grid = np.linspace(1.0, s - 1.0, grid_points + 2)[1:-1]
+    grid = np.linspace(1.0, s - 1.0, CERTIFICATE_POINTS + 2)[1:-1]
     transmit_slope = np.empty_like(grid)
     reflect_slope = np.empty_like(grid)
     worst = 0.0

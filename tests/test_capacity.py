@@ -153,6 +153,8 @@ def test_upper_bound_zero_allocation_is_zero():
 
 
 def test_upper_bound_with_own_allocation_matches_closed_form():
+    # equal up to rounding: the two sides round different products (8.0e-16
+    # relative at most over 3000 of these deployments x 3 types)
     rng = np.random.default_rng(424242)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # empty-zone allocations are expected here
@@ -163,7 +165,7 @@ def test_upper_bound_with_own_allocation_matches_closed_form():
                 alloc = allocate_power(cfg, ris_type, budget)
                 bound = upper_bound(average_snr(cfg, ris_type, alloc, budget))
                 closed = closed_form_rate(cfg, ris_type, budget)
-                assert abs(bound - closed) <= 1e-10 * max(abs(closed), 1e-30)
+                assert abs(bound - closed) <= 1e-14 * max(abs(closed), 1e-30)
 
 
 def test_budget_conservation_random():

@@ -537,26 +537,35 @@ def _single_error_line(capsys):
 
 
 def _run_cli_process(*argv) -> tuple:
-    """(exit code, stderr lines) of `python -m ris_select.cli` in a child
-    interpreter, whose stderr is what a user sees, warnings included."""
+    """(exit code, stdout lines, stderr lines) of `python -m ris_select.cli`
+    in a child interpreter, whose stderr is what a user sees, warnings
+    included."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     done = subprocess.run([sys.executable, "-m", "ris_select.cli", *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=300)
-    return done.returncode, done.stderr.splitlines()
+    return done.returncode, done.stdout.splitlines(), done.stderr.splitlines()
 
 
 def test_failing_preset_prints_its_error_line_alone(tmp_path):
     # fig2b on a 5-user scenario: its split-5 cells warn of an empty zone,
     # then the split-6 cell fails; the warning and its source line used to
     # reach stderr before the error line
-    scenario = tmp_path / "five.cfg"
-    scenario.write_text(REFERENCE_SCENARIO.read_text()
-                        .replace("users_total = 10", "users_total = 5")
-                        .replace("users_transmission = 7", "users_transmission = 2"))
-    code, err = _run_cli_process("--scenario", scenario, "--preset", "fig2b",
-                                 "--out", tmp_path / "out")
-    assert code == 1
-    assert err == ["error [fig2b_d50]: users_transmission exceeds users_total"]
+    five = tmp_path / "five.cfg"
+    five.write_text(REFERENCE_SCENARIO.read_text()
+                    .replace("users_total = 10", "users_total = 5")
+                    .replace("users_transmission = 7", "users_transmission = 2"))
+    # the reference deployment passes --strict at 50 m and fails it at 100 m;
+    # fig2b_d50.csv and its `wrote` line used to be left behind
+    cases = [([five], 1, "error [fig2b_d50]: users_transmission exceeds users_total"),
+             ([REFERENCE_SCENARIO, "--strict"], 2,
+              "error [fig2b_d100]: approximation regime check failed "
+              "(isotropy ratio 0.05, min received SNR 8.876)")]
+    for index, (args, exit_code, line) in enumerate(cases):
+        out = tmp_path / f"out{index}"
+        code, stdout, err = _run_cli_process("--preset", "fig2b", "--out", out,
+                                             "--scenario", *args)
+        assert (code, stdout, err) == (exit_code, [], [line])
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_sweep_warnings_are_one_line_each(tmp_path):
@@ -564,8 +573,8 @@ def test_sweep_warnings_are_one_line_each(tmp_path):
     # message and its source line
     spec = tmp_path / "ends.cfg"
     spec.write_text("axis = users_transmission\nvalues = 0, 5, 10\n")
-    code, err = _run_cli_process("--scenario", REFERENCE_SCENARIO, "--sweep", spec,
-                                 "--out", tmp_path / "out")
+    code, _, err = _run_cli_process("--scenario", REFERENCE_SCENARIO, "--sweep", spec,
+                                    "--out", tmp_path / "out")
     assert code == 0
     assert err == [
         "warning: no served UEs: transmissive surface with an empty transmission zone",
@@ -936,19 +945,26 @@ def test_out_of_range_link_budget_gives_one_error_line(tmp_path, capsys, case, m
 
 
 def test_out_of_range_axis_value_fails_after_the_cells_before_it(tmp_path, capsys):
-    # the first cell fails --strict's regime check before the second cell's
-    # link budget overflows, so the regime failure is reported (exit 2);
-    # without --strict the overflow is (exit 1)
-    spec = tmp_path / "sweep.cfg"
-    spec.write_text("axis = distances\nvalues = 500, 1e300\n"
-                    "outputs = closed_form, upper_bound, decision\n")
-    argv = ["--scenario", str(REFERENCE_SCENARIO), "--sweep", str(spec),
-            "--out", str(tmp_path / "out")]
-    assert main(argv + ["--strict"]) == 2
-    assert "regime" in _single_error_line(capsys)
-    assert main(argv) == 1
-    assert "link budget out of floating-point range" in _single_error_line(capsys)
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    # the first cell fails --strict's regime check before the second cell is
+    # rejected, so the regime failure is reported (exit 2); without --strict
+    # the second cell's failure is (exit 1). The second cell's link budget
+    # overflows at 1e300 m; over 1e-300 W of noise, its link budget is in
+    # range at 290 dBm but P / sigma^2 overflows.
+    cases = [(REFERENCE_SCENARIO, "distances", "500, 1e300", "regime",
+              "link budget out of floating-point range"),
+             (_scenario_with_noise(tmp_path, 1e-300), "transmit_power_dbm",
+              "-2870, 290", "min received SNR 0.01467", "not finite")]
+    for scenario, axis, values, strict_text, lenient_text in cases:
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(f"axis = {axis}\nvalues = {values}\n"
+                        "outputs = closed_form, upper_bound, decision\n")
+        argv = ["--scenario", str(scenario), "--sweep", str(spec),
+                "--out", str(tmp_path / "out")]
+        assert main(argv + ["--strict"]) == 2
+        assert strict_text in _single_error_line(capsys)
+        assert main(argv) == 1
+        assert lenient_text in _single_error_line(capsys)
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def _scenario_with_noise(tmp_path, noise_w):
@@ -995,9 +1011,10 @@ def test_non_finite_cell_fails_after_the_cells_before_it(tmp_path, capsys):
     # constant is subnormal and P / sigma^2 overflows
     cfg = replace(load_scenario(REFERENCE_SCENARIO), noise_variance=1e-300)
     cfgs = [cli.apply_axis_value(cfg, "transmit_power_dbm", p) for p in (43.0, 290.0)]
-    cells, error = cli._evaluate_cells(cfgs, cli.EVALUATE_OUTPUTS, 2, 0)
-    assert len(cells) == 1 and isinstance(error, ConfigValidationError)
-    assert _numbers_finite(cells[0])
+    with pytest.raises(ConfigValidationError, match="not finite"):
+        cli._evaluate_cells(cfgs, cli.EVALUATE_OUTPUTS, 2, 0, False)
+    cell, = cli._evaluate_cells(cfgs[:1], cli.EVALUATE_OUTPUTS, 2, 0, False)
+    assert _numbers_finite(cell)
 
     spec = tmp_path / "sweep.cfg"
     spec.write_text("axis = transmit_power_dbm\nvalues = 43, 290\n")
@@ -1060,11 +1077,14 @@ def test_extreme_configs_give_finite_numbers_or_an_error():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty served sets
             warnings.simplefilter("error", RuntimeWarning)
-            cells, error = cli._evaluate_cells(cfgs, cli.EVALUATE_OUTPUTS, 2, 0)
-        assert error is None or isinstance(error, ConfigError)
-        assert (error is None) == (len(cells) == len(cfgs))
+            try:
+                cells = cli._evaluate_cells(cfgs, cli.EVALUATE_OUTPUTS, 2, 0, False)
+            except ConfigError:
+                outcomes["error"] += 1
+                continue
+        assert len(cells) == len(cfgs)
         for cell in cells:
             assert _numbers_finite(cell)
             assert np.isfinite(cell.regime.min_received_snr)
-        outcomes["finite" if error is None else "error"] += 1
+        outcomes["finite"] += 1
     assert min(outcomes.values()) >= 20, outcomes

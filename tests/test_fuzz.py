@@ -8,8 +8,9 @@ non-number, or a duplicate key. Each case runs through cli.main in process,
 as a single evaluation or a sweep, a quarter of them under --strict. The
 contract: exit 0 with every number written finite and stderr holding only
 distinct `warning:` lines, or exit 1 or 2 with exactly one stderr line,
-starting with "error"; main never raises. A warning that escaped main would
-reach stderr as Python prints it, so the lines counted are the real stderr.
+starting with "error", and no file written; main never raises. A warning
+that escaped main would reach stderr as Python prints it, so the lines
+counted are the real stderr.
 
 A second generator draws cases under the same contract that also run the
 presets and set --trials and --seed, each at an integer edge value half of
@@ -189,6 +190,8 @@ def _run_cases(tmp_path, capsys, rng: random.Random, make_case, count: int) -> d
         else:
             assert code in (1, 2), where
             assert len(err) == 1 and err[0].startswith("error"), (where, err)
+            out = work / "out"
+            assert not out.exists() or not any(out.iterdir()), where
     return codes
 
 
