@@ -12,16 +12,16 @@ replayable and safe to farm out in parallel.
 
 Fading laws are plain callables law(rng, shape); uniform_phase computes
 exp(2 pi i u) by a table-driven unit-phasor kernel, in passes of
-_PHASOR_CHUNK values through scratch that each thread allocates once and
-keeps (a worker thread's goes with it when its call ends).
+_PHASOR_CHUNK values through scratch that each thread allocates once, as
+plain arrays, and keeps.
 zone_gain_statistics cuts its trials into blocks of _STAT_CHUNK rows, and
 block b draws from its own generator zone_seed + (b,). _on_two_threads
-runs such keyed tasks on the calling thread and one worker thread started
-for the call, which take the next index from one shared iterator; each
-task writes only its own rows, so a sample's bits depend on the seed and
-the block cut, never on threads or timing. numpy's generator fills release
-the GIL, so the two threads' draws overlap, where one generator's draws
-stay serial.
+runs such keyed tasks on the calling thread and the one element worker
+thread, which starts on first use and lives as long as the process; the
+two take the next index from one shared iterator. Each task writes only
+its own rows, so a sample's bits depend on the seed and the block cut,
+never on threads or timing. numpy's generator fills release the GIL, so
+the two threads' draws overlap, where one generator's draws stay serial.
 prepare_sampler's draw is one stream, drawn a few user rows at a time in
 stream order on the calling thread; element_monte_carlo runs its keyed
 trials through _on_two_threads.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
+import os
 import threading
 from dataclasses import dataclass
 
@@ -153,8 +153,8 @@ _PHASOR_STEPS = 256
 # buffers allocated per call and this large fall above glibc's mmap
 # threshold and fault their pages in again on every call (about 25000
 # faults per 3 zone calls at 16384 values, 12 at 8192), so each thread
-# allocates its scratch once (_phasor_scratch). At 32768 values the scratch
-# is 1.25 MB, inside a core's 2 MB L2 cache.
+# allocates its scratch once (_phasor_scratch) and keeps it (the element
+# worker for the life of the process): 1.25 MB, inside a core's 2 MB L2.
 _PHASOR_CHUNK = 32768
 _SCRATCH = threading.local()
 
@@ -178,19 +178,13 @@ _PHASOR_POLY = np.array([
 
 
 def _phasor_scratch(size: int) -> tuple:
-    """The running thread's kernel buffers: two flat ones of 2 size floats
-    and one of size int64 table indices, allocated on the thread's first
-    call, again only when a call needs more, and dropped with the thread.
-
-    They are one private anonymous memory map, outside the malloc heap: a
-    buffer held between calls fragments no allocator arena, a worker's goes
-    back to the system when its thread ends, and a forked child writes to
-    its own copy (a map is never empty, hence at least one value)."""
+    """The running thread's kernel buffers, plain arrays: two flat ones of
+    2 size floats and one of size int64 table indices, allocated on the
+    thread's first call, again only when a call needs more, and kept while
+    the thread lives (the element worker's, as long as the process)."""
     held = getattr(_SCRATCH, "buffers", None)
     if held is None or held[2].size < size:
-        size = max(size, 1)
-        block = np.frombuffer(mmap.mmap(-1, 40 * size, flags=mmap.MAP_PRIVATE))
-        held = block[:2 * size], block[2 * size:4 * size], block[4 * size:].view(np.int64)
+        held = np.empty(2 * size), np.empty(2 * size), np.empty(size, dtype=np.int64)
         _SCRATCH.buffers = held
     return held
 
@@ -381,21 +375,40 @@ def _panel_sum(g, coeff, scale, out) -> None:
     out *= scale
 
 
-def _on_two_threads(task, count: int) -> None:
-    """Run task(0) .. task(count - 1) on the calling thread and one worker
-    thread started for the call.
+class _Worker:
+    """The element path's one worker thread, started on first use and kept
+    for the life of the process. A caller hands it a job by taking `free`,
+    pushing the job to `jobs` and releasing `ready`; the job releases `free`
+    once it has run, so a busy worker is never handed another. Fork copies
+    only the forking thread, so a child forgets its parent's worker."""
 
-    Both threads take the next index from one shared range iterator (its
-    next() is one C call under the GIL, so no index is run twice or
-    skipped). The tasks must be independent, each writing only its own
-    output, so what they produce does not depend on which thread ran which
-    index, nor when. The count is fixed: with the caller, one worker keeps
-    both cores of a 2-core host busy. A thread whose task raises takes the
-    indices left, so the other starts no new task. The worker is joined on
-    every path; the caller's exception wins, else the worker's is raised as is.
-    """
-    indices = iter(range(count))
-    failed = []
+    def __init__(self):
+        self.free, self.ready, self.jobs, self.thread = (
+            threading.Lock(), threading.Lock(), [], None)
+        self.ready.acquire()
+
+    def serve(self):
+        while True:
+            self.ready.acquire()
+            self.jobs.pop()()
+
+
+_WORKER = _Worker()
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_WORKER.__init__)
+
+
+def _on_two_threads(task, count: int) -> None:
+    """Run task(0) .. task(count - 1) on the calling thread and the element
+    worker (_Worker), both taking the next index from one shared range
+    iterator (one C call under the GIL: no index runs twice or is skipped).
+    The tasks must be independent, each writing only its own output, so
+    that it does not depend on which thread ran which index, nor when. A
+    call that finds the worker busy (another thread's call, or one nested in
+    a task) runs every task itself. A thread whose task raises takes the
+    indices left. The call returns once the worker's share is finished; the
+    caller's exception wins, else the worker's is raised as is."""
+    indices, failed, worker, done = iter(range(count)), [], _WORKER, threading.Lock()
 
     def run():
         try:
@@ -410,13 +423,22 @@ def _on_two_threads(task, count: int) -> None:
             run()
         except BaseException as exc:
             failed.append(exc)
+        worker.free.release()
+        done.release()
 
-    worker = threading.Thread(target=work)
-    worker.start()
+    handed = worker.free.acquire(blocking=False)
+    if handed:
+        if worker.thread is None:
+            worker.thread = threading.Thread(target=worker.serve, daemon=True)
+            worker.thread.start()
+        done.acquire()
+        worker.jobs.append(work)
+        worker.ready.release()
     try:
         run()
     finally:
-        worker.join()
+        if handed:
+            done.acquire()
     if failed:
         raise failed.pop()
 

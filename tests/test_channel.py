@@ -428,12 +428,11 @@ def test_a_repeated_unit_phasor_call_allocates_only_its_output():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # tracemalloc does not see the scratch's map: the call must have used
-    # the buffers already held, not mapped new ones
+    # the call used the buffers this thread already holds; new scratch would
+    # also show in the peak, 40 bytes per value of a pass
     assert channel._phasor_scratch(0) is held
     # beyond the output, numpy's iterator buffer for the float -> int casts
-    # of the table index and a few array views; one pass of per-call scratch
-    # would be 40 bytes per value of a pass
+    # of the table index and a few array views
     slack = np.getbufsize() * 8 + 8192
     assert out.nbytes <= peak <= out.nbytes + slack
 
@@ -461,6 +460,27 @@ def test_a_forked_child_keeps_its_own_scratch():
         assert mismatches(0) == 0
         assert receiver.poll(60.0)
         assert receiver.recv() == 0
+    finally:
+        child.join(60.0)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_forked_child_starts_its_own_worker():
+    # fork copies only the calling thread, not the parent's worker: a child
+    # handing blocks to that worker would wait for it for ever
+    expected = repr(_gain_call("uniform_phase"))
+    assert channel._WORKER.thread.is_alive()
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: sender.send(repr(_gain_call("uniform_phase"))))
+    child.start()
+    try:
+        assert receiver.poll(60.0), "the forked child's call hung"
+        assert receiver.recv() == expected
     finally:
         child.join(60.0)
         if child.is_alive():
@@ -520,8 +540,19 @@ def _gain_call(law, trials=1000):
                                 fading=law, seed=8)
 
 
+def _threads_beyond(before):
+    """Threads running now that did not run at `before`, other than the
+    element worker (which lives as long as the process)."""
+    return set(threading.enumerate()) - before - {channel._WORKER.thread}
+
+
+def _serial(task, count):
+    for index in range(count):
+        task(index)
+
+
 def test_worker_failure_propagates_with_its_own_type():
-    before = threading.active_count()
+    before = set(threading.enumerate())
     worker_in = threading.Event()
     callers, calls = [], []
 
@@ -545,11 +576,11 @@ def test_worker_failure_propagates_with_its_own_type():
     # after it (it may have taken none: the worker can fail first)
     assert [thread is caller for thread in calls].count(False) == 1
     assert len(calls) <= 2
-    assert threading.active_count() == before
+    assert _threads_beyond(before) == set()
 
 
 def test_draw_failure_with_blocks_in_flight_leaves_no_thread():
-    before = threading.active_count()
+    before = set(threading.enumerate())
     worker_in, failed = threading.Event(), threading.Event()
     callers, calls = [], []
 
@@ -573,23 +604,23 @@ def test_draw_failure_with_blocks_in_flight_leaves_no_thread():
     assert isinstance(error, DrawFailed)
     # the worker finished the block it held and started no other
     assert sorted(thread is caller for thread in calls) == [False, True]
-    assert threading.active_count() == before
+    assert _threads_beyond(before) == set()
 
 
 def test_one_worker_thread_finishes_every_handed_block():
-    # each call starts one worker thread of its own, the only thread beyond
-    # those running before it, and the caller and that worker draw every
-    # block exactly once between them
+    # every call hands blocks to the same one worker, the only thread that
+    # starts beyond those running before (the first element-path call in
+    # the process starts it), and the caller and the worker draw every block
+    # exactly once between them
     before = set(threading.enumerate())
     workers = []
-    for call in range(3):
+    for _ in range(3):
         worker_in = threading.Event()
-        shapes, threads, started = [], set(), set()
+        shapes, threads = [], set()
 
         def law(rng, shape):
             thread = threading.current_thread()
             threads.add(thread)
-            started.update(set(threading.enumerate()) - before)
             if thread is threading.main_thread():
                 assert worker_in.wait(10.0)
             else:
@@ -598,11 +629,11 @@ def test_one_worker_thread_finishes_every_handed_block():
             return uniform_phase_fading(rng, shape)
 
         _gain_call(law)
-        assert threads - {threading.main_thread()} == started
-        workers += started
-        assert len(workers) == call + 1 and len(set(workers)) == call + 1
+        workers.append(threads - {threading.main_thread()})
         assert sorted(shapes) == sorted([(32, 2500)] * 31 + [(8, 2500)])
-        assert set(threading.enumerate()) == before
+    assert workers == [{channel._WORKER.thread}] * 3
+    assert channel._WORKER.thread.daemon and channel._WORKER.thread.is_alive()
+    assert _threads_beyond(before) == set()
 
 
 @pytest.mark.parametrize("first", ["worker", "caller"])
@@ -610,7 +641,7 @@ def test_caller_failure_wins_when_both_threads_fail(monkeypatch, first):
     # the caller's block and the worker's block both raise, in either order:
     # the caller's exception type propagates, and no thread is left running
     # or reports an exception of its own
-    before = threading.active_count()
+    before = set(threading.enumerate())
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     caller_in, worker_in, caller_out, worker_out = (threading.Event() for _ in range(4))
@@ -640,7 +671,7 @@ def test_caller_failure_wins_when_both_threads_fail(monkeypatch, first):
     error, _ = _run_with_watchdog(call)
     assert type(error) is DrawFailed
     assert worker_out.is_set() and caller_out.is_set()
-    assert threading.active_count() == before
+    assert _threads_beyond(before) == set()
     assert hooked == []
 
 
@@ -668,18 +699,76 @@ def test_two_threads_run_every_index_exactly_once():
     assert counts == [[1] * 3000 for _ in range(3)]
 
 
+def test_concurrent_gain_calls_share_one_worker(monkeypatch):
+    # four callers (more than the cores) switching often: one call at a time
+    # hands blocks to the worker and the others run theirs alone, and every
+    # result equals the serial one
+    laws = ["uniform_phase", "gaussian", "sign", "uniform_phase"]
+    with monkeypatch.context() as patch:
+        patch.setattr(channel, "_on_two_threads", _serial)
+        expected = {law: repr(_gain_call(law, 300)) for law in set(laws)}
+    before = set(threading.enumerate())
+    results = [[] for _ in laws]
+
+    def call(i):
+        for _ in range(4):
+            results[i].append(repr(_gain_call(laws[i], 300)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,), daemon=True)
+                   for i in range(len(laws))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [[expected[law]] * 4 for law in laws]
+    assert _threads_beyond(before) == set()
+
+
+def test_a_call_nested_in_a_task_runs_on_its_own_thread():
+    # the worker is busy with the outer call, so a call made from inside one
+    # of its tasks, on either thread, runs every inner task on that thread
+    before = set(threading.enumerate())
+    worker_in, caller_done = threading.Event(), threading.Event()
+    callers, ran = [], {}
+
+    def task(index):
+        thread = threading.current_thread()
+        if thread is callers[0]:
+            assert worker_in.wait(10.0)
+        else:
+            worker_in.set()
+        inner = []
+        channel._on_two_threads(lambda i: inner.append(threading.current_thread()), 5)
+        ran[index] = thread, inner
+        if thread is callers[0]:
+            caller_done.set()
+        else:  # keep the worker busy until the caller's nested call is done
+            assert caller_done.wait(10.0)
+
+    def call():
+        callers.append(threading.current_thread())
+        channel._on_two_threads(task, 2)
+
+    error, caller = _run_with_watchdog(call)
+    assert error is None
+    assert sorted(thread is caller for thread, _ in ran.values()) == [False, True]
+    assert all(inner == [thread] * 5 for thread, inner in ran.values())
+    assert _threads_beyond(before) == set()
+
+
 @pytest.mark.parametrize("name", sorted(FADING_LAWS))
 def test_gain_statistics_do_not_depend_on_thread_timing(monkeypatch, name):
     # compared by repr, which is exact for floats and equal for NaN (the
     # sign law's imaginary kurtosis on a zero phase grid)
     expected = repr(_gain_call(name))
-
-    def serial(task, count):
-        for index in range(count):
-            task(index)
-
     with monkeypatch.context() as patch:
-        patch.setattr(channel, "_on_two_threads", serial)
+        patch.setattr(channel, "_on_two_threads", _serial)
         assert repr(_gain_call(name)) == expected
 
     delayed = []
@@ -702,10 +791,10 @@ def test_sampler_draws_stay_on_the_calling_thread():
         return gaussian_fading(rng, shape)
 
     draw = prepare_sampler(reference, RisType.HYBRID, link_budget(reference), law)
-    before = threading.active_count()
+    before = set(threading.enumerate())
     draw((3,))
     assert threads == {threading.current_thread()}
-    assert threading.active_count() == before
+    assert _threads_beyond(before) == set()
 
 
 def test_plain_callable_law_matches_an_inline_reference():

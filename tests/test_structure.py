@@ -4,6 +4,7 @@ the CLI loads no module it does not use."""
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -44,15 +45,33 @@ def test_layer_trace_names_resolve():
     assert channel.FADING_LAWS and all(callable(law) for law in channel.FADING_LAWS.values())
 
 
-def test_the_cli_loads_no_executor():
-    # the element path's worker is a plain thread, so a CLI process imports
-    # neither concurrent.futures nor the logging and queue modules it brings
-    code = ("import sys, ris_select.cli; print(' '.join(name for name in "
-            "('concurrent.futures', 'logging', 'queue') if name in sys.modules))")
+def test_the_cli_loads_no_executor(tmp_path):
+    # the element path's worker is a plain thread, started on first use, and
+    # its scratch plain arrays: a CLI process imports neither
+    # concurrent.futures (nor the logging and queue modules it brings) nor
+    # mmap, and importing ris_select or running one evaluation starts no
+    # thread; the first element-path call starts the one worker
+    code = "\n".join([
+        "import json, sys, threading",
+        "from ris_select import cli, load_scenario, zone_gain_statistics, RisType",
+        "threads = [threading.active_count()]",
+        "assert cli.main(sys.argv[1:]) == 0",
+        "threads.append(threading.active_count())",
+        "loaded = [name for name in ('concurrent.futures', 'logging', 'queue', 'mmap')",
+        "          if name in sys.modules]",
+        "cfg = load_scenario(sys.argv[2])",
+        "for _ in range(2):",
+        "    zone_gain_statistics(cfg, RisType.HYBRID, True, 100)",
+        "    threads.append(threading.active_count())",
+        "print(json.dumps({'loaded': loaded, 'threads': threads}))",
+    ])
+    argv = ["--scenario", str(REPO_ROOT / "scenarios" / "reference.cfg"),
+            "--out", str(tmp_path / "out"), "--trials", "1"]
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    assert done.stdout.split() == []
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"loaded": [], "threads": [1, 1, 2, 2]}
 
 
 @pytest.mark.parametrize("run", ["evaluate", "fig2a", "fig2b", "fig2c", "sweep"])
