@@ -8,7 +8,8 @@ the near-isotropic, high-SNR regime, which is what makes the condition table
 work. Outside that regime the table verdict is still produced but marked
 advisory, and the brute-force comparison of the closed forms is the verdict
 to trust. Each crossing is found by an ITP search on the rate closures,
-started from the grid interval where the array scan sees its sign change.
+started from the grid bracket of the closures' sign change, which the array
+scan finds for every difference by one rule.
 `decide_types` decides every cell of a sweep with one scan and one search
 per crossing tuple; `decide_type` is that call for one cell.
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from .capacity import (
     LN2,
+    _type_curves,
     allocate_power,
     average_snr,
     hybrid_share,
@@ -50,11 +52,9 @@ SCAN_GUARD = 1e-12
 ITP_K1_WIDTH = 0.01
 ITP_K2 = 2.5
 ITP_N0 = 1
-# scan_differences' bracket codes besides a grid index k >= 0, which says
-# that the signs change between grid points k and k + 1
-NO_CROSSING = -1   # one sign throughout
-NOT_MONOTONE = -2  # a sign change against the difference's direction
-UNSURE = -3        # a NaN sign: the search asks the closures
+# scan_differences' bracket codes, given in place of a row's low grid index
+NO_CROSSING = -1   # no sign change
+NOT_MONOTONE = -2  # a NaN, or a sign change against the difference's direction
 FD_STEP = 1e-6
 CERTIFICATE_POINTS = 41  # interior splits the monotonicity certificate checks
 
@@ -75,9 +75,11 @@ class CertificateError(RuntimeError):
 
 # --- rate curves over the continuous user split --------------------------------
 
-def _curves(cfg: ScenarioConfig, budget: LinkBudget):
-    """The rate curves of the three types, in RisType order (R, T, H)."""
-    return tuple(rate for rate, _ in type_curves(cfg, budget).values())
+def _curves(key: tuple) -> tuple:
+    """The rate closures of the three types for a crossing_key tuple, in
+    RisType order (R, T, H): what the scan's guarded points, the crossing
+    search, the condition table and the certificate evaluate."""
+    return tuple(rate for rate, _ in _type_curves(*key).values())
 
 
 def _f_lemma(x: float) -> float:
@@ -118,20 +120,6 @@ class SelectionThresholds:
     split_reflect_hybrid: float | None
     split_transmit_hybrid: float | None
     rate_at_equal_split: float | None
-
-
-def _sign_pattern_monotone(values, increasing: bool) -> bool:
-    """True when the nonzero signs of `values` change at most once, and then
-    from negative to positive if `increasing` (positive to negative if not).
-
-    Zeros are skipped; any NaN makes the pattern non-monotone.
-    """
-    if any(map(math.isnan, values)):
-        return False
-    signs = [v > 0.0 for v in values if v != 0.0]
-    # the one allowed change leads to `increasing`; nothing may follow it
-    return increasing not in signs \
-        or (not increasing) not in signs[signs.index(increasing):]
 
 
 def _itp_root(first, second, lo: float, hi: float) -> float | None:
@@ -202,21 +190,27 @@ _DIRECTIONS = np.array([[1.0 if increasing else -1.0]
 
 
 def scan_differences(keys) -> tuple:
-    """The signs of the three rate differences on the threshold-search grid
-    of every crossing_key tuple in `keys` (each with S >= 2), and the grid
-    interval of each sign change, in one array pass.
+    """The closures' signs of the three rate differences on the
+    threshold-search grid of every crossing_key tuple in the list `keys`
+    (each with S >= 2), and the grid bracket of each row's sign change, in
+    one array pass.
 
-    Returns (signs, brackets). `signs` is a (len(keys), 3, SCAN_POINTS)
-    array: row [k, j] holds the sign (1.0 or -1.0) of difference j of
-    _DIFFERENCES at np.linspace(1, S - 1, SCAN_POINTS) for keys[k], taken
-    from capacity.type_rate_arrays, and NaN where the array rates cannot
-    vouch for the closures' sign: where the difference is no larger than
-    SCAN_GUARD times its rates' sizes, or NaN. `brackets` is a
-    (len(keys), 3) int array: for a row without NaN, the grid index k
-    whose interval [grid[k], grid[k + 1]] holds the row's one sign change
-    in the difference's direction, else NO_CROSSING or NOT_MONOTONE; for a
-    row with NaN, UNSURE, and the search evaluates those points with the
-    closures.
+    Returns (signs, low, high). `signs` is a (len(keys), 3, SCAN_POINTS)
+    array: row [a, j] holds np.sign of the closures' difference j of
+    _DIFFERENCES at np.linspace(1, S - 1, SCAN_POINTS) for keys[a] (1.0,
+    -1.0, 0.0 or NaN), taken from capacity.type_rate_arrays where the array
+    difference exceeds SCAN_GUARD times its rates' sizes, and from the
+    closures (_curves) at every other point. `low` and `high` are
+    (len(keys), 3) int arrays that one rule gives each row from its signs
+    along the difference's direction (times -1 for the falling second one):
+
+    * low NOT_MONOTONE for a NaN or a -1 after a +1;
+    * (0, SCAN_POINTS - 1), the whole grid, for a 0 at either end;
+    * low NO_CROSSING when the two ends share their sign;
+    * else the last -1 and the first +1 ((k, k + 1) for a row without
+      zeros): the crossing lies in [grid[low], grid[high]].
+
+    `high` means nothing where `low` holds a code.
     """
     x = np.array([_scan_grid(key[0]) for key in keys])
     columns = np.array(keys, dtype=float)
@@ -228,69 +222,47 @@ def scan_differences(keys) -> tuple:
         second = curves[[j for _, _, j, _ in _DIFFERENCES]]
         diff = first - second
         sure = np.abs(diff) > SCAN_GUARD * (np.abs(first) + np.abs(second))
-    signs = np.where(sure, np.sign(diff), np.nan).transpose(1, 0, 2)
-    # a sure row's signs are nonzero, so it is monotone when no step along
-    # the grid goes against the difference's direction
-    steps = np.diff(signs, axis=-1) * _DIRECTIONS
-    brackets = np.argmax(steps != 0.0, axis=-1)
-    brackets[~steps.any(axis=-1)] = NO_CROSSING
-    brackets[(steps < 0.0).any(axis=-1)] = NOT_MONOTONE
-    brackets[np.isnan(signs).any(axis=-1)] = UNSURE
-    return signs, brackets
+        signs = np.sign(diff)
+    if not sure.all():
+        for d, a, p in np.argwhere(~sure).tolist():
+            _, i, j, _ = _DIFFERENCES[d]
+            rates, point = _curves(keys[a]), float(x[a, p])
+            signs[d, a, p] = np.sign(rates[i](point) - rates[j](point))
+    signs = signs.transpose(1, 0, 2)
+    along = signs * _DIRECTIONS
+    # a NaN counts as both a +1 and a -1, so it breaks any row it is in
+    rising, falling = ~(along <= 0.0), ~(along >= 0.0)
+    low = SCAN_POINTS - 1 - np.argmax(falling[..., ::-1], axis=-1)
+    high = np.argmax(rising, axis=-1)
+    # a -1 at or after a +1 (at: a NaN), found before the codes overwrite low
+    broken = rising.any(axis=-1) & falling.any(axis=-1) & (low >= high)
+    ends = along[..., 0] * along[..., -1]
+    low[ends > 0.0] = NO_CROSSING
+    whole = ends == 0.0
+    low[whole], high[whole] = 0, SCAN_POINTS - 1
+    low[broken] = NOT_MONOTONE
+    return signs, low, high
 
 
-def _closure_bracket(values, increasing: bool) -> tuple:
-    """Grid indices (k, m) of the search interval of a row of closure
-    values: (NOT_MONOTONE, None) when its sign pattern is not monotone,
-    else the last value with the first value's sign and the first value
-    with the other sign. When an end value is 0 or both ends share a sign,
-    the interval is the whole grid, where _itp_root finds that at once."""
-    if not _sign_pattern_monotone(values, increasing):
-        return NOT_MONOTONE, None
-    first, last = values[0], values[-1]
-    if first == 0.0 or last == 0.0 or (first > 0.0) == (last > 0.0):
-        return 0, len(values) - 1
-    side = first > 0.0
-    k = max(i for i, v in enumerate(values) if v != 0.0 and (v > 0.0) == side)
-    m = min(i for i, v in enumerate(values) if v != 0.0 and (v > 0.0) != side)
-    return k, m
+def _search(key: tuple, low, high):
+    """The crossings of a crossing_key tuple from its scan_differences
+    row of `low` and `high` (as lists), or the message naming a difference
+    whose sign pattern is not monotone.
 
-
-def _fill_from_closures(row, first, second, users_total: int) -> list:
-    """A scanned sign row with each NaN entry replaced by the closures'
-    first(x) - second(x) at that grid point."""
-    values = row.tolist()
-    grid = _scan_grid(users_total).tolist()
-    for k in np.flatnonzero(np.isnan(row)).tolist():
-        values[k] = first(grid[k]) - second(grid[k])
-    return values
-
-
-def _search(cfg: ScenarioConfig, budget: LinkBudget, signs, brackets):
-    """The crossings of cfg's tuple from its scan_differences entry (with
-    brackets as a list), or the message naming a difference whose sign
-    pattern is not monotone.
-
-    A row's bracket says where its sign changes, and a row with NaN signs is
-    evaluated with the rate closures there, so every sampled sign is the
-    closures' own. Each crossing is found by an ITP search with the closures
-    (_itp_root) on the grid interval of its sign change, to within ROOT_TOL
-    / 2 in the continuous split, or reported absent when the difference
-    never changes sign. An exact zero of the closures at split 1 or S-1 is
-    the crossing.
+    Each crossing is found by an ITP search with the closures (_itp_root) on
+    its bracket, to within ROOT_TOL / 2 in the continuous split, or reported
+    absent when the difference never changes sign. An exact zero of the
+    closures at split 1 or S-1 is the crossing.
     """
-    curves = _curves(cfg, budget)
-    grid = _scan_grid(cfg.users_total)
+    curves = _curves(key)
+    grid = _scan_grid(key[0])
     roots = []
-    for (name, i, j, increasing), row, k in zip(_DIFFERENCES, signs, brackets):
-        first, second = curves[i], curves[j]
-        k, m = (k, k + 1) if k != UNSURE else _closure_bracket(
-            _fill_from_closures(row, first, second, cfg.users_total), increasing)
+    for (name, i, j, _), k, m in zip(_DIFFERENCES, low, high):
         if k == NOT_MONOTONE:
             return (f"approximation regime violated: the {name} difference is not "
                     f"monotone over the user split")
         roots.append(None if k == NO_CROSSING
-                     else _itp_root(first, second, float(grid[k]), float(grid[m])))
+                     else _itp_root(curves[i], curves[j], float(grid[k]), float(grid[m])))
 
     split_rt, split_rh, split_th = roots
     rate_eq = curves[0](split_rt) if split_rt is not None else None
@@ -309,8 +281,9 @@ def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresho
     carrying the regime report."""
     if cfg.users_total < 2:
         raise ValueError("threshold search needs at least two users")
-    signs, brackets = scan_differences([crossing_key(cfg, budget)])
-    found = _search(cfg, budget, signs[0], brackets[0].tolist())
+    key = crossing_key(cfg, budget)
+    _, low, high = scan_differences([key])
+    found = _search(key, low[0].tolist(), high[0].tolist())
     if isinstance(found, str):
         raise RegimeViolationError(found, regime=_regime_report(cfg, budget))
     return found
@@ -400,7 +373,7 @@ def _decision(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
         split_rt = thresholds.split_reflect_transmit
         split_rh = thresholds.split_reflect_hybrid
         split_th = thresholds.split_transmit_hybrid
-        c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
+        c_reflect, c_transmit, c_hybrid = _curves(crossing_key(cfg, budget))
         hyb_at_cross = c_hybrid(split_rt) - thresholds.rate_at_equal_split
         hyb_low = c_hybrid(1.0) - c_reflect(1.0)
         hyb_high = c_hybrid(float(s - 1)) - c_transmit(float(s - 1))
@@ -444,15 +417,11 @@ def decide_types(cfgs, budgets, regimes, winners) -> list:
     """
     keys = [crossing_key(cfg, budget) if 0 < cfg.users_transmission < cfg.users_total
             else None for cfg, budget in zip(cfgs, budgets)]
-    firsts = {}  # each distinct tuple's first cell
-    for a, key in enumerate(keys):
-        if key is not None:
-            firsts.setdefault(key, a)
+    distinct = list(dict.fromkeys(key for key in keys if key is not None))
     found = {}
-    if firsts:
-        signs, brackets = scan_differences(list(firsts))
-        for (key, a), row, bracket in zip(firsts.items(), signs, brackets.tolist()):
-            found[key] = _search(cfgs[a], budgets[a], row, bracket)
+    if distinct:
+        _, low, high = scan_differences(distinct)
+        found = dict(zip(distinct, map(_search, distinct, low.tolist(), high.tolist())))
     results = []
     for cfg, budget, regime, winner, key in zip(cfgs, budgets, regimes, winners, keys):
         thresholds = found.get(key)
@@ -508,7 +477,7 @@ def monotonicity_certificate(cfg: ScenarioConfig,
     panel = cfg.panel
     big_l = budget.link_constant
     s = float(cfg.users_total)
-    c_reflect, c_transmit, _ = _curves(cfg, budget)
+    c_reflect, c_transmit, _ = _curves(crossing_key(cfg, budget))
 
     grid = np.linspace(1.0, s - 1.0, CERTIFICATE_POINTS + 2)[1:-1]
     transmit_slope = np.empty_like(grid)

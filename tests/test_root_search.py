@@ -22,7 +22,7 @@ from ris_select import (
     find_thresholds,
     link_budget,
 )
-from ris_select.selection import ROOT_TOL, _curves, _itp_root
+from ris_select.selection import ROOT_TOL, _curves, _itp_root, crossing_key
 from test_curves import _deployments
 from test_threshold_scan import _deployment, _endpoint_ties, _noise_deployments
 
@@ -65,7 +65,7 @@ def _check_crossings(deployments) -> int:
             th = find_thresholds(cfg, budget)
         except RegimeViolationError:
             continue
-        curves = _curves(cfg, budget)
+        curves = _curves(crossing_key(cfg, budget))
         lo, hi = 1.0, float(cfg.users_total - 1)
         roots = (th.split_reflect_transmit, th.split_reflect_hybrid,
                  th.split_transmit_hybrid)

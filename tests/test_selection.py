@@ -29,7 +29,6 @@ from ris_select import selection
 from ris_select.selection import (
     CertificateError,
     _f_lemma,
-    _sign_pattern_monotone,
     single_zone_slope,
 )
 
@@ -80,11 +79,11 @@ def test_reference_thresholds_frozen():
 
 
 def test_thresholds_satisfy_root_validity():
-    from ris_select.selection import _curves
+    from ris_select.selection import _curves, crossing_key
 
     cfg, budget = _cfg_and_budget()
     th = find_thresholds(cfg, budget)
-    c_reflect, c_transmit, c_hybrid = _curves(cfg, budget)
+    c_reflect, c_transmit, c_hybrid = _curves(crossing_key(cfg, budget))
     pairs = [
         (th.split_reflect_transmit, lambda x: c_transmit(x) - c_reflect(x)),
         (th.split_reflect_hybrid, lambda x: c_reflect(x) - c_hybrid(x)),
@@ -109,23 +108,6 @@ def test_threshold_needs_two_users():
                                   rows=2, cols=2)
     with pytest.raises(ValueError):
         find_thresholds(cfg, budget)
-
-
-def test_sign_pattern_validator():
-    assert _sign_pattern_monotone([-1.0, -0.5, 0.5, 1.0], increasing=True)
-    assert _sign_pattern_monotone([1.0, 0.5, -0.5, -1.0], increasing=False)
-    assert _sign_pattern_monotone([1.0, 2.0, 3.0], increasing=True)
-    assert _sign_pattern_monotone([0.0, 0.0], increasing=True)
-    assert not _sign_pattern_monotone([1.0, -1.0, 1.0], increasing=True)
-    assert not _sign_pattern_monotone([-1.0, 1.0, -1.0], increasing=False)
-
-
-def test_sign_pattern_rejects_nan_among_finite_values():
-    nan = float("nan")
-    assert not _sign_pattern_monotone([-1.0, nan, 1.0], increasing=True)
-    assert not _sign_pattern_monotone([1.0, nan, -1.0], increasing=False)
-    assert not _sign_pattern_monotone([-1.0, -1.0, nan], increasing=True)
-    assert not _sign_pattern_monotone([nan, 0.0, -1.0], increasing=False)
 
 
 def test_nan_power_raises_regime_violation():
@@ -378,7 +360,7 @@ def test_certificate_rejects_a_slope_of_the_wrong_sign(monkeypatch, transmit, re
     cfg, budget = _cfg_and_budget()
     eps_t = cfg.panel.radiation_transmit
     assert cfg.panel.radiation_reflect != eps_t
-    monkeypatch.setattr(selection, "_curves", lambda cfg, budget: (
+    monkeypatch.setattr(selection, "_curves", lambda key: (
         lambda x: reflect * x, lambda x: transmit * x, None))
     monkeypatch.setattr(selection, "single_zone_slope", lambda n, radiation, big_l:
                         transmit if radiation == eps_t else -reflect)

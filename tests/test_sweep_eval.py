@@ -193,7 +193,9 @@ def test_a_sweep_scans_each_crossing_tuple_once(monkeypatch):
     cells = _evaluate(powers + powers[:3], ("decision",), 1, 0)
     assert [name for name, _ in calls] == ["scan_differences"] + ["_search"] * 16
     assert len(calls[0][1][0]) == 16
-    for cell, (_, (cell_cfg, budget, _signs, _brackets)) in zip(cells, calls[1:]):
+    for cell_cfg, cell, (_, (key, _low, _high)) in zip(powers, cells, calls[1:]):
+        budget = link_budget(cell_cfg)
+        assert key == selection.crossing_key(cell_cfg, budget)
         assert cell.decision == decide_type(cell_cfg, budget)
     # a split sweep keeps it: one tuple, searched once; boundary splits none
     calls.clear()

@@ -13,6 +13,7 @@ import operator
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import make_config, near_isotropic_config, random_config
 from ris_select import (
@@ -23,22 +24,52 @@ from ris_select import (
     link_budget,
     type_curves,
 )
+from ris_select import selection
 from ris_select.capacity import _type_curves, type_rate_arrays
 from ris_select.selection import (
     NO_CROSSING,
     NOT_MONOTONE,
     SCAN_GUARD,
     SCAN_POINTS,
-    UNSURE,
     SelectionThresholds,
     _itp_root,
     _regime_report,
-    _sign_pattern_monotone,
     crossing_key,
     decide_types,
     scan_differences,
 )
 from test_curves import _deployments
+
+
+def _sign_pattern_monotone(values, increasing: bool) -> bool:
+    """True when the nonzero signs of `values` change at most once, and then
+    from negative to positive if `increasing` (positive to negative if not).
+
+    Zeros are skipped; any NaN makes the pattern non-monotone.
+    """
+    if any(map(math.isnan, values)):
+        return False
+    signs = [v > 0.0 for v in values if v != 0.0]
+    # the one allowed change leads to `increasing`; nothing may follow it
+    return increasing not in signs \
+        or (not increasing) not in signs[signs.index(increasing):]
+
+
+def test_sign_pattern_validator():
+    assert _sign_pattern_monotone([-1.0, -0.5, 0.5, 1.0], increasing=True)
+    assert _sign_pattern_monotone([1.0, 0.5, -0.5, -1.0], increasing=False)
+    assert _sign_pattern_monotone([1.0, 2.0, 3.0], increasing=True)
+    assert _sign_pattern_monotone([0.0, 0.0], increasing=True)
+    assert not _sign_pattern_monotone([1.0, -1.0, 1.0], increasing=True)
+    assert not _sign_pattern_monotone([-1.0, 1.0, -1.0], increasing=False)
+
+
+def test_sign_pattern_rejects_nan_among_finite_values():
+    nan = float("nan")
+    assert not _sign_pattern_monotone([-1.0, nan, 1.0], increasing=True)
+    assert not _sign_pattern_monotone([1.0, nan, -1.0], increasing=False)
+    assert not _sign_pattern_monotone([-1.0, -1.0, nan], increasing=True)
+    assert not _sign_pattern_monotone([nan, 0.0, -1.0], increasing=False)
 
 
 def _oracle_bracket(values):
@@ -113,10 +144,29 @@ def _batched_outcomes(deployments) -> list:
             for decision, violation in decide_types(cfgs, budgets, regimes, winners)]
 
 
+def _closure_evaluations(keys) -> int:
+    """The number of differences that scan_differences(keys) takes from the
+    rate closures, counted by a spy on the selection._curves seam."""
+    calls = []
+
+    def counted(rate):
+        def rate_counted(x):
+            calls.append(x)
+            return rate(x)
+        return rate_counted
+
+    closures = selection._curves
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "_curves", lambda key: tuple(map(counted, closures(key))))
+        scan_differences(keys)
+    return len(calls) // 2
+
+
 def _assert_scan_matches_oracle(deployments):
     """One-call and batched searches equal the oracle; returns the number of
-    scanned values left to the closures and the violations seen."""
-    signs, _ = scan_differences([crossing_key(cfg, budget) for cfg, budget in deployments])
+    scanned differences taken from the closures and the violations seen."""
+    unsure = _closure_evaluations([crossing_key(cfg, budget)
+                                   for cfg, budget in deployments])
     violations = 0
     for (cfg, budget), batched in zip(deployments, _batched_outcomes(deployments)):
         expected = _outcome(_scalar_find_thresholds, cfg, budget)
@@ -124,7 +174,7 @@ def _assert_scan_matches_oracle(deployments):
             crossing_key(cfg, budget)
         assert batched == expected
         violations += expected[0] == "violation"
-    return int(np.isnan(signs[:, :, 1:-1]).sum()), violations
+    return unsure, violations
 
 
 def test_scan_matches_scalar_oracle_over_random_deployments():
@@ -223,38 +273,59 @@ def test_scan_matches_scalar_oracle_on_constructed_ties():
 
 
 def test_every_scanned_sign_is_the_closures_or_nan():
-    # a scanned value is NaN or has the closures' sign at that grid point,
-    # and a row's bracket code follows from its signs: UNSURE with a NaN,
-    # else the one sign change in the difference's direction (rising for
-    # the first and third difference, falling for the second), NO_CROSSING
-    # without a change and NOT_MONOTONE otherwise
+    # every scanned value is np.sign of the closures' difference at its grid
+    # point (NaN where that difference is NaN), guarded points included, and
+    # every bracket is the oracle's (k, m), or its code: NOT_MONOTONE for a
+    # pattern the oracle rejects, NO_CROSSING for two ends of one sign
     rng = np.random.default_rng(5)
+    deployments = [(cfg, link_budget(cfg))
+                   for cfg in (near_isotropic_config(rng) for _ in range(200))]
+    deployments += _noise_deployments(rng, 200)
+    keys = [crossing_key(cfg, budget) for cfg, budget in deployments]
+    assert _closure_evaluations(keys) > 1000
+    signs, low, high = scan_differences(keys)
     codes = set()
-    for _ in range(200):
-        cfg = near_isotropic_config(rng)
-        budget = link_budget(cfg)
-        signs, brackets = scan_differences([crossing_key(cfg, budget)])
-        curves = [rate for rate, _ in type_curves(cfg, budget).values()]
-        grid = np.linspace(1.0, cfg.users_total - 1.0, SCAN_POINTS).tolist()
-        for (i, j), values, bracket, rising in zip(
-                ((1, 0), (0, 2), (1, 2)), signs[0].tolist(), brackets[0].tolist(),
-                (True, False, True)):
-            for x, value in zip(grid, values):
-                if not math.isnan(value):
-                    exact = curves[i](x) - curves[j](x)
-                    assert (value > 0.0) == (exact > 0.0) and exact != 0.0
-            changes = [k for k in range(SCAN_POINTS - 1) if values[k] != values[k + 1]]
-            if any(map(math.isnan, values)):
-                expected = UNSURE
-            elif not changes:
-                expected = NO_CROSSING
-            elif len(changes) == 1 and (values[changes[0]] < 0.0) == rising:
-                expected = changes[0]
+    for key, rows, row_low, row_high in zip(keys, signs.tolist(), low.tolist(),
+                                            high.tolist()):
+        curves = [rate for rate, _ in _type_curves(*key).values()]
+        grid = np.linspace(1.0, key[0] - 1.0, SCAN_POINTS).tolist()
+        for (i, j), values, k, m, rising in zip(
+                ((1, 0), (0, 2), (1, 2)), rows, row_low, row_high, (True, False, True)):
+            exact = [curves[i](x) - curves[j](x) for x in grid]
+            np.testing.assert_array_equal(values, np.sign(exact))
+            if not _sign_pattern_monotone(exact, rising):
+                assert k == NOT_MONOTONE, key
+            elif exact[0] * exact[-1] > 0.0:
+                assert k == NO_CROSSING, key
             else:
-                expected = NOT_MONOTONE
-            assert bracket == expected
-            codes.add(min(bracket, 0))
-    assert codes >= {0, NO_CROSSING}
+                assert (k, m) == _oracle_bracket(exact), key
+            codes.add(min(k, 0))
+    assert codes == {0, NO_CROSSING, NOT_MONOTONE}
+
+
+def test_one_nan_at_the_sign_change_breaks_its_row(monkeypatch):
+    # a NaN counts as a -1 and as a +1, so a lone NaN in place of a row's
+    # first +1 is both its last -1 and its first +1; the row still breaks
+    cfg, budget = _deployment(10)
+    key = crossing_key(cfg, budget)
+    _, low, high = scan_differences([key])
+    assert low[0, 0] >= 0  # transmissive minus reflective crosses
+    x = float(np.linspace(1.0, 9.0, SCAN_POINTS)[high[0, 0]])
+    arrays, closures = selection.type_rate_arrays, selection._curves
+
+    def nan_arrays(s, eps_r, eps_t, big_l, split):
+        reflect, transmit, hybrid = arrays(s, eps_r, eps_t, big_l, split)
+        return reflect, np.where(split == x, np.nan, transmit), hybrid
+
+    def nan_closures(key):
+        reflect, transmit, hybrid = closures(key)
+        return reflect, lambda v: math.nan if v == x else transmit(v), hybrid
+
+    monkeypatch.setattr(selection, "type_rate_arrays", nan_arrays)
+    monkeypatch.setattr(selection, "_curves", nan_closures)
+    signs, low, _ = scan_differences([key])
+    assert np.isnan(signs[0, 0]).sum() == 1
+    assert low[0, 0] == NOT_MONOTONE
 
 
 def test_array_rates_match_the_closures():
@@ -284,10 +355,11 @@ def test_scan_rows_do_not_depend_on_the_batch():
         cfg = random_config(rng)
         keys.append(crossing_key(cfg, link_budget(cfg)))
     keys.append((2, 0.5, 0.5, 3.0))
-    signs, brackets = scan_differences(keys)
+    signs, low, high = scan_differences(keys)
     assert signs.shape == (len(keys), 3, SCAN_POINTS)
-    assert brackets.shape == (len(keys), 3)
-    for key, row, bracket in zip(keys, signs, brackets):
-        alone_signs, alone_brackets = scan_differences([key])
+    assert low.shape == high.shape == (len(keys), 3)
+    for key, row, row_low, row_high in zip(keys, signs, low, high):
+        alone_signs, alone_low, alone_high = scan_differences([key])
         np.testing.assert_array_equal(alone_signs[0], row)
-        np.testing.assert_array_equal(alone_brackets[0], bracket)
+        np.testing.assert_array_equal(alone_low[0], row_low)
+        np.testing.assert_array_equal(alone_high[0], row_high)
