@@ -1,22 +1,46 @@
 """Surface-type decision: crossover splits, condition table, asymptotics.
 
-The three closed-form rate curves are compared as functions of the number of
-transmission-zone users (treated as a continuous variable for root finding;
-verdicts are produced at the integer split). The transmissive-minus-reflective
-difference is exactly monotone; the two hybrid differences are monotone in
-the near-isotropic, high-SNR regime, which is what makes the condition table
-work. Outside that regime the table verdict is still produced but marked
-advisory, and the brute-force comparison of the closed forms is the verdict
-to trust. Each crossing is found by an ITP search on the rate closures,
-started from the grid bracket of the closures' sign change, which the array
-scan finds for every difference by one rule.
-`decide_types` decides every cell of a sweep with one scan and one search
-per crossing tuple; `decide_type` is that call for one cell.
+The three closed-form rate curves are compared as functions of the number x
+of transmission-zone users (continuous for root finding; verdicts are
+produced at the integer split). The condition table works because each of
+the three rate differences is strictly monotone in x on [1, S-1], which
+follows from the rates' derivatives. Let phi(t) = ln t + 1/t, which
+increases on t >= 1 (phi'(t) = (t - 1) / t^2), with phi(1) = 1. In nats:
+
+* the single-zone slopes are dR/dx = 1 - phi(U) and dT/dx = phi(V) - 1,
+  with U = 1 + eps_r / (L n_R) and V = 1 + eps_t / (L x);
+* by the envelope theorem on the hybrid's two-class water-filling (shares
+  lambda and mu with n_R lambda + x mu = 1), dH/dx is phi(v) - phi(u)
+  where lambda is unclamped, phi(v) - 1 at lambda = 0 and 1 - phi(u) at
+  mu = 0, with u = 1 + eps_r lambda / (2L) and v = 1 + eps_t mu / (2L).
+  Since phi(1) = 1, phi(v) - phi(u) covers all three ranges.
+
+A hybrid user gets half the element energy and at most a 1/n power share
+(lambda <= 1/n_R, mu <= 1/x), so 1 <= u < U and 1 <= v < V. Then
+
+* d(R - H)/dx = (1 - phi(v)) + (phi(u) - phi(U)) < 0,
+* d(T - H)/dx = (phi(V) - phi(v)) + (phi(u) - 1) > 0,
+* d(T - R)/dx = (phi(V) - 1) + (phi(U) - 1) > 0,
+
+in every clamp range, and H is continuous across them: each difference
+changes sign at most once, whatever the radiation constants and the SNR.
+So each crossing is found by an ITP search with the rate closures on the
+whole range [1, S-1], from the closures' values at its ends. The one thing
+left to check at run time is conditioning: a difference that is NaN, or
+within RESOLVE_TOL of its rates' size, at both ends is rounding noise over
+the whole range (it is monotone), so its crossing cannot be located and the
+closed-form comparisons cannot be trusted. That raises
+RegimeViolationError (with S = 2 the two ends are one split, where only a
+NaN does). Outside the near-isotropic, high-SNR regime the table
+verdict is still produced but marked advisory, and the brute-force
+comparison of the closed forms is the verdict to trust.
+`decide_types` decides every cell of a sweep with one search per crossing
+tuple; `decide_type` is that call for one cell. `monotonicity_certificate`
+checks the slopes above against finite differences on a grid.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +53,6 @@ from .capacity import (
     average_snr,
     hybrid_share,
     type_curves,
-    type_rate_arrays,
 )
 from .channel import LinkBudget, link_budget
 from .scenario import (
@@ -40,29 +63,24 @@ from .scenario import (
 )
 
 ROOT_TOL = 1e-9
-SCAN_POINTS = 100
-# A scanned difference no larger than this fraction of its two rates' sizes
-# (or NaN) is re-evaluated with the rate closures. The array rates differ
-# from the closures' by a few 1e-16 relative, so every other scanned sign is
-# the closures' sign.
-SCAN_GUARD = 1e-12
+# A difference no larger than this fraction of its two rates' sizes (or NaN)
+# at both ends of [1, S-1] is rounding noise over the whole range.
+RESOLVE_TOL = 1e-12
 # ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020) for a search
-# on one scan interval: k1 = ITP_K1_WIDTH / width, and k2 below the 1 + phi
-# limit of the method's superlinear convergence
+# on [1, S-1]: k1 = ITP_K1_WIDTH / width, and k2 below the 1 + phi limit of
+# the method's superlinear convergence
 ITP_K1_WIDTH = 0.01
 ITP_K2 = 2.5
 ITP_N0 = 1
-# scan_differences' bracket codes, given in place of a row's low grid index
-NO_CROSSING = -1   # no sign change
-NOT_MONOTONE = -2  # a NaN, or a sign change against the difference's direction
 FD_STEP = 1e-6
 CERTIFICATE_POINTS = 41  # interior splits the monotonicity certificate checks
 
 
 class RegimeViolationError(RuntimeError):
-    """The closed forms left the regime the condition table assumes: a
-    difference curve broke monotonicity (or, under the CLI's --strict, the
-    regime report failed). Carries the regime report."""
+    """The closed forms left the regime the condition table assumes: a rate
+    difference is rounding noise over the whole user split (NaN, or within
+    RESOLVE_TOL of its rates' size, at both ends), or, under the CLI's
+    --strict, the regime report failed. Carries the regime report."""
 
     def __init__(self, message: str, regime: RegimeReport):
         super().__init__(message)
@@ -77,8 +95,8 @@ class CertificateError(RuntimeError):
 
 def _curves(key: tuple) -> tuple:
     """The rate closures of the three types for a crossing_key tuple, in
-    RisType order (R, T, H): what the scan's guarded points, the crossing
-    search, the condition table and the certificate evaluate."""
+    RisType order (R, T, H): what the crossing search, the condition table
+    and the certificate evaluate."""
     return tuple(rate for rate, _ in _type_curves(*key).values())
 
 
@@ -102,6 +120,18 @@ def single_zone_slope(n_served: float, radiation: float,
     return _f_lemma(x) / (LN2 * x)
 
 
+def hybrid_slope(split: float, key: tuple) -> float:
+    """Analytic derivative in the split x of the hybrid rate of a
+    crossing_key tuple: (phi(v) - phi(u)) / ln 2 at the hybrid shares
+    (lambda, mu) of x, with phi(t) - 1 taken as f(t) / t (the naive
+    ln t + 1/t - 1 cancels near t = 1 and can give the wrong sign)."""
+    _, eps_r, eps_t, big_l = key
+    lam, share = _type_curves(*key)[RisType.HYBRID][1](split)
+    u = 1.0 + eps_r * lam / (2.0 * big_l)
+    v = 1.0 + eps_t * share / (2.0 * big_l)
+    return (_f_lemma(v) / v - _f_lemma(u) / u) / LN2
+
+
 def _regime_report(cfg: ScenarioConfig, budget: LinkBudget) -> RegimeReport:
     """The regime report under the hybrid power split."""
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
@@ -122,12 +152,13 @@ class SelectionThresholds:
     rate_at_equal_split: float | None
 
 
-def _itp_root(first, second, lo: float, hi: float) -> float | None:
+def _itp_root(first, second, lo: float, hi: float, flo: float,
+              fhi: float) -> float | None:
     """Root of first(x) - second(x) on [lo, hi] to within ROOT_TOL / 2 by an
     ITP search (interpolate, truncate, project), from the difference's
-    values at lo and hi. An exact zero at lo, hi or a trial point is
-    returned as it is (lo first), and None when the end signs agree."""
-    flo, fhi = first(lo) - second(lo), first(hi) - second(hi)
+    values flo at lo and fhi at hi. An exact zero at lo, hi or a trial
+    point is returned as it is (lo first), and None when the end signs
+    agree."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -159,12 +190,12 @@ def _itp_root(first, second, lo: float, hi: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-# The differences the search samples, as (name, first, second, increasing)
-# with the curves indexed in RisType order (R, T, H).
+# The differences the search takes, as (name, first, second) with the curves
+# indexed in RisType order (R, T, H).
 _DIFFERENCES = (
-    ("transmissive minus reflective", 1, 0, True),
-    ("reflective minus hybrid", 0, 2, False),
-    ("transmissive minus hybrid", 1, 2, True),
+    ("transmissive minus reflective", 1, 0),
+    ("reflective minus hybrid", 0, 2),
+    ("transmissive minus hybrid", 1, 2),
 )
 
 
@@ -176,114 +207,45 @@ def crossing_key(cfg: ScenarioConfig, budget: LinkBudget) -> tuple:
             budget.link_constant)
 
 
-@functools.lru_cache(maxsize=32)
-def _scan_grid(users_total: int) -> np.ndarray:
-    """The threshold search's grid on [1, S-1] (read-only)."""
-    grid = np.linspace(1.0, users_total - 1.0, SCAN_POINTS)  # ends exactly at 1, S-1
-    grid.flags.writeable = False
-    return grid
+def _unresolved(first: float, second: float) -> bool:
+    """True when first - second is NaN or within RESOLVE_TOL of the two
+    rates' size, so that its sign is rounding noise."""
+    return not abs(first - second) > RESOLVE_TOL * (abs(first) + abs(second))
 
 
-# +1 for a difference that rises through its crossing, -1 for one that falls
-_DIRECTIONS = np.array([[1.0 if increasing else -1.0]
-                        for *_, increasing in _DIFFERENCES])
-
-
-def scan_differences(keys) -> tuple:
-    """The closures' signs of the three rate differences on the
-    threshold-search grid of every crossing_key tuple in the list `keys`
-    (each with S >= 2), and the grid bracket of each row's sign change, in
-    one array pass.
-
-    Returns (signs, low, high). `signs` is a (len(keys), 3, SCAN_POINTS)
-    array: row [a, j] holds np.sign of the closures' difference j of
-    _DIFFERENCES at np.linspace(1, S - 1, SCAN_POINTS) for keys[a] (1.0,
-    -1.0, 0.0 or NaN), taken from capacity.type_rate_arrays where the array
-    difference exceeds SCAN_GUARD times its rates' sizes, and from the
-    closures (_curves) at every other point. `low` and `high` are
-    (len(keys), 3) int arrays that one rule gives each row from its signs
-    along the difference's direction (times -1 for the falling second one):
-
-    * low NOT_MONOTONE for a NaN or a -1 after a +1;
-    * (0, SCAN_POINTS - 1), the whole grid, for a 0 at either end;
-    * low NO_CROSSING when the two ends share their sign;
-    * else the last -1 and the first +1 ((k, k + 1) for a row without
-      zeros): the crossing lies in [grid[low], grid[high]].
-
-    `high` means nothing where `low` holds a code.
-    """
-    x = np.array([_scan_grid(key[0]) for key in keys])
-    columns = np.array(keys, dtype=float)
-    s, eps_r, eps_t, big_l = (columns[:, k:k + 1] for k in range(4))
-    # out-of-range rates come out inf or NaN and are left to the closures
-    with np.errstate(all="ignore"):
-        curves = np.array(type_rate_arrays(s, eps_r, eps_t, big_l, x))
-        first = curves[[i for _, i, _, _ in _DIFFERENCES]]
-        second = curves[[j for _, _, j, _ in _DIFFERENCES]]
-        diff = first - second
-        sure = np.abs(diff) > SCAN_GUARD * (np.abs(first) + np.abs(second))
-        signs = np.sign(diff)
-    if not sure.all():
-        for d, a, p in np.argwhere(~sure).tolist():
-            _, i, j, _ = _DIFFERENCES[d]
-            rates, point = _curves(keys[a]), float(x[a, p])
-            signs[d, a, p] = np.sign(rates[i](point) - rates[j](point))
-    signs = signs.transpose(1, 0, 2)
-    along = signs * _DIRECTIONS
-    # a NaN counts as both a +1 and a -1, so it breaks any row it is in
-    rising, falling = ~(along <= 0.0), ~(along >= 0.0)
-    low = SCAN_POINTS - 1 - np.argmax(falling[..., ::-1], axis=-1)
-    high = np.argmax(rising, axis=-1)
-    # a -1 at or after a +1 (at: a NaN), found before the codes overwrite low
-    broken = rising.any(axis=-1) & falling.any(axis=-1) & (low >= high)
-    ends = along[..., 0] * along[..., -1]
-    low[ends > 0.0] = NO_CROSSING
-    whole = ends == 0.0
-    low[whole], high[whole] = 0, SCAN_POINTS - 1
-    low[broken] = NOT_MONOTONE
-    return signs, low, high
-
-
-def _search(key: tuple, low, high):
-    """The crossings of a crossing_key tuple from its scan_differences
-    row of `low` and `high` (as lists), or the message naming a difference
-    whose sign pattern is not monotone.
+def _search(key: tuple):
+    """The crossings of a crossing_key tuple (S >= 2), or the message
+    naming a difference that is rounding noise at both ends of [1, S-1].
 
     Each crossing is found by an ITP search with the closures (_itp_root) on
-    its bracket, to within ROOT_TOL / 2 in the continuous split, or reported
-    absent when the difference never changes sign. An exact zero of the
-    closures at split 1 or S-1 is the crossing.
+    the whole range [1, S-1], to within ROOT_TOL / 2, or reported absent
+    when the difference, which is monotone, has one sign at both ends. An
+    exact zero at split 1 or S-1 is the crossing. With S = 2 both ends are
+    split 1, whose own value decides: there only a NaN is unresolved.
     """
     curves = _curves(key)
-    grid = _scan_grid(key[0])
+    lo, hi = 1.0, float(key[0] - 1)
+    at_lo, at_hi = [rate(lo) for rate in curves], [rate(hi) for rate in curves]
     roots = []
-    for (name, i, j, _), k, m in zip(_DIFFERENCES, low, high):
-        if k == NOT_MONOTONE:
-            return (f"approximation regime violated: the {name} difference is not "
-                    f"monotone over the user split")
-        roots.append(None if k == NO_CROSSING
-                     else _itp_root(curves[i], curves[j], float(grid[k]), float(grid[m])))
-
-    split_rt, split_rh, split_th = roots
-    rate_eq = curves[0](split_rt) if split_rt is not None else None
-    return SelectionThresholds(
-        split_reflect_transmit=split_rt,
-        split_reflect_hybrid=split_rh,
-        split_transmit_hybrid=split_th,
-        rate_at_equal_split=rate_eq,
-    )
+    for name, i, j in _DIFFERENCES:
+        flo, fhi = at_lo[i] - at_lo[j], at_hi[i] - at_hi[j]
+        if _unresolved(at_lo[i], at_lo[j]) and _unresolved(at_hi[i], at_hi[j]) \
+                and (lo < hi or math.isnan(flo)):
+            return (f"approximation regime violated: the {name} difference is "
+                    f"rounding noise at both ends of the user split")
+        roots.append(_itp_root(curves[i], curves[j], lo, hi, flo, fhi))
+    split_rt = roots[0]
+    return SelectionThresholds(*roots, curves[0](split_rt) if split_rt is not None else None)
 
 
 def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresholds:
     """Locate the pairwise crossings of the three rate curves on [1, S-1]
-    from a scan of cfg's one tuple. A sign pattern that is not monotone means
-    the closed-form comparisons cannot be trusted: RegimeViolationError,
-    carrying the regime report."""
+    for cfg's one tuple. A difference that is rounding noise at both ends
+    means the closed-form comparisons cannot be trusted:
+    RegimeViolationError, carrying the regime report."""
     if cfg.users_total < 2:
         raise ValueError("threshold search needs at least two users")
-    key = crossing_key(cfg, budget)
-    _, low, high = scan_differences([key])
-    found = _search(key, low[0].tolist(), high[0].tolist())
+    found = _search(crossing_key(cfg, budget))
     if isinstance(found, str):
         raise RegimeViolationError(found, regime=_regime_report(cfg, budget))
     return found
@@ -407,21 +369,17 @@ def decide_types(cfgs, budgets, regimes, winners) -> list:
     RegimeViolationError of a condition table that broke down.
 
     Boundary splits (no users on one side) go straight to the single-zone
-    type. The crossings depend only on crossing_key's tuple, so the distinct
-    tuples of the interior cells are scanned in one scan_differences pass
-    and each is searched once. When a tuple's sign pattern is not monotone,
-    each of its cells gets its own RegimeViolationError, carrying its own
-    regime report. Otherwise the condition table is evaluated from the
-    crossings; a failing regime report (or a missing reflect/transmit
-    crossing) marks the table verdict advisory.
+    type. The crossings depend only on crossing_key's tuple, so each
+    distinct tuple of the interior cells is searched once. When one of a
+    tuple's differences is rounding noise, each of its cells gets its own
+    RegimeViolationError, carrying its own regime report. Otherwise the
+    condition table is evaluated from the crossings; a failing regime
+    report (or a missing reflect/transmit crossing) marks the table verdict
+    advisory.
     """
     keys = [crossing_key(cfg, budget) if 0 < cfg.users_transmission < cfg.users_total
             else None for cfg, budget in zip(cfgs, budgets)]
-    distinct = list(dict.fromkeys(key for key in keys if key is not None))
-    found = {}
-    if distinct:
-        _, low, high = scan_differences(distinct)
-        found = dict(zip(distinct, map(_search, distinct, low.tolist(), high.tolist())))
+    found = {key: _search(key) for key in dict.fromkeys(keys) if key is not None}
     results = []
     for cfg, budget, regime, winner, key in zip(cfgs, budgets, regimes, winners, keys):
         thresholds = found.get(key)
@@ -451,57 +409,70 @@ def decide_type(cfg: ScenarioConfig, budget: LinkBudget | None = None) -> Select
 
 @dataclass(frozen=True)
 class MonotonicityCertificate:
-    """Evidence that the single-zone rate curves are strictly monotone."""
+    """Evidence that the rate differences are strictly monotone: the slopes
+    of both single-zone curves and of the two hybrid differences."""
 
     grid: np.ndarray
     transmit_slope: np.ndarray
     reflect_slope: np.ndarray
+    reflect_hybrid_slope: np.ndarray
+    transmit_hybrid_slope: np.ndarray
     max_relative_error: float
     lemma_min: float
     lemma_points: int
+
+
+# The certificate's slopes, as (name, rising), in MonotonicityCertificate order
+_SLOPES = (("transmissive", True), ("reflective", False),
+           ("reflective minus hybrid", False), ("transmissive minus hybrid", True))
 
 
 def monotonicity_certificate(cfg: ScenarioConfig,
                              budget: LinkBudget) -> MonotonicityCertificate:
     """Certify the analytic slopes against finite differences.
 
-    Evaluates the analytic slope of both single-zone curves on an interior
-    grid of the continuous split, cross-checks each against a central finite
-    difference (relative error at most 1e-6 at step 1e-6), and asserts the
-    transmissive slope is strictly positive and the reflective strictly
-    negative. Also samples f(x) = x (ln x - 1) + 1 over (1, 1e6] and checks
-    positivity. Violations raise CertificateError naming the grid point.
+    Evaluates the analytic slopes of both single-zone curves
+    (single_zone_slope) and of the reflective minus hybrid and transmissive
+    minus hybrid differences (with hybrid_slope) on an interior grid of the
+    continuous split. Asserts the transmissive and transmissive minus hybrid
+    slopes are strictly positive and the other two strictly negative, then
+    cross-checks each against a central finite difference (relative error
+    at most 1e-6 at step 1e-6). Also samples f(x) = x (ln x - 1) + 1 over
+    (1, 1e6] and checks positivity. Violations raise CertificateError
+    naming the grid point.
     """
     if cfg.users_total < 3:
         raise ValueError("certificate needs at least three users")
     panel = cfg.panel
     big_l = budget.link_constant
     s = float(cfg.users_total)
-    c_reflect, c_transmit, _ = _curves(crossing_key(cfg, budget))
+    key = crossing_key(cfg, budget)
+    curves = _curves(key)
 
     grid = np.linspace(1.0, s - 1.0, CERTIFICATE_POINTS + 2)[1:-1]
-    transmit_slope = np.empty_like(grid)
-    reflect_slope = np.empty_like(grid)
+    slopes = np.empty((len(_SLOPES), grid.size))
     worst = 0.0
     for i, x in enumerate(grid):
-        ct_slope = single_zone_slope(x, panel.radiation_transmit, big_l)
-        cr_slope = -single_zone_slope(s - x, panel.radiation_reflect, big_l)
-        fd_ct = (c_transmit(x + FD_STEP) - c_transmit(x - FD_STEP)) / (2.0 * FD_STEP)
-        fd_cr = (c_reflect(x + FD_STEP) - c_reflect(x - FD_STEP)) / (2.0 * FD_STEP)
-        err_ct = abs(fd_ct - ct_slope) / abs(ct_slope)
-        err_cr = abs(fd_cr - cr_slope) / abs(cr_slope)
-        worst = max(worst, err_ct, err_cr)
-        if err_ct > 1e-6 or err_cr > 1e-6:
+        fd_r, fd_t, fd_h = [(rate(x + FD_STEP) - rate(x - FD_STEP)) / (2.0 * FD_STEP)
+                            for rate in curves]
+        ct = single_zone_slope(x, panel.radiation_transmit, big_l)
+        cr = -single_zone_slope(s - x, panel.radiation_reflect, big_l)
+        ch = hybrid_slope(x, key)
+        analytic = (ct, cr, cr - ch, ct - ch)
+        for (name, rising), slope in zip(_SLOPES, analytic):
+            if not (slope > 0.0 if rising else slope < 0.0):
+                raise CertificateError(f"{name} slope not "
+                                       f"{'positive' if rising else 'negative'} "
+                                       f"at split {x:.6f}")
+        errors = [abs(fd - slope) / abs(slope) for fd, slope in
+                  zip((fd_t, fd_r, fd_r - fd_h, fd_t - fd_h), analytic)]
+        worst = max(worst, *errors)
+        if max(errors) > 1e-6:
             raise CertificateError(
                 f"analytic slope disagrees with finite difference at split {x:.6f} "
-                f"(errors {err_ct:.3e}, {err_cr:.3e})"
+                f"(errors {', '.join(f'{e:.3e}' for e in errors)})"
             )
-        if ct_slope <= 0.0:
-            raise CertificateError(f"transmissive slope not positive at split {x:.6f}")
-        if cr_slope >= 0.0:
-            raise CertificateError(f"reflective slope not negative at split {x:.6f}")
-        transmit_slope[i] = ct_slope
-        reflect_slope[i] = cr_slope
+        slopes[:, i] = analytic
 
     lemma_xs = 1.0 + np.logspace(-9.0, math.log10(1e6 - 1.0), 300)
     lemma_vals = np.array([_f_lemma(float(x)) for x in lemma_xs])
@@ -510,14 +481,9 @@ def monotonicity_certificate(cfg: ScenarioConfig,
         raise CertificateError(
             f"lemma positivity fails at x = {float(lemma_xs[bad[0]])!r}")
 
-    return MonotonicityCertificate(
-        grid=grid,
-        transmit_slope=transmit_slope,
-        reflect_slope=reflect_slope,
-        max_relative_error=worst,
-        lemma_min=float(lemma_vals.min()),
-        lemma_points=len(lemma_xs),
-    )
+    return MonotonicityCertificate(grid, *slopes, max_relative_error=worst,
+                                   lemma_min=float(lemma_vals.min()),
+                                   lemma_points=len(lemma_xs))
 
 
 # --- asymptotic diagnostics -----------------------------------------------------------

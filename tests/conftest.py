@@ -103,25 +103,20 @@ def regime_report(cfg: ScenarioConfig):
         cfg, average_snr(cfg, RisType.HYBRID, alloc, budget))
 
 
-def wiggle_hybrid_curve(monkeypatch):
-    """Add 40 sin(3 pi x) to the hybrid rate that the threshold search
-    reads, in both its closures (the selection._curves seam, which the
-    scan's guarded points read too) and the array form, so that its sampled
-    sign patterns break and it raises RegimeViolationError."""
+def hybrid_curve_as_reflective(monkeypatch):
+    """Make the hybrid rate that the threshold search reads (the
+    selection._curves seam) return the reflective rate, so that the
+    reflective minus hybrid difference is 0 at both ends of the user split
+    and the search raises RegimeViolationError."""
     import ris_select.selection as selection
 
-    closures, arrays = selection._curves, selection.type_rate_arrays
+    closures = selection._curves
 
-    def wiggly(key):
-        reflect, transmit, hybrid = closures(key)
-        return reflect, transmit, lambda x: hybrid(x) + 40.0 * math.sin(3.0 * math.pi * x)
+    def flat(key):
+        reflect, transmit, _ = closures(key)
+        return reflect, transmit, reflect
 
-    def wiggly_arrays(s, eps_r, eps_t, big_l, x):
-        reflect, transmit, hybrid = arrays(s, eps_r, eps_t, big_l, x)
-        return reflect, transmit, hybrid + 40.0 * np.sin(3.0 * np.pi * x)
-
-    monkeypatch.setattr(selection, "_curves", wiggly)
-    monkeypatch.setattr(selection, "type_rate_arrays", wiggly_arrays)
+    monkeypatch.setattr(selection, "_curves", flat)
 
 
 def random_config(rng) -> ScenarioConfig:

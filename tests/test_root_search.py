@@ -1,11 +1,11 @@
 """The ITP crossing search against an independent reference bisection.
 
-find_thresholds locates each crossing with selection._itp_root, started
-from the scan's grid interval around the sign change. Every reported
-crossing is checked on its own terms (the closures' difference changes
-sign across it, or is exactly 0 at it) and against a plain bisection over
-the whole split range [1, S-1], kept here as the oracle. The search's
-evaluation counts pin its speed-up without timing anything.
+find_thresholds locates each crossing with selection._itp_root on the whole
+split range [1, S-1], from the closures' values at its two ends. Every
+reported crossing is checked on its own terms (the closures' difference
+changes sign across it, or is exactly 0 at it) and against a plain
+bisection over [1, S-1], kept here as the oracle. The search's evaluation
+counts pin its cost without timing anything.
 """
 
 import math
@@ -100,14 +100,14 @@ def _searches(monkeypatch, deployments) -> list:
     search that find_thresholds runs, the two end values included."""
     searches = []
 
-    def counted(first, second, lo, hi):
-        calls = []
+    def counted(first, second, lo, hi, flo, fhi):
+        calls = [lo, hi]
 
         def counted_first(x):
             calls.append(x)
             return first(x)
 
-        root = _itp_root(counted_first, second, lo, hi)
+        root = _itp_root(counted_first, second, lo, hi, flo, fhi)
         searches.append((calls, hi - lo))
         return root
 
@@ -138,15 +138,22 @@ def test_searches_stay_within_bisections_count_plus_three(monkeypatch):
         + _evaluation_counts(monkeypatch, _noise_deployments(rng, 500))
     assert len(random_counts) > 300 and len(counts) > 700
     # bisection takes ceil(log2(width / ROOT_TOL)) steps; ITP at most one
-    # more, plus the two end values. A one-point bracket (S = 2, in a row
-    # the closures decide) takes the end values alone.
+    # more, plus the two end values. A one-point range (S = 2) takes the
+    # end values alone.
     for evaluations, width in counts:
         assert evaluations <= (math.ceil(math.log2(width / ROOT_TOL)) + 3
                                if width > 0.0 else 2)
-    # a row without NaN brackets its crossing by one grid step
-    steps = [width for _, width in random_counts]
-    assert np.median(steps) < 1.0 and min(steps) > 0.0
-    assert np.mean([evaluations for evaluations, _ in random_counts]) <= 7.0
+
+
+def test_fig2a_searches_take_a_pinned_number_of_evaluations(monkeypatch):
+    # the 48 searches of the fig2a preset's 16 cells, each on [1, 9]: 462
+    # difference evaluations with k1 = ITP_K1_WIDTH / width (a k1 of 0.1,
+    # 0.2 or 0.5 takes 457, 506 or 528; bisection alone about 35 each)
+    cells = [(cfg, link_budget(cfg)) for name, cfg in _deployments().items()
+             if name.startswith("fig2a/")]
+    counts = _evaluation_counts(monkeypatch, cells)
+    assert len(counts) == 48 and {width for _, width in counts} == {8.0}
+    assert sum(evaluations for evaluations, _ in counts) == 462
 
 
 def test_no_search_evaluates_a_point_twice(monkeypatch):
@@ -166,15 +173,15 @@ def test_no_search_evaluates_a_point_twice(monkeypatch):
 
 
 def test_edge_brackets(monkeypatch):
-    # S = 2: every grid point is split 1, so no row changes sign and no
-    # search runs; a bracket of one point returns it (or None) at once
+    # S = 2: both ends are split 1, a range of one point that returns it
+    # (or None) at once, from the two end values alone
     def first(x):
         return 0.0
 
-    assert _itp_root(first, first, 1.0, 1.0) == 1.0
-    assert _itp_root(first, lambda x: 1.0, 1.0, 1.0) is None
+    assert _itp_root(first, first, 1.0, 1.0, 0.0, 0.0) == 1.0
+    assert _itp_root(first, lambda x: 1.0, 1.0, 1.0, -1.0, -1.0) is None
     assert _evaluation_counts(monkeypatch, [_deployment(2, big_l) for big_l in
-                                            (None, 1e-3, 1.0, 1e3)]) == []
+                                            (None, 1e-3, 1.0, 1e3)]) == [(2, 0.0)] * 12
     monkeypatch.undo()
     deployments = []
     for users in (2, 3):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    hybrid_curve_as_reflective,
     make_config,
     near_isotropic_config,
     random_config,
     regime_report,
-    wiggle_hybrid_curve,
 )
 from ris_select import (
     RisType,
@@ -26,9 +26,11 @@ from ris_select import (
     monotonicity_certificate,
 )
 from ris_select import selection
+from ris_select.capacity import _type_curves
 from ris_select.selection import (
     CertificateError,
     _f_lemma,
+    hybrid_slope,
     single_zone_slope,
 )
 
@@ -172,11 +174,12 @@ def test_decide_type_thresholds_never_stale():
 
 
 def test_non_monotone_difference_raises_with_regime(monkeypatch):
-    # force a wiggly hybrid curve so the sampled sign pattern breaks
+    # a hybrid curve equal to the reflective one: their difference is 0 at
+    # both ends of the split, so its crossing cannot be located
     import ris_select.selection as selection
 
     cfg, budget = _cfg_and_budget()
-    wiggle_hybrid_curve(monkeypatch)
+    hybrid_curve_as_reflective(monkeypatch)
     with pytest.raises(selection.RegimeViolationError,
                        match="approximation regime violated") as excinfo:
         find_thresholds(cfg, budget)
@@ -311,6 +314,8 @@ def test_certificate_on_reference_config():
     assert cert.max_relative_error <= 1e-6
     assert np.all(cert.transmit_slope > 0.0)
     assert np.all(cert.reflect_slope < 0.0)
+    assert np.all(cert.reflect_hybrid_slope < 0.0)
+    assert np.all(cert.transmit_hybrid_slope > 0.0)
     assert cert.lemma_min > 0.0
     assert cert.grid.min() > 1.0 and cert.grid.max() < 9.0
 
@@ -347,6 +352,12 @@ def test_certificate_rejects_a_slope_that_disagrees_with_its_curve(monkeypatch):
                         2.0 * single_zone_slope(n, radiation, big_l))
     with pytest.raises(CertificateError, match="disagrees with finite difference"):
         monotonicity_certificate(cfg, budget)
+    monkeypatch.undo()
+    # a hybrid slope off by 0.1% moves both hybrid differences' slopes
+    monkeypatch.setattr(selection, "hybrid_slope", lambda x, key:
+                        1.001 * hybrid_slope(x, key))
+    with pytest.raises(CertificateError, match="disagrees with finite difference"):
+        monotonicity_certificate(cfg, budget)
 
 
 @pytest.mark.parametrize("transmit, reflect, message", [
@@ -361,11 +372,71 @@ def test_certificate_rejects_a_slope_of_the_wrong_sign(monkeypatch, transmit, re
     eps_t = cfg.panel.radiation_transmit
     assert cfg.panel.radiation_reflect != eps_t
     monkeypatch.setattr(selection, "_curves", lambda key: (
-        lambda x: reflect * x, lambda x: transmit * x, None))
+        lambda x: reflect * x, lambda x: transmit * x, lambda x: 0.0))
     monkeypatch.setattr(selection, "single_zone_slope", lambda n, radiation, big_l:
                         transmit if radiation == eps_t else -reflect)
+    monkeypatch.setattr(selection, "hybrid_slope", lambda x, key: 0.0)
     with pytest.raises(CertificateError, match=message):
         monotonicity_certificate(cfg, budget)
+
+
+@pytest.mark.parametrize("hybrid, message", [
+    (-2.0, "reflective minus hybrid slope not negative"),
+    (2.0, "transmissive minus hybrid slope not positive"),
+])
+def test_certificate_rejects_a_hybrid_difference_of_the_wrong_sign(monkeypatch, hybrid,
+                                                                   message):
+    # straight lines: R falls and T rises at slope 1, so a hybrid slope of
+    # -2 makes R - H rise and one of 2 makes T - H fall
+    cfg, budget = _cfg_and_budget()
+    monkeypatch.setattr(selection, "_curves", lambda key: (
+        lambda x: -x, lambda x: x, lambda x: hybrid * x))
+    monkeypatch.setattr(selection, "single_zone_slope", lambda n, radiation, big_l: 1.0)
+    monkeypatch.setattr(selection, "hybrid_slope", lambda x, key: hybrid)
+    with pytest.raises(CertificateError, match=message):
+        monotonicity_certificate(cfg, budget)
+
+
+def test_hybrid_difference_slopes_are_strict_in_every_clamp_range():
+    # random (S, eps_r, eps_t, L) tuples from deep low SNR to high SNR: the
+    # analytic slopes of R - H and T - H have strict signs, and agree with a
+    # central finite difference of the closures (within its rounding error,
+    # which grows as the SNR falls) wherever the step stays in one clamp range
+    rng = np.random.default_rng(26)
+    ranges = {"unclamped": 0, "lambda = 0": 0, "mu = 0": 0}
+    compared = 0
+    for _ in range(2000):
+        s = int(rng.integers(3, 200))
+        eps_r, eps_t = np.exp(rng.uniform(math.log(1e-3), 0.0, 2)).tolist()
+        key = (s, eps_r, eps_t, max(eps_r, eps_t) / 10.0 ** rng.uniform(-8.0, 6.0))
+        x = float(rng.uniform(1.0, s - 1.0))
+        curves = _type_curves(*key)
+        reflect, transmit, hybrid = (rate for rate, _ in curves.values())
+        shares = curves[RisType.HYBRID][1]
+
+        def clamp(v):
+            lam, share = shares(v)
+            return "lambda = 0" if lam == 0.0 else "mu = 0" if share == 0.0 \
+                else "unclamped"
+
+        ranges[clamp(x)] += 1
+        h_slope = hybrid_slope(x, key)
+        slopes = (-single_zone_slope(s - x, eps_r, key[3]) - h_slope,
+                  single_zone_slope(x, eps_t, key[3]) - h_slope)
+        assert slopes[0] < 0.0 < slopes[1], key
+        step = 1e-6 * x
+        if not 1.0 <= x - step < x + step <= s - 1.0 \
+                or clamp(x - step) != clamp(x) or clamp(x + step) != clamp(x):
+            continue
+        for first, slope in zip((reflect, transmit), slopes):
+            def diff(v):
+                return first(v) - hybrid(v)
+
+            fd = (diff(x + step) - diff(x - step)) / (2.0 * step)
+            rounding = 1e-15 * (abs(first(x)) + abs(hybrid(x))) / step
+            assert abs(fd - slope) <= 1e-6 * abs(slope) + rounding, key
+        compared += 1
+    assert min(ranges.values()) > 400 and compared > 1500
 
 
 def test_certificate_rejects_a_lemma_that_is_not_positive(monkeypatch):

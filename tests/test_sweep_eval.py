@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    hybrid_curve_as_reflective,
     make_config,
     random_config,
     regime_report,
     scenario_text,
-    wiggle_hybrid_curve,
 )
 from ris_select import (
     RegimeViolationError,
@@ -183,17 +183,15 @@ def _spy(monkeypatch, name, calls):
 @pytest.mark.filterwarnings("ignore:no served UEs")
 def test_a_sweep_scans_each_crossing_tuple_once(monkeypatch):
     calls = []
-    for name in ("scan_differences", "_search"):
-        _spy(monkeypatch, name, calls)
+    _spy(monkeypatch, "_search", calls)
     # a power sweep moves the link constant: one tuple per interior cell,
-    # all scanned in one pass and searched once each
+    # each searched once
     cfg = make_config()
     powers = [cli.apply_axis_value(cfg, "transmit_power_dbm", p)
               for p in range(20, 51, 2)]
     cells = _evaluate(powers + powers[:3], ("decision",), 1, 0)
-    assert [name for name, _ in calls] == ["scan_differences"] + ["_search"] * 16
-    assert len(calls[0][1][0]) == 16
-    for cell_cfg, cell, (_, (key, _low, _high)) in zip(powers, cells, calls[1:]):
+    assert [name for name, _ in calls] == ["_search"] * 16
+    for cell_cfg, cell, (_, (key,)) in zip(powers, cells, calls):
         budget = link_budget(cell_cfg)
         assert key == selection.crossing_key(cell_cfg, budget)
         assert cell.decision == decide_type(cell_cfg, budget)
@@ -201,7 +199,7 @@ def test_a_sweep_scans_each_crossing_tuple_once(monkeypatch):
     calls.clear()
     _evaluate([replace(cfg, users_transmission=x) for x in range(11)], ("decision",),
               1, 0)
-    assert [name for name, _ in calls] == ["scan_differences", "_search"]
+    assert [name for name, _ in calls] == ["_search"]
     calls.clear()
     _evaluate([replace(cfg, users_transmission=x) for x in (0, 10)], ("decision",), 1, 0)
     assert calls == []
@@ -209,13 +207,12 @@ def test_a_sweep_scans_each_crossing_tuple_once(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:no served UEs")
 def test_a_violating_tuple_is_searched_once_per_sweep(monkeypatch):
-    # two violating tuples (two powers) over every split: one scan, one
-    # search per tuple, and still one violation object per interior cell,
-    # carrying the regime report decide_types was given for that cell
-    wiggle_hybrid_curve(monkeypatch)
+    # two violating tuples (two powers) over every split: one search per
+    # tuple, and still one violation object per interior cell, carrying the
+    # regime report decide_types was given for that cell
+    hybrid_curve_as_reflective(monkeypatch)
     calls = []
-    for name in ("scan_differences", "_search"):
-        _spy(monkeypatch, name, calls)
+    _spy(monkeypatch, "_search", calls)
     cfgs = [cli.apply_axis_value(make_config(users_transmission=x),
                                  "transmit_power_dbm", p)
             for p in (30.0, 40.0) for x in range(11)]
@@ -223,7 +220,7 @@ def test_a_violating_tuple_is_searched_once_per_sweep(monkeypatch):
     regimes = [regime_report(cfg) for cfg in cfgs]
     winners = [brute_force_optimal(cfg, budget)[0] for cfg, budget in zip(cfgs, budgets)]
     results = selection.decide_types(cfgs, budgets, regimes, winners)
-    assert [name for name, _ in calls] == ["scan_differences", "_search", "_search"]
+    assert [name for name, _ in calls] == ["_search", "_search"]
     assert len(results) == 22
     violations = []
     for cfg, regime, (decision, violation) in zip(cfgs, regimes, results):
@@ -239,7 +236,7 @@ def test_a_violating_tuple_is_searched_once_per_sweep(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:no served UEs")
 def test_a_violating_tuple_gives_each_interior_cell_its_own_violation(monkeypatch):
-    wiggle_hybrid_curve(monkeypatch)
+    hybrid_curve_as_reflective(monkeypatch)
     cfgs = [make_config(users_transmission=x) for x in range(11)]
     cells = _evaluate(cfgs, ("decision",), 1, 0)
     for cell in cells[::10]:  # boundary splits need no search

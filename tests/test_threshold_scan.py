@@ -1,11 +1,14 @@
-"""The array scan of the threshold search against the scalar scan it replaced.
+"""The whole-interval crossing search against the grid scan it replaced.
 
-`_scalar_find_thresholds` is the search as it was before the scan became
-one array pass: every curve evaluated by its closure at each grid point,
-and each root searched on the grid interval where the closures' signs
-change. The array scan must give the same crossings and the same violation
-verdicts, bit for bit, in its one-call form (`find_thresholds`) and in one
-`decide_types` call over many tuples.
+`_scalar_find_thresholds` is the search as it was before the rate
+differences were proved monotone: every curve evaluated by its closure at
+each point of a 100-point grid on [1, S-1], a sign pattern that changes
+sign against the difference's direction rejected as a regime violation, and
+each root searched on the grid interval where the closures' signs change.
+The search that replaced it (`find_thresholds`, and `decide_types` over many
+tuples) runs on the whole range [1, S-1] and rejects only a difference that
+is rounding noise at both ends. It must find every crossing the oracle finds
+to within ROOT_TOL, and reject every deployment the oracle rejects.
 """
 
 import math
@@ -13,7 +16,6 @@ import operator
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from conftest import make_config, near_isotropic_config, random_config
 from ris_select import (
@@ -24,21 +26,16 @@ from ris_select import (
     link_budget,
     type_curves,
 )
-from ris_select import selection
-from ris_select.capacity import _type_curves, type_rate_arrays
+from ris_select.capacity import _type_curves
 from ris_select.selection import (
-    NO_CROSSING,
-    NOT_MONOTONE,
-    SCAN_GUARD,
-    SCAN_POINTS,
+    ROOT_TOL,
     SelectionThresholds,
     _itp_root,
     _regime_report,
-    crossing_key,
     decide_types,
-    scan_differences,
 )
-from test_curves import _deployments
+
+SCAN_POINTS = 100  # the oracle's grid
 
 
 def _sign_pattern_monotone(values, increasing: bool) -> bool:
@@ -110,26 +107,24 @@ def _scalar_find_thresholds(cfg, budget):
                 regime=_regime_report(cfg, budget),
             )
         k, m = _oracle_bracket(values)
-        roots.append(_itp_root(first, second, grid[k], grid[m]))
+        roots.append(_itp_root(first, second, grid[k], grid[m], values[k], values[m]))
     split_rt, split_rh, split_th = roots
     rate_eq = c_reflect(split_rt) if split_rt is not None else None
     return SelectionThresholds(split_rt, split_rh, split_th, rate_eq)
 
 
-def _hexes(th):
-    """The crossings as float.hex strings."""
-    return tuple(None if v is None else float(v).hex() for v in (
-        th.split_reflect_transmit, th.split_reflect_hybrid,
-        th.split_transmit_hybrid, th.rate_at_equal_split))
+def _splits(th):
+    """The three crossings of a SelectionThresholds."""
+    return (th.split_reflect_transmit, th.split_reflect_hybrid,
+            th.split_transmit_hybrid)
 
 
 def _outcome(search, *args):
-    """The crossings as float.hex strings, or the violation message."""
+    """The thresholds, or None for a regime violation."""
     try:
-        th = search(*args)
-    except RegimeViolationError as exc:
-        return ("violation", str(exc))
-    return _hexes(th)
+        return search(*args)
+    except RegimeViolationError:
+        return None
 
 
 def _batched_outcomes(deployments) -> list:
@@ -139,42 +134,30 @@ def _batched_outcomes(deployments) -> list:
     budgets = [budget for _, budget in deployments]
     regimes = [_regime_report(cfg, budget) for cfg, budget in zip(cfgs, budgets)]
     winners = [brute_force_optimal(cfg, budget)[0] for cfg, budget in zip(cfgs, budgets)]
-    return [("violation", str(violation)) if violation is not None
-            else _hexes(decision.thresholds)
+    return [None if violation is not None else decision.thresholds
             for decision, violation in decide_types(cfgs, budgets, regimes, winners)]
 
 
-def _closure_evaluations(keys) -> int:
-    """The number of differences that scan_differences(keys) takes from the
-    rate closures, counted by a spy on the selection._curves seam."""
-    calls = []
-
-    def counted(rate):
-        def rate_counted(x):
-            calls.append(x)
-            return rate(x)
-        return rate_counted
-
-    closures = selection._curves
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(selection, "_curves", lambda key: tuple(map(counted, closures(key))))
-        scan_differences(keys)
-    return len(calls) // 2
-
-
-def _assert_scan_matches_oracle(deployments):
-    """One-call and batched searches equal the oracle; returns the number of
-    scanned differences taken from the closures and the violations seen."""
-    unsure = _closure_evaluations([crossing_key(cfg, budget)
-                                   for cfg, budget in deployments])
-    violations = 0
+def _compare_with_oracle(deployments, resolved=True):
+    """Assert that the batched search equals the one-call search, and that
+    it rejects every deployment the oracle rejects; with `resolved`, also
+    that it rejects no other and finds each of the oracle's crossings
+    within ROOT_TOL. Returns the oracle's and the search's rejections."""
+    rejected = [0, 0]
     for (cfg, budget), batched in zip(deployments, _batched_outcomes(deployments)):
         expected = _outcome(_scalar_find_thresholds, cfg, budget)
-        assert _outcome(find_thresholds, cfg, budget) == expected, \
-            crossing_key(cfg, budget)
-        assert batched == expected
-        violations += expected[0] == "violation"
-    return unsure, violations
+        found = _outcome(find_thresholds, cfg, budget)
+        assert batched == found
+        rejected[0] += expected is None
+        rejected[1] += found is None
+        if expected is None:
+            assert found is None, (cfg, budget)
+        elif resolved:
+            assert found is not None, (cfg, budget)
+            for want, got in zip(_splits(expected), _splits(found)):
+                assert (want is None) == (got is None)
+                assert want is None or abs(want - got) <= ROOT_TOL, (cfg, budget)
+    return tuple(rejected)
 
 
 def test_scan_matches_scalar_oracle_over_random_deployments():
@@ -183,11 +166,11 @@ def test_scan_matches_scalar_oracle_over_random_deployments():
     for draw in [random_config] * 2000 + [near_isotropic_config] * 500:
         cfg = draw(rng)
         deployments.append((cfg, link_budget(cfg)))
-    assert _assert_scan_matches_oracle(deployments) == (0, 0)
-    # many scanned differences sit under the guard, and rounding noise
-    # breaks some sign patterns
-    unsure, violations = _assert_scan_matches_oracle(_noise_deployments(rng, 500))
-    assert unsure > 1000 and violations > 10
+    assert _compare_with_oracle(deployments) == (0, 0)
+    # where rounding noise breaks the oracle's sign patterns, the search
+    # rejects every deployment the oracle rejects, and some more
+    oracle, search = _compare_with_oracle(_noise_deployments(rng, 500), resolved=False)
+    assert 10 < oracle < search
 
 
 def _noise_deployments(rng, count):
@@ -266,100 +249,7 @@ def test_scan_matches_scalar_oracle_on_constructed_ties():
         deployments.append((cfg, budget))
     # a NaN link constant (set behind the budget's range check)
     deployments.append(_deployment(10, math.nan))
-    unsure, violations = _assert_scan_matches_oracle(deployments)
     assert len(ties) >= 6
-    assert unsure >= SCAN_POINTS  # the ties did reach the closures
-    assert violations >= 1  # the NaN link constant
-
-
-def test_every_scanned_sign_is_the_closures_or_nan():
-    # every scanned value is np.sign of the closures' difference at its grid
-    # point (NaN where that difference is NaN), guarded points included, and
-    # every bracket is the oracle's (k, m), or its code: NOT_MONOTONE for a
-    # pattern the oracle rejects, NO_CROSSING for two ends of one sign
-    rng = np.random.default_rng(5)
-    deployments = [(cfg, link_budget(cfg))
-                   for cfg in (near_isotropic_config(rng) for _ in range(200))]
-    deployments += _noise_deployments(rng, 200)
-    keys = [crossing_key(cfg, budget) for cfg, budget in deployments]
-    assert _closure_evaluations(keys) > 1000
-    signs, low, high = scan_differences(keys)
-    codes = set()
-    for key, rows, row_low, row_high in zip(keys, signs.tolist(), low.tolist(),
-                                            high.tolist()):
-        curves = [rate for rate, _ in _type_curves(*key).values()]
-        grid = np.linspace(1.0, key[0] - 1.0, SCAN_POINTS).tolist()
-        for (i, j), values, k, m, rising in zip(
-                ((1, 0), (0, 2), (1, 2)), rows, row_low, row_high, (True, False, True)):
-            exact = [curves[i](x) - curves[j](x) for x in grid]
-            np.testing.assert_array_equal(values, np.sign(exact))
-            if not _sign_pattern_monotone(exact, rising):
-                assert k == NOT_MONOTONE, key
-            elif exact[0] * exact[-1] > 0.0:
-                assert k == NO_CROSSING, key
-            else:
-                assert (k, m) == _oracle_bracket(exact), key
-            codes.add(min(k, 0))
-    assert codes == {0, NO_CROSSING, NOT_MONOTONE}
-
-
-def test_one_nan_at_the_sign_change_breaks_its_row(monkeypatch):
-    # a NaN counts as a -1 and as a +1, so a lone NaN in place of a row's
-    # first +1 is both its last -1 and its first +1; the row still breaks
-    cfg, budget = _deployment(10)
-    key = crossing_key(cfg, budget)
-    _, low, high = scan_differences([key])
-    assert low[0, 0] >= 0  # transmissive minus reflective crosses
-    x = float(np.linspace(1.0, 9.0, SCAN_POINTS)[high[0, 0]])
-    arrays, closures = selection.type_rate_arrays, selection._curves
-
-    def nan_arrays(s, eps_r, eps_t, big_l, split):
-        reflect, transmit, hybrid = arrays(s, eps_r, eps_t, big_l, split)
-        return reflect, np.where(split == x, np.nan, transmit), hybrid
-
-    def nan_closures(key):
-        reflect, transmit, hybrid = closures(key)
-        return reflect, lambda v: math.nan if v == x else transmit(v), hybrid
-
-    monkeypatch.setattr(selection, "type_rate_arrays", nan_arrays)
-    monkeypatch.setattr(selection, "_curves", nan_closures)
-    signs, low, _ = scan_differences([key])
-    assert np.isnan(signs[0, 0]).sum() == 1
-    assert low[0, 0] == NOT_MONOTONE
-
-
-def test_array_rates_match_the_closures():
-    # the guard's margin: the array rates stay within 1e-14 relative of the
-    # closures (np.log1p differs from math.log1p by at most an ulp or so),
-    # far inside SCAN_GUARD
-    worst = 0.0
-    for cfg in _deployments().values():
-        budget = link_budget(cfg)
-        s = cfg.users_total
-        eps_r, eps_t = cfg.panel.radiation_reflect, cfg.panel.radiation_transmit
-        x = np.concatenate([np.linspace(1.0, s - 1.0, SCAN_POINTS),
-                            [1e-9, 0.5 / s, s / 3.0, s - 0.5 / s, s - 1e-9]])
-        arrays = type_rate_arrays(s, eps_r, eps_t, budget.link_constant, x)
-        for (rate, _), values in zip(type_curves(cfg, budget).values(), arrays):
-            exact = np.array([rate(v) for v in x.tolist()])
-            worst = max(worst, float(np.max(np.abs(values - exact) / np.abs(exact))))
-    assert worst <= 1e-14
-    assert 1e-14 <= SCAN_GUARD / 100.0
-
-
-def test_scan_rows_do_not_depend_on_the_batch():
-    # a tuple's row is the same alone, in a batch, and in a batch of mixed S
-    rng = np.random.default_rng(9)
-    keys = []
-    for _ in range(40):
-        cfg = random_config(rng)
-        keys.append(crossing_key(cfg, link_budget(cfg)))
-    keys.append((2, 0.5, 0.5, 3.0))
-    signs, low, high = scan_differences(keys)
-    assert signs.shape == (len(keys), 3, SCAN_POINTS)
-    assert low.shape == high.shape == (len(keys), 3)
-    for key, row, row_low, row_high in zip(keys, signs, low, high):
-        alone_signs, alone_low, alone_high = scan_differences([key])
-        np.testing.assert_array_equal(alone_signs[0], row)
-        np.testing.assert_array_equal(alone_low[0], row_low)
-        np.testing.assert_array_equal(alone_high[0], row_high)
+    assert _compare_with_oracle(deployments) == (1, 1)  # the NaN link constant
+    for cfg, budget, end in ties:
+        assert find_thresholds(cfg, budget).split_reflect_transmit == end
