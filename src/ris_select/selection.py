@@ -443,10 +443,8 @@ def monotonicity_certificate(cfg: ScenarioConfig,
     """
     if cfg.users_total < 3:
         raise ValueError("certificate needs at least three users")
-    panel = cfg.panel
-    big_l = budget.link_constant
-    s = float(cfg.users_total)
     key = crossing_key(cfg, budget)
+    s, eps_r, eps_t, big_l = key
     curves = _curves(key)
 
     grid = np.linspace(1.0, s - 1.0, CERTIFICATE_POINTS + 2)[1:-1]
@@ -455,8 +453,8 @@ def monotonicity_certificate(cfg: ScenarioConfig,
     for i, x in enumerate(grid):
         fd_r, fd_t, fd_h = [(rate(x + FD_STEP) - rate(x - FD_STEP)) / (2.0 * FD_STEP)
                             for rate in curves]
-        ct = single_zone_slope(x, panel.radiation_transmit, big_l)
-        cr = -single_zone_slope(s - x, panel.radiation_reflect, big_l)
+        ct = single_zone_slope(x, eps_t, big_l)
+        cr = -single_zone_slope(s - x, eps_r, big_l)
         ch = hybrid_slope(x, key)
         analytic = (ct, cr, cr - ch, ct - ch)
         for (name, rising), slope in zip(_SLOPES, analytic):

@@ -116,10 +116,14 @@ def test_criterion_4_monotone_single_zone_rates():
                 reflective.append(closed_form_rate(cfg, RisType.REFLECTIVE, budget))
             assert all(b > a for a, b in zip(transmissive, transmissive[1:]))
             assert all(b < a for a, b in zip(reflective, reflective[1:]))
+            # the certificate also checks both hybrid differences' slopes
             cert = monotonicity_certificate(base, budget)
             assert cert.max_relative_error <= 1e-6
+            assert np.all(cert.reflect_hybrid_slope < 0.0)
+            assert np.all(cert.transmit_hybrid_slope > 0.0)
             checked += 1
-    _report(4, f"{checked} grid configs strictly monotone, derivatives to 1e-6")
+    _report(4, f"{checked} grid configs strictly monotone, hybrid differences too, "
+               f"derivatives to 1e-6")
 
 
 def test_criterion_5_distance_regime():
