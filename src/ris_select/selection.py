@@ -29,11 +29,11 @@ whole range [1, S-1], from the closures' values at its ends. The one thing
 left to check at run time is conditioning: a difference that is NaN, or
 within RESOLVE_TOL of its rates' size, at both ends is rounding noise over
 the whole range (it is monotone), so its crossing cannot be located and the
-closed-form comparisons cannot be trusted. That raises
-RegimeViolationError (with S = 2 the two ends are one split, where only a
-NaN does). Outside the near-isotropic, high-SNR regime the table
-verdict is still produced but marked advisory, and the brute-force
-comparison of the closed forms is the verdict to trust.
+closed-form comparisons cannot be trusted: RegimeViolationError. With
+S = 2 both ends are split 1, and only a NaN there raises. Outside the
+near-isotropic, high-SNR regime the table verdict is still produced but
+marked advisory, and the brute-force comparison of the closed forms is the
+verdict to trust.
 `decide_types` decides every cell of a sweep with one search per crossing
 tuple; `decide_type` is that call for one cell. `monotonicity_certificate`
 checks the slopes above against finite differences on a grid.
@@ -235,7 +235,8 @@ def _search(key: tuple):
                     f"rounding noise at both ends of the user split")
         roots.append(_itp_root(curves[i], curves[j], lo, hi, flo, fhi))
     split_rt = roots[0]
-    return SelectionThresholds(*roots, curves[0](split_rt) if split_rt is not None else None)
+    rate_eq = curves[0](split_rt) if split_rt is not None else None
+    return SelectionThresholds(*roots, rate_eq)
 
 
 def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresholds:
