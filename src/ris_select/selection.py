@@ -24,12 +24,13 @@ A hybrid user gets half the element energy and at most a 1/n power share
 
 in every clamp range, and H is continuous across them: each difference
 changes sign at most once, whatever the radiation constants and the SNR.
-So each crossing is found by an ITP search with the rate closures on the
-whole range [1, S-1], from the closures' values at its ends. The one thing
-left to check at run time is conditioning: a difference that is NaN, or
-within RESOLVE_TOL of its rates' size, at both ends is rounding noise over
-the whole range (it is monotone), so its crossing cannot be located and the
-closed-form comparisons cannot be trusted: RegimeViolationError. With
+So each crossing is found by an Anderson-Bjorck search with the rate
+closures on the whole range [1, S-1], from the closures' values at its
+ends. The one thing left to check at run time is conditioning: a difference
+that is NaN, or within RESOLVE_TOL of its rates' size, at both ends is
+rounding noise over the whole range (it is monotone), so its crossing cannot
+be located and the closed-form comparisons cannot be trusted:
+RegimeViolationError. With
 S = 2 both ends are split 1, and only a NaN there raises. Outside the
 near-isotropic, high-SNR regime the table verdict is still produced but
 marked advisory, and the brute-force comparison of the closed forms is the
@@ -66,12 +67,6 @@ ROOT_TOL = 1e-9
 # A difference no larger than this fraction of its two rates' sizes (or NaN)
 # at both ends of [1, S-1] is rounding noise over the whole range.
 RESOLVE_TOL = 1e-12
-# ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020) for a search
-# on [1, S-1]: k1 = ITP_K1_WIDTH / width, and k2 below the 1 + phi limit of
-# the method's superlinear convergence
-ITP_K1_WIDTH = 0.01
-ITP_K2 = 2.5
-ITP_N0 = 1
 FD_STEP = 1e-6
 CERTIFICATE_POINTS = 41  # interior splits the monotonicity certificate checks
 
@@ -152,41 +147,40 @@ class SelectionThresholds:
     rate_at_equal_split: float | None
 
 
-def _itp_root(first, second, lo: float, hi: float, flo: float,
-              fhi: float) -> float | None:
+def _ab_root(first, second, lo: float, hi: float, flo: float,
+             fhi: float) -> float | None:
     """Root of first(x) - second(x) on [lo, hi] to within ROOT_TOL / 2 by an
-    ITP search (interpolate, truncate, project), from the difference's
-    values flo at lo and fhi at hi. An exact zero at lo, hi or a trial
-    point is returned as it is (lo first), and None when the end signs
-    agree."""
+    Anderson-Bjorck search (BIT 13, 1973) from the difference's values flo
+    at lo and fhi at hi: regula falsi that, when one end moves twice
+    running, scales the value kept at the other by m = 1 - f(x) / f(moved
+    end), or by 1/2 when m <= 0. A trial point not strictly inside the
+    bracket becomes the midpoint, and past bisection's n = ceil(log2(width /
+    ROOT_TOL)) steps the search bisects: at most 2 n steps. An exact zero at
+    lo, hi or a trial point is returned as it is (lo first), and None when
+    the end signs agree."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         return None
-    width = hi - lo
-    k1, n_max = ITP_K1_WIDTH / width, math.ceil(math.log2(width / ROOT_TOL)) + ITP_N0
-    for j in range(n_max):
+    n = math.ceil(math.log2((hi - lo) / ROOT_TOL))
+    moved = 0  # 1 when the last step moved hi, -1 when it moved lo
+    for step in range(2 * n):
         if hi - lo <= ROOT_TOL:
             break
-        mid = 0.5 * (lo + hi)
-        x_f = (fhi * lo - flo * hi) / (fhi - flo)  # regula falsi
-        sigma = math.copysign(1.0, mid - x_f)
-        delta = k1 * (hi - lo) ** ITP_K2
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        # the projection keeps bisection's worst case plus ITP_N0 steps
-        radius = math.ldexp(ROOT_TOL, n_max - j - 1) - 0.5 * (hi - lo)
-        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-        if not lo < x < hi:  # a truncation below the float spacing left x at an end
-            x = mid
+        x = (fhi * lo - flo * hi) / (fhi - flo)  # regula falsi
+        if step >= n or not lo < x < hi:  # past n steps, or rounded onto an end
+            x = 0.5 * (lo + hi)
         fx = first(x) - second(x)
         if fx == 0.0:
             return x
-        if (fx > 0.0) == (fhi > 0.0):
-            hi, fhi = x, fx
+        if (fx > 0.0) == (fhi > 0.0):  # x replaces hi
+            m = 1.0 - fx / fhi if moved > 0 else 1.0
+            hi, fhi, flo, moved = x, fx, flo * (m if m > 0.0 else 0.5), 1
         else:
-            lo, flo = x, fx
+            m = 1.0 - fx / flo if moved < 0 else 1.0
+            lo, flo, fhi, moved = x, fx, fhi * (m if m > 0.0 else 0.5), -1
     return 0.5 * (lo + hi)
 
 
@@ -214,14 +208,17 @@ def _unresolved(first: float, second: float) -> bool:
 
 
 def _search(key: tuple):
-    """The crossings of a crossing_key tuple (S >= 2), or the message
-    naming a difference that is rounding noise at both ends of [1, S-1].
+    """(SelectionThresholds, gaps) of a crossing_key tuple (S >= 2), or the
+    message naming a difference that is rounding noise at both ends of
+    [1, S-1]. The gaps, which the condition table reads, are hybrid minus
+    the common rate at the reflect/transmit crossing (None without one),
+    hybrid minus reflective at split 1 and hybrid minus transmissive at S-1.
 
-    Each crossing is found by an ITP search with the closures (_itp_root) on
-    the whole range [1, S-1], to within ROOT_TOL / 2, or reported absent
-    when the difference, which is monotone, has one sign at both ends. An
-    exact zero at split 1 or S-1 is the crossing. With S = 2 both ends are
-    split 1, whose own value decides: there only a NaN is unresolved.
+    Each crossing is found by _ab_root on the whole range [1, S-1], or
+    reported absent when the difference, which is monotone, has one sign at
+    both ends. An exact zero at split 1 or S-1 is the crossing. With S = 2
+    both ends are split 1, whose own value decides: there only a NaN is
+    unresolved.
     """
     curves = _curves(key)
     lo, hi = 1.0, float(key[0] - 1)
@@ -233,10 +230,13 @@ def _search(key: tuple):
                 and (lo < hi or math.isnan(flo)):
             return (f"approximation regime violated: the {name} difference is "
                     f"rounding noise at both ends of the user split")
-        roots.append(_itp_root(curves[i], curves[j], lo, hi, flo, fhi))
-    split_rt = roots[0]
-    rate_eq = curves[0](split_rt) if split_rt is not None else None
-    return SelectionThresholds(*roots, rate_eq)
+        roots.append(_ab_root(curves[i], curves[j], lo, hi, flo, fhi))
+    split_rt, rate_eq, gap = roots[0], None, None
+    if split_rt is not None:
+        rate_eq = curves[0](split_rt)
+        gap = curves[2](split_rt) - rate_eq
+    return SelectionThresholds(*roots, rate_eq), (gap, at_lo[2] - at_lo[0],
+                                                  at_hi[2] - at_hi[1])
 
 
 def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresholds:
@@ -249,7 +249,7 @@ def find_thresholds(cfg: ScenarioConfig, budget: LinkBudget) -> SelectionThresho
     found = _search(crossing_key(cfg, budget))
     if isinstance(found, str):
         raise RegimeViolationError(found, regime=_regime_report(cfg, budget))
-    return found
+    return found[0]
 
 
 # --- the decision -----------------------------------------------------------------
@@ -277,9 +277,8 @@ class TableRow:
 class SelectionDecision:
     """Verdicts of the condition table and of the direct comparison.
 
-    `optimal` is the table verdict; `brute_force_optimal` is the argmax of
-    the three closed forms at the integer split (ties broken reflective,
-    then transmissive, then hybrid)."""
+    `optimal` is the table verdict; `brute_force_optimal` is the best_type
+    of the three closed forms at the integer split."""
 
     optimal: RisType
     table_row: TableRow
@@ -289,16 +288,20 @@ class SelectionDecision:
     agrees: bool
 
 
+def best_type(rates) -> RisType:
+    """The type of the largest of `rates`, given in RisType order; of equal
+    rates the first wins (reflective, then transmissive, then hybrid)."""
+    return tuple(RisType)[max(range(3), key=rates.__getitem__)]
+
+
 def brute_force_optimal(cfg: ScenarioConfig, budget: LinkBudget):
     """Directly compare the three closed forms at the configured split.
 
-    Returns (winner, rates) with rates keyed by RisType. Ties prefer
-    reflective over transmissive over hybrid.
+    Returns (best_type's winner, rates) with rates keyed by RisType.
     """
     x = float(cfg.users_transmission)
     rates = {t: rate(x) for t, (rate, _) in type_curves(cfg, budget).items()}
-    # max keeps the first of equal rates, in the dict's R, T, H order
-    return max(rates, key=rates.get), rates
+    return best_type(list(rates.values())), rates
 
 
 def _sign(x: float) -> int:
@@ -315,13 +318,13 @@ _HYBRID_POSITIONS = {
 }
 
 
-def _decision(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
-              brute: RisType, thresholds: SelectionThresholds | None) -> SelectionDecision:
-    """The condition table's verdict for one cell from its crossings (None
-    at a boundary split), set against the brute-force verdict `brute`."""
-    s, s_t = cfg.users_total, cfg.users_transmission
-    if thresholds is None:
-        thresholds = SelectionThresholds(None, None, None, None)
+def _decision(s_t: int, regime: RegimeReport, brute: RisType,
+              found: tuple | None) -> SelectionDecision:
+    """The condition table's verdict for one cell at user split s_t from its
+    tuple's _search result (None at a boundary split), set against the
+    brute-force verdict `brute`."""
+    thresholds, gaps = found or (SelectionThresholds(None, None, None, None), None)
+    if found is None:
         verdict = RisType.REFLECTIVE if s_t == 0 else RisType.TRANSMISSIVE
         side = "transmission" if s_t == 0 else "reflection"
         row = TableRow(0, 0, 0, position=f"boundary: empty {side} zone",
@@ -333,13 +336,10 @@ def _decision(cfg: ScenarioConfig, budget: LinkBudget, regime: RegimeReport,
         row = TableRow(0, 0, 0, position="not applicable", advisory=True,
                        note="reflective and transmissive curves do not cross")
     else:
+        hyb_at_cross, hyb_low, hyb_high = gaps
         split_rt = thresholds.split_reflect_transmit
         split_rh = thresholds.split_reflect_hybrid
         split_th = thresholds.split_transmit_hybrid
-        c_reflect, c_transmit, c_hybrid = _curves(crossing_key(cfg, budget))
-        hyb_at_cross = c_hybrid(split_rt) - thresholds.rate_at_equal_split
-        hyb_low = c_hybrid(1.0) - c_reflect(1.0)
-        hyb_high = c_hybrid(float(s - 1)) - c_transmit(float(s - 1))
         # with no hybrid gain where R and T meet, their split decides; else
         # R, then T, else H (`not x > 0` sends a NaN edge gap to the split test)
         if hyb_at_cross <= 0.0:
@@ -371,7 +371,8 @@ def decide_types(cfgs, budgets, regimes, winners) -> list:
 
     Boundary splits (no users on one side) go straight to the single-zone
     type. The crossings depend only on crossing_key's tuple, so each
-    distinct tuple of the interior cells is searched once. When one of a
+    distinct tuple of the interior cells is searched once, and the
+    condition table's hybrid gaps are read once per tuple. When one of a
     tuple's differences is rounding noise, each of its cells gets its own
     RegimeViolationError, carrying its own regime report. Otherwise the
     condition table is evaluated from the crossings; a failing regime
@@ -382,12 +383,11 @@ def decide_types(cfgs, budgets, regimes, winners) -> list:
             else None for cfg, budget in zip(cfgs, budgets)]
     found = {key: _search(key) for key in dict.fromkeys(keys) if key is not None}
     results = []
-    for cfg, budget, regime, winner, key in zip(cfgs, budgets, regimes, winners, keys):
-        thresholds = found.get(key)
-        if isinstance(thresholds, str):
-            results.append((None, RegimeViolationError(thresholds, regime)))
+    for cfg, regime, winner, key in zip(cfgs, regimes, winners, keys):
+        if isinstance(hit := found.get(key), str):
+            results.append((None, RegimeViolationError(hit, regime)))
         else:
-            results.append((_decision(cfg, budget, regime, winner, thresholds), None))
+            results.append((_decision(cfg.users_transmission, regime, winner, hit), None))
     return results
 
 

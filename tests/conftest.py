@@ -1,6 +1,6 @@
 """Shared helpers: reference scenario path, a config factory, scenario text,
-the regime report, the Monte Carlo tolerance, a serial replay of the gain
-statistics."""
+the regime report, a reference bisection, the Monte Carlo tolerance, a
+serial replay of the gain statistics."""
 
 import math
 from dataclasses import replace
@@ -19,6 +19,7 @@ from ris_select import (
     validate_approximation_regime,
 )
 from ris_select.channel import GainStatistics, element_coefficients, rng_for_seed
+from ris_select.selection import ROOT_TOL
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_SCENARIO = REPO_ROOT / "scenarios" / "reference.cfg"
@@ -101,6 +102,31 @@ def regime_report(cfg: ScenarioConfig):
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
     return validate_approximation_regime(
         cfg, average_snr(cfg, RisType.HYBRID, alloc, budget))
+
+
+def reference_bisection(diff, lo, hi):
+    """Root of diff on [lo, hi] by plain bisection to a bracket of ROOT_TOL,
+    or None without a sign change: the oracle of the crossing search. An
+    exact zero at an end or a midpoint is returned as it is (lo first)."""
+    flo, fhi = diff(lo), diff(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= ROOT_TOL:
+            return mid
+        fm = diff(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def hybrid_curve_as_reflective(monkeypatch):

@@ -1,11 +1,12 @@
-"""The ITP crossing search against an independent reference bisection.
+"""The Anderson-Bjorck crossing search against an independent reference
+bisection.
 
-find_thresholds locates each crossing with selection._itp_root on the whole
+find_thresholds locates each crossing with selection._ab_root on the whole
 split range [1, S-1], from the closures' values at its two ends. Every
 reported crossing is checked on its own terms (the closures' difference
 changes sign across it, or is exactly 0 at it) and against a plain
-bisection over [1, S-1], kept here as the oracle. The search's evaluation
-counts pin its cost without timing anything.
+bisection over [1, S-1] (conftest.reference_bisection), the oracle. The
+search's evaluation counts pin its cost without timing anything.
 """
 
 import math
@@ -14,7 +15,12 @@ import numpy as np
 import pytest
 
 import ris_select.selection as selection
-from conftest import make_config, near_isotropic_config, random_config
+from conftest import (
+    make_config,
+    near_isotropic_config,
+    random_config,
+    reference_bisection,
+)
 from ris_select import (
     RegimeViolationError,
     RisType,
@@ -22,36 +28,12 @@ from ris_select import (
     find_thresholds,
     link_budget,
 )
-from ris_select.selection import ROOT_TOL, _curves, _itp_root, crossing_key
+from ris_select.selection import ROOT_TOL, _ab_root, _curves, crossing_key
 from test_curves import _deployments
 from test_threshold_scan import _deployment, _endpoint_ties, _noise_deployments
 
 # the curves (in R, T, H order) of each difference find_thresholds reports
 PAIRS = ((1, 0), (0, 2), (1, 2))
-
-
-def _reference_bisection(diff, lo, hi):
-    """Root of diff on [lo, hi] by plain bisection to a bracket of ROOT_TOL,
-    or None without a sign change (the oracle)."""
-    flo, fhi = diff(lo), diff(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= ROOT_TOL:
-            return mid
-        fm = diff(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _check_crossings(deployments) -> int:
@@ -73,7 +55,7 @@ def _check_crossings(deployments) -> int:
             def diff(v, first=curves[i], second=curves[j]):
                 return first(v) - second(v)
 
-            expected = _reference_bisection(diff, lo, hi)
+            expected = reference_bisection(diff, lo, hi)
             assert (x is None) == (expected is None)
             if x is None:
                 continue
@@ -107,11 +89,11 @@ def _searches(monkeypatch, deployments) -> list:
             calls.append(x)
             return first(x)
 
-        root = _itp_root(counted_first, second, lo, hi, flo, fhi)
+        root = _ab_root(counted_first, second, lo, hi, flo, fhi)
         searches.append((calls, hi - lo))
         return root
 
-    monkeypatch.setattr(selection, "_itp_root", counted)
+    monkeypatch.setattr(selection, "_ab_root", counted)
     for cfg, budget in deployments:
         try:
             find_thresholds(cfg, budget)
@@ -126,41 +108,72 @@ def _evaluation_counts(monkeypatch, deployments) -> list:
             for points, width in _searches(monkeypatch, deployments)]
 
 
-def test_searches_stay_within_bisections_count_plus_three(monkeypatch):
-    rng = np.random.default_rng(15)
+def _bisected(counts) -> int:
+    """Assert that every (difference evaluations, bracket width) of `counts`
+    is within the search's worst case: 2 n steps plus the two end values,
+    where n = ceil(log2(width / ROOT_TOL)) is bisection's step count (a
+    one-point range, S = 2, takes the end values alone). Returns how many
+    searches went past n steps, where the search bisects."""
+    bisected = 0
+    for evaluations, width in counts:
+        n = math.ceil(math.log2(width / ROOT_TOL)) if width > 0.0 else 0
+        assert evaluations <= 2 * n + 2
+        bisected += evaluations > n + 2
+    return bisected
 
-    def draws(law, count):
+
+def test_searches_stay_within_the_worst_case_and_never_bisect(monkeypatch):
+    def draws(law, seed, count):
+        rng = np.random.default_rng(seed)
         return [(cfg, link_budget(cfg)) for cfg in (law(rng) for _ in range(count))]
 
-    random_counts = _evaluation_counts(monkeypatch, draws(random_config, 2000))
-    counts = random_counts \
-        + _evaluation_counts(monkeypatch, draws(near_isotropic_config, 500)) \
-        + _evaluation_counts(monkeypatch, _noise_deployments(rng, 500))
-    assert len(random_counts) > 300 and len(counts) > 700
-    # bisection takes ceil(log2(width / ROOT_TOL)) steps; ITP at most one
-    # more, plus the two end values. A one-point range (S = 2) takes the
-    # end values alone.
-    for evaluations, width in counts:
-        assert evaluations <= (math.ceil(math.log2(width / ROOT_TOL)) + 3
-                               if width > 0.0 else 2)
+    sets = (draws(random_config, 15, 2000), draws(near_isotropic_config, 14, 500),
+            _noise_deployments(np.random.default_rng(3), 2000))
+    maxima = []
+    for deployments in sets:
+        counts = _evaluation_counts(monkeypatch, deployments)
+        assert len(counts) > 1000 and _bisected(counts) == 0
+        maxima.append(max(evaluations for evaluations, _ in counts))
+    # the ITP search this one replaced took up to 36, 37 and 32
+    assert maxima == [12, 14, 17]
 
 
 def test_fig2a_searches_take_a_pinned_number_of_evaluations(monkeypatch):
-    # the 48 searches of the fig2a preset's 16 cells, each on [1, 9]: 462
-    # difference evaluations with k1 = ITP_K1_WIDTH / width (a k1 of 0.1,
-    # 0.2 or 0.5 takes 457, 506 or 528; bisection alone about 35 each)
+    # the 48 searches of the fig2a preset's 16 cells, each on [1, 9]: 390
+    # difference evaluations (the ITP search this one replaced took 462,
+    # bisection alone about 35 each)
     cells = [(cfg, link_budget(cfg)) for name, cfg in _deployments().items()
              if name.startswith("fig2a/")]
     counts = _evaluation_counts(monkeypatch, cells)
     assert len(counts) == 48 and {width for _, width in counts} == {8.0}
-    assert sum(evaluations for evaluations, _ in counts) == 462
+    assert _bisected(counts) == 0
+    assert sum(evaluations for evaluations, _ in counts) == 390
+
+
+def test_a_flat_one_sided_difference_ends_by_bisection():
+    # (x - 1)^20 - 1e-6 is flat left of its root (about 1.5) and steep right
+    # of it: each regula falsi step lands just right of the left end, where
+    # the difference is nearly its value there, so the kept right end value
+    # is only halved and the steps creep. After bisection's 33 steps the
+    # search bisects, and still ends within the worst case.
+    def diff(x):
+        return (x - 1.0) ** 20 - 1e-6
+
+    points = []
+
+    def counted(x):
+        points.append(x)
+        return diff(x)
+
+    root = _ab_root(counted, lambda x: 0.0, 1.0, 9.0, diff(1.0), diff(9.0))
+    assert _bisected([(len(points) + 2, 8.0)]) == 1
+    assert abs(root - reference_bisection(diff, 1.0, 9.0)) <= ROOT_TOL
+    assert diff(root - 0.5 * ROOT_TOL) < 0.0 < diff(root + 0.5 * ROOT_TOL)
 
 
 def test_no_search_evaluates_a_point_twice(monkeypatch):
-    # once the bracket is about 1e-6 wide, the truncation step falls below
-    # the float spacing and a one-sided regula falsi step can land on an
-    # end already evaluated (in the fig2a cells at 20, 40 and 44 dBm); the
-    # search must bisect there instead
+    # a regula falsi step that rounding puts on an end already evaluated
+    # must take the midpoint instead
     rng = np.random.default_rng(16)
     cfgs = list(_deployments().values()) \
         + [random_config(rng) for _ in range(500)] \
@@ -178,8 +191,8 @@ def test_edge_brackets(monkeypatch):
     def first(x):
         return 0.0
 
-    assert _itp_root(first, first, 1.0, 1.0, 0.0, 0.0) == 1.0
-    assert _itp_root(first, lambda x: 1.0, 1.0, 1.0, -1.0, -1.0) is None
+    assert _ab_root(first, first, 1.0, 1.0, 0.0, 0.0) == 1.0
+    assert _ab_root(first, lambda x: 1.0, 1.0, 1.0, -1.0, -1.0) is None
     assert _evaluation_counts(monkeypatch, [_deployment(2, big_l) for big_l in
                                             (None, 1e-3, 1.0, 1e3)]) == [(2, 0.0)] * 12
     monkeypatch.undo()

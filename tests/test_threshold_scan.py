@@ -4,7 +4,8 @@
 differences were proved monotone: every curve evaluated by its closure at
 each point of a 100-point grid on [1, S-1], a sign pattern that changes
 sign against the difference's direction rejected as a regime violation, and
-each root searched on the grid interval where the closures' signs change.
+each root found by plain bisection (conftest.reference_bisection) on the
+grid interval where the closures' signs change.
 The search that replaced it (`find_thresholds`, and `decide_types` over many
 tuples) runs on the whole range [1, S-1] and rejects only a difference that
 is rounding noise at both ends. It must find every crossing the oracle finds
@@ -17,7 +18,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import make_config, near_isotropic_config, random_config
+from conftest import (
+    make_config,
+    near_isotropic_config,
+    random_config,
+    reference_bisection,
+)
 from ris_select import (
     RegimeViolationError,
     RisType,
@@ -30,7 +36,6 @@ from ris_select.capacity import _type_curves
 from ris_select.selection import (
     ROOT_TOL,
     SelectionThresholds,
-    _itp_root,
     _regime_report,
     decide_types,
 )
@@ -81,7 +86,8 @@ def _oracle_bracket(values):
 
 
 def _scalar_find_thresholds(cfg, budget):
-    """The closure-only scan and root search (the reference)."""
+    """The closure-only scan and a plain bisection of each grid interval
+    (the reference)."""
     if cfg.users_total < 2:
         raise ValueError("threshold search needs at least two users")
     c_reflect, c_transmit, c_hybrid = (
@@ -107,7 +113,8 @@ def _scalar_find_thresholds(cfg, budget):
                 regime=_regime_report(cfg, budget),
             )
         k, m = _oracle_bracket(values)
-        roots.append(_itp_root(first, second, grid[k], grid[m], values[k], values[m]))
+        roots.append(reference_bisection(lambda x, f=first, g=second: f(x) - g(x),
+                                         grid[k], grid[m]))
     split_rt, split_rh, split_th = roots
     rate_eq = c_reflect(split_rt) if split_rt is not None else None
     return SelectionThresholds(split_rt, split_rh, split_th, rate_eq)
