@@ -139,7 +139,6 @@ class PowerAllocation:
 
     per_ue: np.ndarray
     reflect_fraction: float | None
-    scheme: RisType
 
     def __post_init__(self):
         per_ue = np.asarray(self.per_ue, dtype=float)
@@ -162,8 +161,7 @@ def allocate_power(cfg: ScenarioConfig, ris_type: RisType,
     share_r, share_t = _served_shares(cfg, ris_type, shares)
     return PowerAllocation(
         per_ue=[share_r] * cfg.users_reflection + [share_t] * cfg.users_transmission,
-        reflect_fraction=share_r if ris_type is RisType.HYBRID else None,
-        scheme=ris_type)
+        reflect_fraction=share_r if ris_type is RisType.HYBRID else None)
 
 
 # --- rate evaluation -------------------------------------------------------------

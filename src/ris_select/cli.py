@@ -72,6 +72,7 @@ from .selection import (
     RegimeViolationError,
     SelectionDecision,
     asymptotic_checks,
+    best_type,
     decide_types,
 )
 
@@ -340,9 +341,8 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int, strict: bool):
     regimes = [approximation_regime(cfg, m) for cfg, m in zip(cfgs, min_snr)]
     winners, decisions = [None] * n, [(None, None)] * n
     if "decision" in outputs:
-        # the closed forms' argmax, ties to the first in R, T, H order, as
-        # brute_force_optimal breaks them
-        winners = [_TYPES[row.index(max(row))] for row in closed[:n]]
+        # the closed forms' argmax, as brute_force_optimal takes it
+        winners = [best_type(row) for row in closed[:n]]
         decisions = decide_types(cfgs[:n], budgets[:n], regimes, winners)
     cells = []
     for a, budget in enumerate(budgets[:n]):

@@ -147,8 +147,7 @@ def test_closed_form_symmetry():
 def test_upper_bound_zero_allocation_is_zero():
     cfg = make_config()
     budget = link_budget(cfg)
-    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
-                            scheme=RisType.HYBRID)
+    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None)
     assert upper_bound(average_snr(cfg, RisType.HYBRID, alloc, budget)) == 0.0
 
 
@@ -188,8 +187,7 @@ def test_budget_conservation_random():
 def test_hybrid_uniform_split_isotropic_bound():
     cfg = make_config(radiation_transmit=1.0)
     budget = link_budget(cfg)
-    alloc = PowerAllocation(per_ue=np.full(10, 0.1), reflect_fraction=0.1,
-                            scheme=RisType.HYBRID)
+    alloc = PowerAllocation(per_ue=np.full(10, 0.1), reflect_fraction=0.1)
     bound = upper_bound(average_snr(cfg, RisType.HYBRID, alloc, budget))
     snr = (cfg.transmit_power / cfg.noise_variance) * 0.1 \
         * budget.avg_pathloss_reflect * 12 * 2500 * 0.5
@@ -238,8 +236,7 @@ def test_element_monte_carlo_equals_a_serial_loop():
 
 def test_monte_carlo_zero_allocation():
     cfg = make_config(rows=2, cols=2)
-    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
-                            scheme=RisType.HYBRID)
+    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None)
     mean, stderr = element_monte_carlo(cfg, RisType.HYBRID, alloc, link_budget(cfg),
                                        trials=4, base_seed=0)
     assert mean == 0.0
@@ -506,8 +503,7 @@ def test_element_sampler_uses_the_given_budget(monkeypatch):
 def test_aggregate_sampler_zero_allocation():
     cfg = make_config(rows=2, cols=2)
     budget = link_budget(cfg)
-    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None,
-                            scheme=RisType.HYBRID)
+    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None)
     snr = average_snr(cfg, RisType.HYBRID, alloc, budget)
     mean, stderr = monte_carlo_capacity(snr, cfg.bs_antennas, trials=4, base_seed=0)
     assert mean == 0.0

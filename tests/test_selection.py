@@ -30,6 +30,7 @@ from ris_select.capacity import _type_curves
 from ris_select.selection import (
     CertificateError,
     _f_lemma,
+    best_type,
     hybrid_slope,
     single_zone_slope,
 )
@@ -297,6 +298,15 @@ def test_tie_break_prefers_reflective():
     assert winner in (RisType.REFLECTIVE, RisType.HYBRID)
     if rates[RisType.HYBRID] <= rates[RisType.REFLECTIVE]:
         assert winner is RisType.REFLECTIVE
+
+
+def test_best_type_takes_the_first_of_equal_rates():
+    # the one tie rule of brute_force_optimal and the CLI's decision column
+    R, T, H = RisType
+    assert best_type([1.0, 1.0, 1.0]) is R
+    assert best_type([0.0, 1.0, 1.0]) is T
+    assert best_type([0.0, 1.0, 2.0]) is H
+    assert best_type([2.0, 1.0, 2.0]) is R
 
 
 # --- monotonicity certificate ------------------------------------------------------
