@@ -21,7 +21,7 @@ from .channel import LinkBudget, _on_two_threads, prepare_sampler, rng_for_seeds
 from .scenario import ConfigValidationError, RisType, ScenarioConfig, reflection_zone_mask
 
 LN2 = math.log(2.0)
-# The most gamma values one monte_carlo_capacity block may hold: 1 GiB of
+# The most rate terms one monte_carlo_capacity block may hold: 1 GiB of
 # float64, whatever the host could allocate (fig2a at 10000 trials: 4.8e6).
 MONTE_CARLO_BLOCK_VALUES = 2 ** 27
 
@@ -138,30 +138,23 @@ class PowerAllocation:
     anyone is served, and to 0 otherwise)."""
 
     per_ue: np.ndarray
-    reflect_fraction: float | None
 
     def __post_init__(self):
         per_ue = np.asarray(self.per_ue, dtype=float)
         per_ue.flags.writeable = False
         object.__setattr__(self, "per_ue", per_ue)
 
-    @property
-    def n_served(self) -> int:
-        return int(np.count_nonzero(self.per_ue))
-
 
 def allocate_power(cfg: ScenarioConfig, ris_type: RisType,
                    budget: LinkBudget) -> PowerAllocation:
     """Long-term power split for one surface type: the shares of
-    type_curves at the configured split. `reflect_fraction` is the hybrid
-    reflection-zone share (None for the single-zone types). An empty served
-    set yields the all-zero allocation and a warning.
+    type_curves at the configured split. An empty served set yields the
+    all-zero allocation and a warning.
     """
     _, shares = type_curves(cfg, budget)[ris_type]
     share_r, share_t = _served_shares(cfg, ris_type, shares)
     return PowerAllocation(
-        per_ue=[share_r] * cfg.users_reflection + [share_t] * cfg.users_transmission,
-        reflect_fraction=share_r if ris_type is RisType.HYBRID else None)
+        [share_r] * cfg.users_reflection + [share_t] * cfg.users_transmission)
 
 
 # --- rate evaluation -------------------------------------------------------------
@@ -321,12 +314,17 @@ def _base_key(trials: int, base_seed) -> tuple:
 
 def _mean_and_stderr(rates: np.ndarray) -> tuple:
     """Mean and standard error (0 for one trial) of the per-trial rates,
-    which run along the last axis."""
+    which run along the last axis: rates.mean(-1) and rates.std(-1, ddof=1)
+    / sqrt(trials) bit for bit, from the ufuncs numpy's std calls in the
+    same order, with the mean taken from its first sum."""
     trials = rates.shape[-1]
-    mean = rates.mean(-1)
+    mean = np.sum(rates, axis=-1, keepdims=True) / trials
     if trials < 2:
-        return mean, np.zeros_like(mean)
-    return mean, rates.std(-1, ddof=1) / math.sqrt(trials)
+        return mean[..., 0], np.zeros(mean.shape[:-1])
+    deviation = rates - mean
+    np.square(deviation, out=deviation)
+    var = np.sum(deviation, axis=-1) / (trials - 1)
+    return mean[..., 0], np.sqrt(var) / math.sqrt(trials)
 
 
 def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
@@ -342,37 +340,45 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
     element_monte_carlo with Gaussian fading and the cost does not grow with
     the panel, but the stream differs. ergodic_rate_exact is its oracle.
 
-    Users run along the last axis. A vector gives two floats; a block gives
-    two arrays over its leading axes in one pass, where the vector at index
-    idx, with K_t = bs_antennas broadcast to the leading axes at idx, draws
-    from base_seed + idx and equals its own estimate bit for bit. The
-    block's generators are seeded in one channel.rng_for_seeds call.
-    A block of more than MONTE_CARLO_BLOCK_VALUES gamma values (vectors x
-    trials x users), or one the host cannot allocate, is a
-    ConfigValidationError raised before anything is drawn.
+    Users run along the last axis. A vector is one cell of one type and
+    gives two floats. In a block, the axis before the users holds one
+    cell's types, which share every trial's draw (a type only scales each
+    user's averaged SNR), and each index idx of the axes before it is a cell
+    that draws from base_seed + idx with K_t = bs_antennas broadcast to
+    those axes. The block gives two arrays over its leading axes in one
+    pass; entry [idx, i] equals the vector call on snr[idx, i] with key
+    base_seed + idx bit for bit. The cells' generators are seeded in one
+    channel.rng_for_seeds call. A block whose rate terms (cells x types x
+    trials x users) outnumber MONTE_CARLO_BLOCK_VALUES, or one the host
+    cannot allocate, is a ConfigValidationError raised
+    before anything is drawn.
     """
     base = _base_key(trials, base_seed)
     snr = np.asarray(snr, dtype=float)
     lead, users = snr.shape[:-1], snr.shape[-1]
-    antennas = np.broadcast_to(bs_antennas, lead).ravel().tolist()
-    rows = snr.reshape(-1, users)
+    cell_axes = lead[:-1]
+    antennas = np.broadcast_to(bs_antennas, cell_axes).ravel().tolist()
+    types = lead[-1] if lead else 1
+    scale = snr.reshape(len(antennas), types, users) / np.array(
+        antennas, dtype=float)[:, None, None]
     too_large = ConfigValidationError(
         f"{trials} Monte Carlo trials per cell are too large to allocate "
         f"(a block holds at most 2**27 gamma values)")
-    if len(rows) * trials * users > MONTE_CARLO_BLOCK_VALUES:
+    if scale.size * trials > MONTE_CARLO_BLOCK_VALUES:
         raise too_large
     try:
-        row_gamma = np.empty((len(rows), trials, users))
+        gamma = np.empty((len(antennas), trials, users))
+        terms = np.empty((*scale.shape[:2], trials, users))
     except MemoryError:
         raise too_large from None
-    rngs = rng_for_seeds([base + index for index in np.ndindex(lead)])
-    for r, (rng, k) in enumerate(zip(rngs, antennas)):
-        rng.standard_gamma(k, out=row_gamma[r])
-    row_gamma *= (rows / np.array(antennas, dtype=float)[:, None])[:, None, :]
+    rngs = rng_for_seeds([base + index for index in np.ndindex(cell_axes)])
+    for rng, k, cell_gamma in zip(rngs, antennas, gamma):
+        rng.standard_gamma(k, out=cell_gamma)
+    np.multiply(gamma[:, None], scale[:, :, None], out=terms)
     mean, stderr = _mean_and_stderr(
-        np.sum(np.log1p(row_gamma, out=row_gamma), axis=-1) / LN2)
+        np.sum(np.log1p(terms, out=terms), axis=-1) / LN2)
     if not lead:
-        return float(mean[0]), float(stderr[0])
+        return float(mean[0, 0]), float(stderr[0, 0])
     return mean.reshape(lead), stderr.reshape(lead)
 
 

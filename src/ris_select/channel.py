@@ -269,10 +269,10 @@ def rng_for_seed(seed) -> np.random.Generator:
     the same length and every word lies in [0, 2**32): SeedSequence pads its
     entropy with zeros and splits larger ints into 32-bit words, so
     (9, 0, 3) and (9, 0, 3, 0) are one stream, as are 9 and (9, 0), and
-    2**32 and (0, 1). The CLI keeps to that rule (three-word
-    (seed, cell, type) keys, seeds below 2**32). SFC64 is the fastest
-    generator shipped with numpy, which keeps large Monte Carlo sweeps
-    inside their wall-clock budgets. This is rng_for_seeds for one key.
+    2**32 and (0, 1). The CLI keeps to that rule (two-word (seed, cell)
+    keys, seeds below 2**32). SFC64 is the fastest generator shipped with
+    numpy, which keeps large Monte Carlo sweeps inside their wall-clock
+    budgets. This is rng_for_seeds for one key.
     """
     return rng_for_seeds((seed,))[0]
 

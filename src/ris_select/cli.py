@@ -18,12 +18,12 @@ list of sweeps, each run under (axis, value) settings that
 Exit codes: 0 success, 1 ingestion/validation failure (including a link
 budget that over- or underflows a float), 2 regime or geometry diagnostic
 failure under --strict. Sweep CSVs are bit-identical across runs
-for a fixed (scenario, spec, seed); the Monte Carlo cell at axis index a and
-type index i (fixed type order R, T, H) draws all its trials from the one
-generator (base_seed, a, i), and a single evaluation is axis 0 of the same
-scheme, seeding type i with (seed, 0, i). Every key has three words, and
-seeds must lie in [0, 2**32) so each is one SeedSequence word and no two
-keys alias. Fading is always Gaussian here, so Monte Carlo is
+for a fixed (scenario, spec, seed); the Monte Carlo cell at axis index a
+draws all its trials from the one generator (base_seed, a), and its three
+types share each trial's fading draw. A single evaluation is axis 0 of the
+same scheme, seeded with (seed, 0). Every key has two words, and seeds must
+lie in [0, 2**32) so each is one SeedSequence word and no two keys alias.
+Fading is always Gaussian here, so Monte Carlo is
 capacity.monte_carlo_capacity, the exact Gamma row-power sampler (recorded
 as "aggregate" in evaluate.json).
 """
@@ -284,9 +284,9 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int, strict: bool):
     building a config or its link budget, or a ConfigValidationError for a
     cell whose averaged SNR, closed forms, bounds, estimates or diagnostics
     are not finite. Too many users or trials to allocate fails before any
-    cell. Cell a, type i's one Monte Carlo generator is (seed, a, i). The
-    decisions are one decide_types call over the finite cells. This is the
-    one place a CapacityReport is built.
+    cell. Cell a's one Monte Carlo generator is (seed, a), and its types
+    share each trial's draw. The decisions are one decide_types call over
+    the finite cells. This is the one place a CapacityReport is built.
     """
     staged, error = [], None
     try:
@@ -309,7 +309,7 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int, strict: bool):
         bounds = upper_bound(snr)
         blocks = [snr, closed, bounds]
         if monte_carlo:
-            antennas = np.array([cfg.bs_antennas for cfg in cfgs])[:, None]
+            antennas = np.array([cfg.bs_antennas for cfg in cfgs])
             means, stderrs = monte_carlo_capacity(snr, antennas, trials, seed)
             blocks += [means, stderrs]
         if exact:

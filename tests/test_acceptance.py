@@ -205,10 +205,10 @@ def test_criterion_7_allocation_identity_randomized():
                 assert abs(bound - closed) <= 1e-10 * max(abs(closed), 1e-30)
                 checked += 1
             hybrid = allocate_power(cfg, RisType.HYBRID, budget)
-            if cfg.users_reflection and hybrid.reflect_fraction == 0.0:
+            if cfg.users_reflection and hybrid.per_ue[0] == 0.0:
                 clamp_low += 1
             if cfg.users_reflection and cfg.users_transmission \
-                    and hybrid.reflect_fraction == 1.0 / cfg.users_reflection:
+                    and hybrid.per_ue[0] == 1.0 / cfg.users_reflection:
                 clamp_high += 1
     assert clamp_low >= 1 and clamp_high >= 1, (clamp_low, clamp_high)
     _report(7, f"{checked} identities at 1e-10; clamp hits low={clamp_low} "

@@ -39,7 +39,6 @@ def test_reflective_allocation():
     np.testing.assert_allclose(alloc.per_ue[:3], 1.0 / 3.0)
     assert np.all(alloc.per_ue[3:] == 0.0)
     assert alloc.per_ue.sum() == pytest.approx(1.0, abs=1e-12)
-    assert alloc.reflect_fraction is None
 
 
 def test_transmissive_allocation():
@@ -56,17 +55,16 @@ def test_hybrid_allocation_reference_value():
     alloc = allocate_power(cfg, RisType.HYBRID, budget)
     # direct formula evaluation with the independently checked link constant
     expected = budget.link_constant * (14.0 / 10.0) * (1.0 / 0.95 - 1.0) + 0.1
-    assert alloc.reflect_fraction == pytest.approx(expected, rel=1e-14)
-    assert alloc.reflect_fraction == pytest.approx(0.10010535651724144, rel=1e-12)
+    assert alloc.per_ue[0] == pytest.approx(expected, rel=1e-14)
+    assert alloc.per_ue[0] == pytest.approx(0.10010535651724144, rel=1e-12)
     assert alloc.per_ue.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(alloc.per_ue[3:],
-                               (1.0 - 3.0 * alloc.reflect_fraction) / 7.0)
+    np.testing.assert_allclose(alloc.per_ue[3:], (1.0 - 3.0 * alloc.per_ue[0]) / 7.0)
 
 
 def test_hybrid_allocation_uniform_when_isotropic():
     cfg = make_config(radiation_transmit=1.0)
     alloc = _alloc(cfg, RisType.HYBRID)
-    assert alloc.reflect_fraction == 0.1
+    assert alloc.per_ue[0] == 0.1
     np.testing.assert_allclose(alloc.per_ue, 0.1)
 
 
@@ -78,7 +76,6 @@ def test_hybrid_clamp_low():
                       transmit_power=dbm_to_watts(10.0),
                       noise_variance=dbm_to_watts(-80.0))
     alloc = _alloc(cfg, RisType.HYBRID)
-    assert alloc.reflect_fraction == 0.0
     assert np.all(alloc.per_ue[:3] == 0.0)
     assert alloc.per_ue.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -88,7 +85,7 @@ def test_hybrid_clamp_high():
                       users_transmission=9, bs_ris_distance=200.0,
                       ris_ue_distance=200.0)
     alloc = _alloc(cfg, RisType.HYBRID)
-    assert alloc.reflect_fraction == 1.0  # 1 / S_R with a single reflect user
+    assert alloc.per_ue[0] == 1.0  # 1 / S_R with a single reflect user
     assert np.all(alloc.per_ue[1:] == 0.0)
     assert alloc.per_ue.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -98,19 +95,17 @@ def test_empty_served_set_warns_and_zeroes():
     with pytest.warns(UserWarning, match="no served UEs"):
         alloc = _alloc(cfg, RisType.REFLECTIVE)
     assert np.all(alloc.per_ue == 0.0)
-    assert alloc.n_served == 0
 
 
 def test_hybrid_boundary_splits():
     all_reflect = make_config(users_total=5, users_transmission=0, rows=2, cols=2)
     alloc = _alloc(all_reflect, RisType.HYBRID)
     np.testing.assert_allclose(alloc.per_ue, 0.2)
-    assert alloc.reflect_fraction == pytest.approx(0.2, rel=1e-14)
+    assert alloc.per_ue[0] == pytest.approx(0.2, rel=1e-14)
 
     all_transmit = make_config(users_total=5, users_transmission=5, rows=2, cols=2)
     alloc = _alloc(all_transmit, RisType.HYBRID)
     np.testing.assert_allclose(alloc.per_ue, 0.2)
-    assert alloc.reflect_fraction == 0.0
 
 
 def test_closed_form_reference_values():
@@ -147,7 +142,7 @@ def test_closed_form_symmetry():
 def test_upper_bound_zero_allocation_is_zero():
     cfg = make_config()
     budget = link_budget(cfg)
-    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None)
+    alloc = PowerAllocation(per_ue=np.zeros(10))
     assert upper_bound(average_snr(cfg, RisType.HYBRID, alloc, budget)) == 0.0
 
 
@@ -177,7 +172,7 @@ def test_budget_conservation_random():
             for ris_type in RisType:
                 alloc = allocate_power(cfg, ris_type, budget)
                 total = float(alloc.per_ue.sum())
-                if alloc.n_served:
+                if alloc.per_ue.any():
                     assert abs(total - 1.0) <= 1e-12
                 else:
                     assert total == 0.0
@@ -187,7 +182,7 @@ def test_budget_conservation_random():
 def test_hybrid_uniform_split_isotropic_bound():
     cfg = make_config(radiation_transmit=1.0)
     budget = link_budget(cfg)
-    alloc = PowerAllocation(per_ue=np.full(10, 0.1), reflect_fraction=0.1)
+    alloc = PowerAllocation(per_ue=np.full(10, 0.1))
     bound = upper_bound(average_snr(cfg, RisType.HYBRID, alloc, budget))
     snr = (cfg.transmit_power / cfg.noise_variance) * 0.1 \
         * budget.avg_pathloss_reflect * 12 * 2500 * 0.5
@@ -236,7 +231,7 @@ def test_element_monte_carlo_equals_a_serial_loop():
 
 def test_monte_carlo_zero_allocation():
     cfg = make_config(rows=2, cols=2)
-    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None)
+    alloc = PowerAllocation(per_ue=np.zeros(10))
     mean, stderr = element_monte_carlo(cfg, RisType.HYBRID, alloc, link_budget(cfg),
                                        trials=4, base_seed=0)
     assert mean == 0.0
@@ -276,7 +271,8 @@ def test_monte_carlo_block_limit_does_not_depend_on_the_host(monkeypatch):
 
 
 def test_mean_and_stderr_are_numpys_bit_for_bit():
-    # the estimators' summary replays rates.mean() and rates.std(ddof=1)
+    # the estimators' summary replays rates.mean(-1) and rates.std(-1, ddof=1)
+    # on a vector and on 2-D and 3-D blocks along their last axis
     rng = np.random.default_rng(41)
     for trials in list(range(1, 40)) + [127, 128, 129, 1000]:
         for _ in range(5):
@@ -285,26 +281,51 @@ def test_mean_and_stderr_are_numpys_bit_for_bit():
                                if trials > 1 else 0.0)
             assert capacity._mean_and_stderr(rates) == (float(rates.mean()),
                                                         expected_stderr), trials
+        for lead in ((4,), (2, 3)):
+            rates = rng.gamma(3.0, rng.uniform(0.1, 50.0), size=(*lead, trials))
+            mean, stderr = capacity._mean_and_stderr(rates)
+            expected_stderr = (rates.std(-1, ddof=1) / math.sqrt(trials)
+                               if trials > 1 else np.zeros(lead))
+            assert mean.shape == stderr.shape == lead
+            assert mean.tobytes() == rates.mean(-1).tobytes(), (lead, trials)
+            assert stderr.tobytes() == expected_stderr.tobytes(), (lead, trials)
 
 
 def test_block_estimates_equal_the_per_vector_ones():
     # a (cells, types, users) block with one K_t per cell and unserved users
-    # (one row serves nobody): every entry is its vector's own result
+    # (one row serves nobody): every entry is its vector's own result, drawn
+    # from its cell's key
     rng = np.random.default_rng(23)
     snr = rng.uniform(0.0, 50.0, size=(3, 2, 7)) * (rng.uniform(size=(3, 2, 7)) > 0.3)
     snr[1, 0] = 0.0
-    antennas = np.array([[1], [4], [12]])
+    antennas = np.array([1, 4, 12])
     bounds, lows = upper_bound(snr), min_served_snr(snr)
     for trials in (1, 2, 17, 100):
         mean, stderr = monte_carlo_capacity(snr, antennas, trials, (5,))
         for a in range(3):
             for i in range(2):
-                k = int(antennas[a, 0])
+                k = int(antennas[a])
                 assert (mean[a, i], stderr[a, i]) == monte_carlo_capacity(
-                    snr[a, i], k, trials, (5, a, i))
+                    snr[a, i], k, trials, (5, a))
                 assert bounds[a, i] == upper_bound(snr[a, i])
                 assert lows[a, i] == min_served_snr(snr[a, i])
+        # one cell's types alone: the cell axes are empty, the key is the base
+        one_mean, one_stderr = monte_carlo_capacity(snr[2], 12, trials, (5, 2))
+        assert one_mean.tobytes() == mean[2].tobytes()
+        assert one_stderr.tobytes() == stderr[2].tobytes()
     assert lows[1, 0] == 0.0
+
+
+def test_a_cells_types_share_each_trials_draw():
+    # the types of a cell scale one fading draw, so equal type rows give
+    # equal estimates bit for bit, and rows of other cells draw other streams
+    row = np.random.default_rng(29).uniform(0.0, 50.0, size=9)
+    snr = np.broadcast_to(row, (2, 3, 9))
+    for trials in (1, 8, 100):
+        mean, stderr = monte_carlo_capacity(snr, 4, trials, (7,))
+        for a in range(2):
+            assert len({(m, e) for m, e in zip(mean[a], stderr[a])}) == 1
+        assert mean[0, 0] != mean[1, 0]
 
 
 def test_block_snr_needs_one_user_count():
@@ -503,7 +524,7 @@ def test_element_sampler_uses_the_given_budget(monkeypatch):
 def test_aggregate_sampler_zero_allocation():
     cfg = make_config(rows=2, cols=2)
     budget = link_budget(cfg)
-    alloc = PowerAllocation(per_ue=np.zeros(10), reflect_fraction=None)
+    alloc = PowerAllocation(per_ue=np.zeros(10))
     snr = average_snr(cfg, RisType.HYBRID, alloc, budget)
     mean, stderr = monte_carlo_capacity(snr, cfg.bs_antennas, trials=4, base_seed=0)
     assert mean == 0.0

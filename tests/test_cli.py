@@ -602,8 +602,8 @@ def test_seed_of_two_to_the_32_is_rejected(tmp_path, monkeypatch, capsys, where)
 def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     # Under base_seed XOR cell_index, cell 3 of a seed-9 sweep drew the
     # stream of cell 0 of a seed-10 sweep. Record every generator key the
-    # Monte Carlo builds: one (seed, a, i) per cell and type, whose streams
-    # must all differ.
+    # Monte Carlo builds: one (seed, a) per cell, whose streams must all
+    # differ.
     seen = {}
     real_rngs = capacity.rng_for_seeds
     real = capacity.monte_carlo_capacity
@@ -622,11 +622,10 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
                      "--out", str(out), "--seed", str(current)]) == 0
         csvs[current] = _rows(out / "sweep.csv")
 
-    assert seen == {seed: [(seed, a, i) for a in range(2) for i in range(3)]
-                    for seed in (9, 10)}
+    assert seen == {seed: [(seed, a) for a in range(2)] for seed in (9, 10)}
     keys = seen[9] + seen[10]
     states = {np.random.SeedSequence(key).generate_state(4).tobytes() for key in keys}
-    assert len(states) == len(keys) == 12
+    assert len(states) == len(keys) == 4
 
     # The two cells are different deployments, so compare like with like:
     # seed-9 cell 3 (split 5, R) against the same cell drawn from the stream
@@ -640,10 +639,11 @@ def test_sweep_streams_differ_across_base_seeds(tmp_path, monkeypatch):
     assert float(csvs[9][3][4]) != pytest.approx(other, rel=1e-9)
 
 
-def test_each_cell_and_type_builds_one_generator(tmp_path, monkeypatch):
-    # a cell's trials are rows of one draw, so the generator count does not
-    # grow with --trials: 16 cells x 3 types for fig2a, 3 for an evaluation,
-    # all seeded in one rng_for_seeds call per block
+def test_each_cell_builds_one_generator(tmp_path, monkeypatch):
+    # a cell's trials are rows of one draw that its three types share, so
+    # the generator count does not grow with --trials or with the types:
+    # 16 for fig2a's 16 cells, 1 for an evaluation, all seeded in one
+    # rng_for_seeds call per block
     calls = []
     real_rngs = capacity.rng_for_seeds
 
@@ -658,11 +658,11 @@ def test_each_cell_and_type_builds_one_generator(tmp_path, monkeypatch):
     for trials in ("2", "50"):
         calls.clear()
         assert main(common + ["--preset", "fig2a", "--trials", trials]) == 0
-        keys = [(7, a, i) for a in range(16) for i in range(3)]
-        assert calls == [(keys, len(keys))]
+        keys = [(7, a) for a in range(16)]
+        assert calls == [(keys, 16)]
     calls.clear()
     assert main(common + ["--trials", "50"]) == 0
-    assert calls == [([(7, 0, i) for i in range(3)], 3)]
+    assert calls == [([(7, 0)], 1)]
 
 
 def test_fig2a_monte_carlo_at_scale_matches_the_exact_rate(tmp_path):

@@ -141,7 +141,7 @@ def test_sweep_reports_equal_the_scalar_functions():
                     assert report.upper_bound == upper_bound(snr)
                     if with_mc:
                         assert (report.monte_carlo_mean, report.monte_carlo_stderr) \
-                            == monte_carlo_capacity(snr, k, trials, (seed, a, i))
+                            == monte_carlo_capacity(snr, k, trials, (seed, a))
                         assert report.trials == trials
                         assert report.ergodic_exact == ergodic_rate_exact(snr, k)
                     else:
