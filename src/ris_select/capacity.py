@@ -22,7 +22,8 @@ from .scenario import ConfigValidationError, RisType, ScenarioConfig, reflection
 
 LN2 = math.log(2.0)
 # The most rate terms one monte_carlo_capacity block may hold: 1 GiB of
-# float64, whatever the host could allocate (fig2a at 10000 trials: 4.8e6).
+# float64 (the draw they scale adds 1/types of that), whatever the host
+# could allocate (fig2a at 10000 trials: 4.8e6).
 MONTE_CARLO_BLOCK_VALUES = 2 ** 27
 
 
