@@ -351,8 +351,8 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
     base_seed + idx bit for bit. The cells' generators are seeded in one
     channel.rng_for_seeds call. A block whose rate terms (cells x types x
     trials x users) outnumber MONTE_CARLO_BLOCK_VALUES, or one the host
-    cannot allocate, is a ConfigValidationError raised
-    before anything is drawn.
+    cannot allocate, is a ConfigValidationError raised before anything is
+    drawn.
     """
     base = _base_key(trials, base_seed)
     snr = np.asarray(snr, dtype=float)
@@ -364,7 +364,7 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
         antennas, dtype=float)[:, None, None]
     too_large = ConfigValidationError(
         f"{trials} Monte Carlo trials per cell are too large to allocate "
-        f"(a block holds at most 2**27 gamma values)")
+        f"(a block holds at most 2**27 rate terms)")
     if scale.size * trials > MONTE_CARLO_BLOCK_VALUES:
         raise too_large
     try:

@@ -250,7 +250,7 @@ def test_monte_carlo_requires_a_trial():
 
 
 def test_monte_carlo_block_limit_does_not_depend_on_the_host(monkeypatch):
-    # 2**27 gamma values (1 GiB) is the fixed limit; a block past it is
+    # 2**27 rate terms (1 GiB) is the fixed limit; a block past it is
     # refused before anything is allocated, one at it runs
     assert capacity.MONTE_CARLO_BLOCK_VALUES == 2 ** 27
     snr = np.full((2, 3, 4), 5.0)  # 6 vectors of 4 users
