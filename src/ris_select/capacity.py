@@ -10,6 +10,7 @@ one input: the per-user averaged-SNR vector that average_snr gives.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -238,20 +239,19 @@ def average_snr_block(cfgs, budgets) -> np.ndarray:
         users = np.arange(s)
     except (MemoryError, ValueError):  # numpy: cannot allocate, or "too big"
         raise ConfigValidationError(f"{s} users are too many to allocate") from None
-    mask = users < np.array([cfg.users_reflection for cfg in cfgs])[:, None]
+    # the per-cell scalars, one (cells, 6) array, as (cells, 1) columns
+    power_ratio, antennas, elements, users_r, beta_r, beta_t = np.array(
+        [(cfg.transmit_power / cfg.noise_variance, cfg.bs_antennas,
+          cfg.panel.element_count, cfg.users_reflection, budget.avg_pathloss_reflect,
+          budget.avg_pathloss_transmit) for cfg, budget in zip(cfgs, budgets)],
+        dtype=float).T[:, :, None]
+    mask = users < users_r
     zone = mask[:, None, :]
     per_ue = np.where(zone, shares[:, :, :1], shares[:, :, 1:])
-    beta = np.where(mask, np.array([b.avg_pathloss_reflect for b in budgets])[:, None],
-                    np.array([b.avg_pathloss_transmit for b in budgets])[:, None])
     gamma_sq = np.where(zone, _GAIN_SQ_REFLECT, _GAIN_SQ_TRANSMIT)
-
-    def column(values):
-        return np.array(values, dtype=float)[:, None, None]
-
-    return _snr_product(
-        column([cfg.transmit_power / cfg.noise_variance for cfg in cfgs]), per_ue,
-        beta[:, None, :], column([cfg.bs_antennas for cfg in cfgs]),
-        column([cfg.panel.element_count for cfg in cfgs]), gamma_sq)
+    return _snr_product(power_ratio[:, None], per_ue,
+                        np.where(mask, beta_r, beta_t)[:, None, :], antennas[:, None],
+                        elements[:, None], gamma_sq)
 
 
 def upper_bound(snr):
@@ -362,17 +362,16 @@ def monte_carlo_capacity(snr, bs_antennas, trials: int, base_seed):
     types = lead[-1] if lead else 1
     scale = snr.reshape(len(antennas), types, users) / np.array(
         antennas, dtype=float)[:, None, None]
-    too_large = ConfigValidationError(
-        f"{trials} Monte Carlo trials per cell are too large to allocate "
-        f"(a block holds at most 2**27 rate terms)")
-    if scale.size * trials > MONTE_CARLO_BLOCK_VALUES:
-        raise too_large
     try:
+        if scale.size * trials > MONTE_CARLO_BLOCK_VALUES:
+            raise MemoryError  # over the limit fails as a failed allocation does
         gamma = np.empty((len(antennas), trials, users))
         terms = np.empty((*scale.shape[:2], trials, users))
     except MemoryError:
-        raise too_large from None
-    rngs = rng_for_seeds([base + index for index in np.ndindex(cell_axes)])
+        raise ConfigValidationError(
+            f"{trials} Monte Carlo trials per cell are too large to allocate "
+            f"(a block holds at most 2**27 rate terms)") from None
+    rngs = rng_for_seeds([base + idx for idx in itertools.product(*map(range, cell_axes))])
     for rng, k, cell_gamma in zip(rngs, antennas, gamma):
         rng.standard_gamma(k, out=cell_gamma)
     np.multiply(gamma[:, None], scale[:, :, None], out=terms)

@@ -31,7 +31,6 @@ as "aggregate" in evaluate.json).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -221,10 +220,10 @@ def preset_variants(name: str, trials: int, base_seed: int) -> list[SweepVariant
 # --- serialization helpers --------------------------------------------------------
 
 def _jsonable(obj):
-    """A result dataclass as nested dicts, with each RisType as its value."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+    """A result dataclass as nested dicts, with each RisType as its value. A
+    frozen dataclass's instance dict holds its fields in field order."""
+    if hasattr(type(obj), "__dataclass_fields__"):
+        return {name: _jsonable(value) for name, value in vars(obj).items()}
     return obj.value if isinstance(obj, RisType) else obj
 
 
@@ -253,26 +252,38 @@ def _threshold_text(thresholds) -> str:
 # What a single evaluation computes; a sweep computes what its spec's outputs ask.
 EVALUATE_OUTPUTS = ("monte_carlo", "exact", "decision", "diagnostics")
 _TYPES = tuple(RisType)
+_LETTERS = tuple(t.letter for t in _TYPES)
 _HYBRID_INDEX = _TYPES.index(RisType.HYBRID)
+_NONES, _BLANKS = (None,) * len(_TYPES), ("",) * len(_TYPES)
+# The outputs that fill a sweep CSV's closed-form, bound, mean and stderr columns
+_RATE_OUTPUTS = ("closed_form", "upper_bound", "monte_carlo", "monte_carlo")
 
 
 @dataclass(frozen=True)
 class _Cell:
     """Every number one deployment yields; the serializers pick theirs.
 
-    `reports` is keyed by type; a report's Monte Carlo and exact-rate fields
-    are None when they were not asked for. When the condition table
-    breaks down, `violation` holds the RegimeViolationError in place of
+    `rows` holds the closed forms, bounds, Monte Carlo means and stderrs and
+    exact rates, each a per-type row in RisType order; the last three are
+    None rows, and `trials` 0, when not asked for. When the table breaks
+    down, `violation` holds the RegimeViolationError in place of
     `decision`; `winner` is the brute-force verdict either way.
     """
 
     budget: LinkBudget
     regime: RegimeReport
-    reports: dict
+    rows: tuple
+    trials: int
     decision: SelectionDecision | None
     violation: RegimeViolationError | None
     winner: RisType | None
     diagnostics: AsymptoticDiagnostics | None
+
+    @property
+    def reports(self) -> dict:
+        """Each type's CapacityReport, built from `rows`, keyed by type."""
+        return {t: CapacityReport(closed, bound, mean, stderr, self.trials, t, exact)
+                for t, closed, bound, mean, stderr, exact in zip(_TYPES, *self.rows)}
 
 
 def _evaluate_cells(cfgs, outputs, trials: int, seed: int, strict: bool):
@@ -286,7 +297,7 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int, strict: bool):
     are not finite. Too many users or trials to allocate fails before any
     cell. Cell a's one Monte Carlo generator is (seed, a), and its types
     share each trial's draw. The decisions are one decide_types call over
-    the finite cells. This is the one place a CapacityReport is built.
+    the finite cells. A cell's CapacityReports are built when they are read.
     """
     staged, error = [], None
     try:
@@ -331,28 +342,20 @@ def _evaluate_cells(cfgs, outputs, trials: int, seed: int, strict: bool):
             f"an estimate or a diagnostic is not finite (link constant "
             f"{budgets[bad[0]].link_constant:.4g}); check the powers, the noise "
             f"and the radiation constants")
-    closed, bounds = closed.tolist(), bounds.tolist()
-    if monte_carlo:
-        means, stderrs = means.tolist(), stderrs.tolist()
-    if exact:
-        exact_rates = exact_rates.tolist()
-    min_snr = min_served_snr(snr[:len(staged), _HYBRID_INDEX]).tolist()
     n = len(staged)
+    closed, bounds, nones = closed.tolist(), bounds.tolist(), [_NONES] * n
+    means, stderrs = (means.tolist(), stderrs.tolist()) if monte_carlo else (nones, nones)
+    exact_rates = exact_rates.tolist() if exact else nones
+    min_snr = min_served_snr(snr[:n, _HYBRID_INDEX]).tolist()
     regimes = [approximation_regime(cfg, m) for cfg, m in zip(cfgs, min_snr)]
     winners, decisions = [None] * n, [(None, None)] * n
     if "decision" in outputs:
         # the closed forms' argmax, as brute_force_optimal takes it
         winners = [best_type(row) for row in closed[:n]]
         decisions = decide_types(cfgs[:n], budgets[:n], regimes, winners)
-    cells = []
-    for a, budget in enumerate(budgets[:n]):
-        reports = {ris_type: CapacityReport(
-            closed[a][i], bounds[a][i],
-            means[a][i] if monte_carlo else None,
-            stderrs[a][i] if monte_carlo else None,
-            trials if monte_carlo else 0, ris_type,
-            exact_rates[a][i] if exact else None) for i, ris_type in enumerate(_TYPES)}
-        cell = _Cell(budget, regimes[a], reports, *decisions[a], winners[a],
+    cells, trials = [], trials if monte_carlo else 0
+    for a, rows in enumerate(zip(closed[:n], bounds, means, stderrs, exact_rates)):
+        cell = _Cell(budgets[a], regimes[a], rows, trials, *decisions[a], winners[a],
                      diagnostics[a])
         if strict and (failure := _strict_failure(cell)) is not None:
             raise failure
@@ -414,6 +417,7 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         print(f"error: {exc}", file=sys.stderr)
         return _error_exit(exc, strict)
 
+    reports = cell.reports
     record = {
         "scenario_digest": config_digest(cfg),
         "scenario_file": str(scenario_path),
@@ -422,7 +426,7 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         "sampler": "aggregate",
         "link_budget": _jsonable(cell.budget),
         "regime": _jsonable(cell.regime),
-        "capacity": {t.value: _jsonable(report) for t, report in cell.reports.items()},
+        "capacity": {t.value: _jsonable(report) for t, report in reports.items()},
     }
     decision = cell.decision
     if decision is not None:
@@ -433,7 +437,7 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         record["selection"] = {
             "error": str(cell.violation),
             "brute_force_optimal": cell.winner.value,
-            "rates": {t.value: report.closed_form for t, report in cell.reports.items()},
+            "rates": {t.value: report.closed_form for t, report in reports.items()},
         }
         note, splits = f"table unavailable: {cell.violation}", ""
     if cell.diagnostics is not None:
@@ -448,7 +452,7 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
         return _fail(f"cannot write results to {out_dir}: {exc}")
 
     rates_text = " ".join(
-        f"{t.letter}={report.closed_form:.3f}" for t, report in cell.reports.items())
+        f"{t.letter}={report.closed_form:.3f}" for t, report in reports.items())
     print(f"optimal={cell.winner.value} ({note}) rates[b/s/Hz]: {rates_text}{splits}")
     return 0
 
@@ -467,22 +471,20 @@ def _diagnostics_row(value, diag) -> str:
 
 def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
     rows, diagnostics_rows = [], []
-    outputs = spec.outputs
+    wanted = [name in spec.outputs for name in _RATE_OUTPUTS]
     cells = _evaluate_cells(
-        (apply_axis_value(cfg, spec.axis, value) for value in spec.values), outputs,
+        (apply_axis_value(cfg, spec.axis, value) for value in spec.values), spec.outputs,
         spec.trials, spec.base_seed, strict)
     for value, cell in zip(spec.values, cells):
-        decision_letter = cell.winner.letter if cell.winner is not None else ""
-        agrees = cell.decision.agrees if cell.decision is not None else None
-        for ris_type, report in cell.reports.items():
-            rows.append(",".join([
-                _fmt(value), ris_type.letter,
-                _fmt(report.closed_form if "closed_form" in outputs else None),
-                _fmt(report.upper_bound if "upper_bound" in outputs else None),
-                _fmt(report.monte_carlo_mean), _fmt(report.monte_carlo_stderr),
-                decision_letter, _fmt(agrees),
-            ]))
-        if "diagnostics" in outputs:
+        head = _fmt(value)
+        tail = (f"{cell.winner.letter if cell.winner is not None else ''},"
+                f"{_fmt(cell.decision.agrees if cell.decision is not None else None)}")
+        # each float as _fmt writes it, the column blank when not wanted
+        columns = [[f"{x:.12g}" for x in row] if want else _BLANKS
+                   for row, want in zip(cell.rows, wanted)]
+        rows += [f"{head},{letter},{closed},{bound},{mean},{stderr},{tail}"
+                 for letter, closed, bound, mean, stderr in zip(_LETTERS, *columns)]
+        if "diagnostics" in spec.outputs:
             diagnostics_rows.append(_diagnostics_row(value, cell.diagnostics))
     return rows, diagnostics_rows
 

@@ -265,6 +265,8 @@ KNOWN_KEYS = (
     | set(_PANEL_FLOAT_FIELDS) | set(_PHASE_KEYS)
     | {k for pair in _POWER_ALTERNATIVES.values() for k in pair}
 )
+# The keys that must each be present; of each power pair exactly one must be.
+_REQUIRED_KEYS = (KNOWN_KEYS - _OPTIONAL_KEYS).difference(*_POWER_ALTERNATIVES.values())
 
 
 def _iter_config_lines(text: str):
@@ -273,10 +275,9 @@ def _iter_config_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigSyntaxError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
+        key, equals, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not (equals and key and value):
             raise ConfigSyntaxError(f"line {lineno}: expected 'key = value', got {raw!r}")
         yield lineno, key, value
 
@@ -309,11 +310,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         lineno, value = seen[key]
         return _parse_number(lineno, key, value, want_int)
 
-    missing = [
-        key
-        for key in sorted(KNOWN_KEYS - _OPTIONAL_KEYS)
-        if key not in seen and not any(key in pair for pair in _POWER_ALTERNATIVES.values())
-    ]
+    missing = sorted(_REQUIRED_KEYS.difference(seen))
     if missing:
         raise ConfigValidationError(f"missing required keys: {', '.join(missing)}")
 

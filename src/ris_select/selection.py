@@ -69,6 +69,7 @@ ROOT_TOL = 1e-9
 RESOLVE_TOL = 1e-12
 FD_STEP = 1e-6
 CERTIFICATE_POINTS = 41  # interior splits the monotonicity certificate checks
+_TYPES = tuple(RisType)
 
 
 class RegimeViolationError(RuntimeError):
@@ -291,7 +292,7 @@ class SelectionDecision:
 def best_type(rates) -> RisType:
     """The type of the largest of `rates`, given in RisType order; of equal
     rates the first wins (reflective, then transmissive, then hybrid)."""
-    return tuple(RisType)[max(range(3), key=rates.__getitem__)]
+    return _TYPES[max(range(3), key=rates.__getitem__)]
 
 
 def brute_force_optimal(cfg: ScenarioConfig, budget: LinkBudget):

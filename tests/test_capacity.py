@@ -316,6 +316,31 @@ def test_block_estimates_equal_the_per_vector_ones():
     assert lows[1, 0] == 0.0
 
 
+def test_two_cell_axes_key_each_cell_in_c_order():
+    # a (2, 3, types, users) block: cell [i, j] draws from base + (i, j), its
+    # K_t is entry [i, j] of the antennas, and its estimates equal the vector
+    # calls under that key bit for bit
+    rng = np.random.default_rng(31)
+    snr = rng.uniform(0.0, 40.0, size=(2, 3, 3, 6))
+    antennas = rng.integers(1, 9, size=(2, 3))
+    for trials in (1, 3, 9):
+        mean, stderr = monte_carlo_capacity(snr, antennas, trials, (8, 1))
+        assert mean.shape == stderr.shape == (2, 3, 3)
+        for i in range(2):
+            for j in range(3):
+                k, key = int(antennas[i, j]), (8, 1, i, j)
+                cell_mean, cell_stderr = monte_carlo_capacity(snr[i, j], k, trials, key)
+                assert cell_mean.tobytes() == mean[i, j].tobytes()
+                assert cell_stderr.tobytes() == stderr[i, j].tobytes()
+                for t in range(3):
+                    assert (mean[i, j, t], stderr[i, j, t]) == monte_carlo_capacity(
+                        snr[i, j, t], k, trials, key)
+        # one K_t broadcast over both cell axes
+        shared, _ = monte_carlo_capacity(snr, 5, trials, (8, 1))
+        assert shared[1, 2].tobytes() == monte_carlo_capacity(
+            snr[1, 2], 5, trials, (8, 1, 1, 2))[0].tobytes()
+
+
 def test_a_cells_types_share_each_trials_draw():
     # the types of a cell scale one fading draw, so equal type rows give
     # equal estimates bit for bit, and rows of other cells draw other streams

@@ -1,5 +1,6 @@
 """Command-line front-end: evaluation records, sweeps, presets, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -1088,3 +1089,31 @@ def test_extreme_configs_give_finite_numbers_or_an_error():
             assert np.isfinite(cell.regime.min_received_snr)
         outcomes["finite"] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def _fields_jsonable(obj):
+    """cli._jsonable's reference: dataclasses.fields and getattr, in field order."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _fields_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    return obj.value if isinstance(obj, RisType) else obj
+
+
+def test_jsonable_equals_a_fields_reference_in_field_order():
+    # every dataclass evaluate.json serializes, nested ones included, on
+    # random deployments; repr compares the dicts' order as well
+    rng = np.random.default_rng(67)
+    kinds = set()
+    for _ in range(30):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty served sets
+            cell, = cli._evaluate_cells([random_config(rng)], cli.EVALUATE_OUTPUTS, 2,
+                                        0, False)
+        for obj in (cell.budget, cell.regime, *cell.reports.values(), cell.decision,
+                    cell.diagnostics):
+            if obj is not None:
+                assert repr(cli._jsonable(obj)) == repr(_fields_jsonable(obj))
+                kinds.add(type(obj).__name__)
+    assert kinds == {"LinkBudget", "RegimeReport", "CapacityReport",
+                     "SelectionDecision", "AsymptoticDiagnostics"}
+

@@ -99,6 +99,47 @@ def test_missing_key_rejected():
         parse_scenario(bad)
 
 
+def test_missing_keys_are_named_in_one_sorted_line():
+    # several required keys at once, with a power pair missing as well: one
+    # line names the required keys alone, sorted
+    text = MINIMAL
+    for key in ("wavelength_m", "bs_antennas", "ris_rows", "element_gain", "noise_dbm"):
+        text = _edit(text, key, None)
+    with pytest.raises(ConfigValidationError) as caught:
+        parse_scenario(text)
+    assert str(caught.value) == ("missing required keys: bs_antennas, element_gain, "
+                                 "ris_rows, wavelength_m")
+    # every subset of the required keys, dropped at random
+    required = [line.split("=")[0].strip() for line in MINIMAL.strip().splitlines()
+                if not line.startswith(("transmit_power", "noise"))]
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        dropped = sorted(rng.choice(required, size=int(rng.integers(1, len(required) + 1)),
+                                    replace=False))
+        text = MINIMAL
+        for key in dropped:
+            text = _edit(text, key, None)
+        with pytest.raises(ConfigValidationError) as caught:
+            parse_scenario(text)
+        assert str(caught.value) == f"missing required keys: {', '.join(dropped)}"
+
+
+@pytest.mark.parametrize("pair", [("transmit_power_dbm", "transmit_power_w"),
+                                  ("noise_dbm", "noise_w")])
+def test_a_missing_power_pair_names_both_spellings(pair):
+    with pytest.raises(ConfigValidationError) as caught:
+        parse_scenario(_edit(MINIMAL, pair[0], None))
+    assert str(caught.value) == f"missing required key: one of {pair[0]} or {pair[1]}"
+
+
+@pytest.mark.parametrize("line", ["just some words", "antenna_gain =", "= 3", " = ",
+                                  "antenna_gain 3"])
+def test_a_line_without_key_and_value_is_rejected(line):
+    with pytest.raises(ConfigSyntaxError) as caught:
+        parse_scenario(MINIMAL.strip() + f"\n{line}\n")
+    assert str(caught.value) == f"line 20: expected 'key = value', got {line!r}"
+
+
 def test_both_power_spellings_rejected():
     bad = MINIMAL.strip() + "\ntransmit_power_w = 20\n"
     with pytest.raises(ConfigValidationError, match="transmit_power"):

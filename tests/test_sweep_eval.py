@@ -1,6 +1,7 @@
 """The sweep evaluator: golden split sweeps, and per-cell reports that equal
 the scalar rate functions bit for bit."""
 
+import itertools
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -250,3 +251,69 @@ def test_a_violating_tuple_gives_each_interior_cell_its_own_violation(monkeypatc
         assert cell.violation.regime == regime_report(cfg) == cell.regime
     # each report is the cell's own: they differ from split to split
     assert len({cell.violation.regime.min_received_snr for cell in interior}) > 1
+
+
+def _fmt_rows(spec, cells):
+    """A sweep's CSV rows with every field written by cli._fmt from the
+    cells' reports, a field blank when its output was not asked for."""
+    fmt, outputs, rows = cli._fmt, spec.outputs, []
+    for value, cell in zip(spec.values, cells):
+        letter = cell.winner.letter if cell.winner is not None else ""
+        agrees = cell.decision.agrees if cell.decision is not None else None
+        for ris_type, report in cell.reports.items():
+            rows.append(",".join([
+                fmt(value), ris_type.letter,
+                fmt(report.closed_form if "closed_form" in outputs else None),
+                fmt(report.upper_bound if "upper_bound" in outputs else None),
+                fmt(report.monte_carlo_mean), fmt(report.monte_carlo_stderr),
+                letter, fmt(agrees)]))
+    return rows
+
+
+def _rows_and_cells(cfg, spec):
+    """cli._sweep_rows's rows for `spec` on `cfg`, checked against _fmt_rows
+    of the evaluator's cells for the same sweep."""
+    rows, _ = cli._sweep_rows(cfg, spec, False)
+    cells = _evaluate([cli.apply_axis_value(cfg, spec.axis, v) for v in spec.values],
+                      spec.outputs, spec.trials, spec.base_seed)
+    assert rows == _fmt_rows(spec, cells)
+    return rows, cells
+
+
+@pytest.mark.filterwarnings("ignore:no served UEs")
+def test_sweep_rows_equal_fmt_of_the_reports():
+    # every subset of the outputs that fill CSV fields, with and without
+    # diagnostics, on random sweeps along every axis (split sweeps include
+    # both boundary splits)
+    rng = np.random.default_rng(59)
+    csv_outputs = ("closed_form", "upper_bound", "monte_carlo", "decision")
+    blanks = 0
+    for keep in itertools.product((False, True), repeat=len(csv_outputs)):
+        outputs = tuple(o for o, k in zip(csv_outputs, keep) if k)
+        for axis in cli.SWEEP_AXES:
+            cfg = random_config(rng)
+            diagnostics = ("diagnostics",) if rng.integers(2) else ()
+            spec = cli.SweepSpec(axis, _axis_values(rng, cfg, axis),
+                                 int(rng.integers(1, 4)), int(rng.integers(0, 2 ** 32)),
+                                 outputs + diagnostics)
+            rows, _ = _rows_and_cells(cfg, spec)
+            blanks += sum(row.split(",").count("") for row in rows)
+    assert blanks > 0
+
+
+@pytest.mark.filterwarnings("ignore:no served UEs")
+def test_sweep_rows_of_a_broken_table_equal_fmt_of_the_reports(monkeypatch):
+    # interior splits break the condition table: no decision, so `agrees`
+    # is blank while the brute-force letter stays; the boundary splits decide
+    hybrid_curve_as_reflective(monkeypatch)
+    spec = cli.SweepSpec("users_transmission", tuple(float(x) for x in range(11)), 2, 5,
+                         ("closed_form", "upper_bound", "monte_carlo", "decision"))
+    rows, cells = _rows_and_cells(make_config(), spec)
+    for value, cell in zip(spec.values, cells):
+        first = rows[3 * int(value)].split(",")
+        if value in (0.0, 10.0):
+            assert cell.decision is not None and first[-1] in ("true", "false")
+        else:
+            assert cell.violation is not None and first[-1] == ""
+            assert first[-2] == cell.winner.letter
+
