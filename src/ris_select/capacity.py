@@ -233,7 +233,7 @@ def average_snr_block(cfgs, budgets) -> np.ndarray:
     shares = []
     for cfg, budget in zip(cfgs, budgets):
         for ris_type, (_, type_shares) in type_curves(cfg, budget).items():
-            shares.append(_served_shares(cfg, ris_type, type_shares))
+            shares += _served_shares(cfg, ris_type, type_shares)  # flat: a faster array
     shares = np.array(shares).reshape(len(cfgs), len(RisType), 2)
     try:
         users = np.arange(s)

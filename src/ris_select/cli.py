@@ -39,6 +39,7 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,15 +260,14 @@ _NONES, _BLANKS = (None,) * len(_TYPES), ("",) * len(_TYPES)
 _RATE_OUTPUTS = ("closed_form", "upper_bound", "monte_carlo", "monte_carlo")
 
 
-@dataclass(frozen=True)
-class _Cell:
+class _Cell(NamedTuple):
     """Every number one deployment yields; the serializers pick theirs.
 
     `rows` holds the closed forms, bounds, Monte Carlo means and stderrs and
-    exact rates, each a per-type row in RisType order; the last three are
-    None rows, and `trials` 0, when not asked for. When the table breaks
-    down, `violation` holds the RegimeViolationError in place of
-    `decision`; `winner` is the brute-force verdict either way.
+    exact rates, per-type rows in RisType order; the last three are None,
+    and `trials` 0, unless asked for. `violation` holds a broken table's
+    RegimeViolationError in place of `decision`; `winner` is the brute-force
+    verdict either way. A tuple: a third of a frozen dataclass's build time.
     """
 
     budget: LinkBudget
