@@ -11,9 +11,11 @@ operation alike whatever the array's shape, and sums a row of a block along
 its contiguous last axis exactly as it sums the row alone. The evaluator
 returns every cell or raises the first failure in cell order. `run_evaluate`
 serializes the cell to evaluate.json, and `run_sweep` the cells to CSV rows
-once every sweep has run, so a failing run writes no file. A preset is a
-list of sweeps, each run under (axis, value) settings that
-`apply_axis_value` applies like sweep values.
+once every sweep has run, so a failing run writes no file; the diagnostics
+CSV's columns are the DIAGNOSTICS_COLUMNS fields. A sweep file is read by
+scenario.read_entries, as scenario files are. A preset is a list of sweeps,
+each run under (axis, value) settings that `apply_axis_value` applies like
+sweep values.
 
 Exit codes: 0 success, 1 ingestion/validation failure (including a link
 budget that over- or underflows a float), 2 regime or geometry diagnostic
@@ -37,7 +39,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,18 +56,17 @@ from .capacity import (
 from .channel import DegenerateGeometryError, LinkBudget, link_budget
 from .scenario import (
     ConfigError,
-    ConfigSyntaxError,
     ConfigValidationError,
     RegimeReport,
     RisType,
     ScenarioConfig,
     config_digest,
     dbm_to_watts,
-    _iter_config_lines,
-    _parse_number,
     approximation_regime,
     load_scenario,
     min_served_snr,
+    parse_number,
+    read_entries,
 )
 from .selection import (
     AsymptoticDiagnostics,
@@ -83,10 +84,10 @@ SWEEP_AXES = ("transmit_power_dbm", "users_transmission", "ris_rows_cols", "dist
 INTEGER_AXES = ("users_transmission", "ris_rows_cols")
 SWEEP_OUTPUTS = ("closed_form", "upper_bound", "monte_carlo", "decision", "diagnostics")
 CSV_HEADER = "axis_value,type,closed_form,upper_bound,mc_mean,mc_stderr,decision,agrees"
-DIAGNOSTICS_HEADER = ("axis_value,element_count_scale,reflect_exponent,"
-                      "transmit_exponent,element_count_threshold,element_count,"
-                      "hybrid_favored,log_pattern_term,mismatch_term,"
-                      "hybrid_vs_transmit_approx")
+# The AsymptoticDiagnostics fields of the diagnostics CSV, after axis_value
+DIAGNOSTICS_COLUMNS = ("element_count_scale", "reflect_exponent", "transmit_exponent",
+                       "element_count_threshold", "element_count", "hybrid_favored",
+                       "log_pattern_term", "mismatch_term", "hybrid_vs_transmit_approx")
 
 
 @dataclass(frozen=True)
@@ -135,33 +136,22 @@ class SweepVariant:
 
 def parse_sweep_spec(text: str, trials: int | None = None,
                      base_seed: int | None = None) -> SweepSpec:
-    """Parse a sweep-spec file (same key = value format as scenarios)."""
-    entries: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, key, value in _iter_config_lines(text):
-        if key in entries:
-            raise ConfigSyntaxError(f"line {lineno}: duplicate key {key!r}")
-        entries[key], lines[key] = value, lineno
-    known = {"axis", "values", "trials", "base_seed", "outputs"}
-    unknown = set(entries) - known
-    if unknown:
-        raise ConfigSyntaxError(f"unknown sweep keys: {', '.join(sorted(unknown))}")
+    """Parse a sweep-spec file: the key = value format of scenarios
+    (scenario.read_entries), whose keys are SweepSpec's field names."""
+    entries = read_entries(text, {f.name for f in fields(SweepSpec)})
     for required in ("axis", "values"):
         if required not in entries:
             raise ConfigError(f"sweep spec missing required key {required!r}")
 
     def whole(key, default):
-        return _parse_number(lines[key], key, entries[key], True) if key in entries else default
+        return parse_number(entries, key, True) if key in entries else default
 
-    values = tuple(_parse_number(lines["values"], "values", v.strip(), want_int=False)
-                   for v in entries["values"].split(",") if v.strip())
-    outputs = tuple(
-        o.strip() for o in entries.get(
-            "outputs", "closed_form,upper_bound,monte_carlo,decision").split(",")
-        if o.strip()
-    )
+    values = tuple(parse_number(entries, "values", False, v.strip())
+                   for v in entries["values"][1].split(",") if v.strip())
+    _, outputs = entries.get("outputs", (0, "closed_form,upper_bound,monte_carlo,decision"))
+    outputs = tuple(o.strip() for o in outputs.split(",") if o.strip())
     return SweepSpec(
-        axis=entries["axis"],
+        axis=entries["axis"][1],
         values=values,
         trials=trials if trials is not None else whole("trials", DEFAULT_TRIALS),
         base_seed=base_seed if base_seed is not None else whole("base_seed", 0),
@@ -459,16 +449,6 @@ def run_evaluate(scenario_path: Path, out_dir: Path, trials: int, seed: int,
 
 # --- sweeps: one CSV row per (axis value, type) ----------------------------------------
 
-def _diagnostics_row(value, diag) -> str:
-    if diag is None:  # single-zone splits carry no crossover diagnostics
-        return ",".join([_fmt(value)] + [""] * 9)
-    return ",".join(_fmt(x) for x in (
-        value, diag.element_count_scale, diag.reflect_exponent,
-        diag.transmit_exponent, diag.element_count_threshold,
-        diag.element_count, diag.hybrid_favored, diag.log_pattern_term,
-        diag.mismatch_term, diag.hybrid_vs_transmit_approx))
-
-
 def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
     rows, diagnostics_rows = [], []
     wanted = [name in spec.outputs for name in _RATE_OUTPUTS]
@@ -485,7 +465,10 @@ def _sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, strict: bool):
         rows += [f"{head},{letter},{closed},{bound},{mean},{stderr},{tail}"
                  for letter, closed, bound, mean, stderr in zip(_LETTERS, *columns)]
         if "diagnostics" in spec.outputs:
-            diagnostics_rows.append(_diagnostics_row(value, cell.diagnostics))
+            diag = cell.diagnostics  # None, so a blank row, at a single-zone split
+            diagnostics_rows.append(",".join([head] + [
+                "" if diag is None else _fmt(getattr(diag, name))
+                for name in DIAGNOSTICS_COLUMNS]))
     return rows, diagnostics_rows
 
 
@@ -515,7 +498,8 @@ def run_sweep(scenario_path: Path, variants: list[SweepVariant], out_dir: Path,
         files.append((out_dir / f"{variant.name}.csv", CSV_HEADER, rows))
         if diagnostics_rows:
             files.append((out_dir / f"{variant.name}_diagnostics.csv",
-                          DIAGNOSTICS_HEADER, diagnostics_rows))
+                          ",".join(("axis_value",) + DIAGNOSTICS_COLUMNS),
+                          diagnostics_rows))
     for csv_path, header, body in files:
         try:
             csv_path.write_text("\n".join([header] + body) + "\n", encoding="utf-8")

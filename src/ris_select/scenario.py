@@ -2,8 +2,9 @@
 
 Everything is stored in linear SI units (watts, meters, radians). Log-scale
 units (dBm) are accepted only at the config-file boundary, where keys carry an
-explicit unit suffix. All types here are immutable after construction and safe
-to share across concurrent tasks.
+explicit unit suffix. `read_entries` and `parse_number` read the `key = value`
+format that scenario and sweep files share, and give every syntax error its
+line. All types here are immutable and safe to share across concurrent tasks.
 
 User indexing convention: users 0 .. S_R-1 sit in the reflection zone (the
 base-station side of the surface), users S_R .. S-1 in the transmission zone.
@@ -269,8 +270,12 @@ KNOWN_KEYS = (
 _REQUIRED_KEYS = (KNOWN_KEYS - _OPTIONAL_KEYS).difference(*_POWER_ALTERNATIVES.values())
 
 
-def _iter_config_lines(text: str):
-    """Yield (line_number, key, raw_value) for every assignment line."""
+def read_entries(text: str, known) -> dict[str, tuple[int, str]]:
+    """The `key = value` lines of config text as {key: (line number, raw
+    value)}; `#` starts a comment, and blank lines are skipped. A malformed
+    line, a key not in `known` or a repeated key is a ConfigSyntaxError
+    naming its line."""
+    entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -279,36 +284,35 @@ def _iter_config_lines(text: str):
         key, value = key.strip(), value.strip()
         if not (equals and key and value):
             raise ConfigSyntaxError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        yield lineno, key, value
+        if key not in known:
+            raise ConfigSyntaxError(f"line {lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ConfigSyntaxError(f"line {lineno}: duplicate key {key!r} "
+                                    f"(first on line {entries[key][0]})")
+        entries[key] = (lineno, value)
+    return entries
 
 
-def _parse_number(lineno: int, key: str, value: str, want_int: bool):
+def parse_number(entries, key: str, want_int: bool, raw: str | None = None):
+    """The value of `key` in `entries` (or `raw`, a part of it) as an int
+    when `want_int`, else as a float; a ConfigSyntaxError naming the line
+    and key when it is not one."""
+    lineno, value = entries[key]
+    value = value if raw is None else raw
     try:
-        if want_int:
-            return int(value)
-        return float(value)
+        return int(value) if want_int else float(value)
     except ValueError:
         kind = "an integer" if want_int else "a number"
-        raise ConfigSyntaxError(
-            f"line {lineno}: value for {key} must be {kind}, got {value!r}"
-        ) from None
+        raise ConfigSyntaxError(f"line {lineno}: value for {key} must be {kind}, "
+                                f"got {value!r}") from None
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse key/value config text into a validated ScenarioConfig."""
-    seen: dict[str, tuple[int, str]] = {}
-    for lineno, key, value in _iter_config_lines(text):
-        if key not in KNOWN_KEYS:
-            raise ConfigSyntaxError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigSyntaxError(
-                f"line {lineno}: duplicate key {key!r} (first on line {seen[key][0]})"
-            )
-        seen[key] = (lineno, value)
+    seen = read_entries(text, KNOWN_KEYS)
 
     def take(key: str, want_int: bool = False):
-        lineno, value = seen[key]
-        return _parse_number(lineno, key, value, want_int)
+        return parse_number(seen, key, want_int)
 
     missing = sorted(_REQUIRED_KEYS.difference(seen))
     if missing:

@@ -411,6 +411,31 @@ def test_sweep_diagnostics_output(tmp_path):
         assert float(cells[4]) > 0             # threshold
 
 
+def test_diagnostics_columns_are_the_listed_fields(tmp_path):
+    # users_transmission 0 and 10 are the single-zone splits of the
+    # reference's 10 users; they carry no diagnostics, so a blank row
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("axis = users_transmission\nvalues = 0, 4, 7, 10\n"
+                    "outputs = closed_form, diagnostics\n")
+    out = tmp_path / "out"
+    assert main(["--scenario", str(REFERENCE_SCENARIO), "--sweep", str(spec),
+                 "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in
+                     (out / "sweep_diagnostics.csv").read_text().splitlines()]
+    assert header == ["axis_value", *cli.DIAGNOSTICS_COLUMNS]
+    names = {f.name for f in dataclasses.fields(selection.AsymptoticDiagnostics)}
+    assert set(cli.DIAGNOSTICS_COLUMNS) <= names
+    assert len(set(cli.DIAGNOSTICS_COLUMNS)) == len(cli.DIAGNOSTICS_COLUMNS)
+    # the benchmark's diagnostics check counts 10 fields per row
+    assert rows[0] == ["0"] + [""] * 9 and rows[3] == ["10"] + [""] * 9
+    cfg = load_scenario(REFERENCE_SCENARIO)
+    for split, row in zip((4, 7), rows[1:3]):
+        split_cfg = cli.apply_axis_value(cfg, "users_transmission", split)
+        diag = selection.asymptotic_checks(split_cfg, link_budget(split_cfg))
+        assert row == [str(split)] + [cli._fmt(getattr(diag, name))
+                                      for name in cli.DIAGNOSTICS_COLUMNS]
+
+
 def test_evaluate_survives_threshold_breakdown(tmp_path, monkeypatch, capsys):
     # when the condition table cannot be built, the record still carries the
     # brute-force winner and the run succeeds unless --strict is set
@@ -688,10 +713,10 @@ def test_fig2a_monte_carlo_at_scale_matches_the_exact_rate(tmp_path):
         assert abs(float(row[4]) - exact) <= mc_tolerance(cell, trials), row
 
 
-def _reference_with(key, line) -> str:
-    """The reference scenario with the line of `key` replaced by `line`
-    (dropped when `line` is None, appended when the file lacks the key)."""
-    raws = REFERENCE_SCENARIO.read_text().splitlines()
+def _reference_with(key, line, text=None) -> str:
+    """The reference scenario (or `text`) with the line of `key` replaced by
+    `line` (dropped when `line` is None, appended when the file lacks the key)."""
+    raws = (REFERENCE_SCENARIO.read_text() if text is None else text).splitlines()
     if not any(raw.startswith(key + " ") for raw in raws):
         raws.append(line)
     lines = [line if raw.startswith(key + " ") else raw for raw in raws]
@@ -800,6 +825,59 @@ def test_oversized_trial_count_gives_one_error_line(tmp_path, capsys, mode, tria
     assert not out.exists() or not any(out.iterdir())
 
 
+READER_SWEEP = ("axis = users_transmission\nvalues = 3, 5\ntrials = 2\n"
+                "outputs = closed_form, decision\n")
+
+
+# (kind, key, line, message): the scenario or sweep file whose `key` line is
+# replaced by `line` must fail with `error: <message>`, or, when message is
+# None, give the same sweep CSV as the unedited file.
+READER_CASES = [
+    ("scenario", "ris_rows", "ris_rows 50",
+     "line 19: expected 'key = value', got 'ris_rows 50'"),
+    ("scenario", "colour", "colour = red", "line 26: unknown key 'colour'"),
+    ("scenario", "ris_cols", "ris_rows = 50",
+     "line 20: duplicate key 'ris_rows' (first on line 19)"),
+    ("scenario", "ris_rows", "ris_rows = 50.5",
+     "line 19: value for ris_rows must be an integer, got '50.5'"),
+    ("scenario", "wavelength_m", "wavelength_m = tenth",
+     "line 15: value for wavelength_m must be a number, got 'tenth'"),
+    ("scenario", "ris_rows", "\n   \n# the panel\nris_rows = 50  # rows # side\n", None),
+    ("sweep", "values", "values =", "line 2: expected 'key = value', got 'values ='"),
+    ("sweep", "colour", "colour = red", "line 5: unknown key 'colour'"),
+    ("sweep", "outputs", "axis = distances",
+     "line 4: duplicate key 'axis' (first on line 1)"),
+    ("sweep", "trials", "trials = 2.5",
+     "line 3: value for trials must be an integer, got '2.5'"),
+    ("sweep", "values", "values = 3, five",
+     "line 2: value for values must be a number, got 'five'"),
+    ("sweep", "values", "\n# the splits\n\nvalues = 3, 5   # two cells\n  \n", None),
+]
+
+
+@pytest.mark.parametrize("kind, key, line, message", READER_CASES)
+def test_both_file_kinds_share_one_reader(tmp_path, capsys, kind, key, line, message):
+    files = {"scenario": REFERENCE_SCENARIO.read_text(), "sweep": READER_SWEEP}
+    edited = dict(files, **{kind: _reference_with(key, line, files[kind])})
+    runs = {}
+    for name, texts in (("edited", edited), ("plain", files)):
+        for file_kind, text in texts.items():
+            (tmp_path / f"{name}_{file_kind}.cfg").write_text(text)
+        runs[name] = main(["--scenario", str(tmp_path / f"{name}_scenario.cfg"),
+                           "--sweep", str(tmp_path / f"{name}_sweep.cfg"),
+                           "--out", str(tmp_path / name)])
+    assert runs["plain"] == 0
+    if message is None:
+        assert runs["edited"] == 0
+        assert ((tmp_path / "edited" / "edited_sweep.csv").read_text()
+                == (tmp_path / "plain" / "plain_sweep.csv").read_text())
+        return
+    assert runs["edited"] == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {message}"]
+    assert not (tmp_path / "edited").exists()
+
+
 # (kind, payload, message) of inputs that must end with one error line and
 # exit 1: bad sweep specs, a bad seed variable, unreadable or unwritable
 # paths, and scenarios that fail validation.
@@ -809,7 +887,7 @@ ERROR_PATHS = [
     ("sweep", "axis = users_transmission\naxis = distances\nvalues = 50\n",
      "line 2: duplicate key 'axis'"),
     ("sweep", "axis = users_transmission\nvalues = 1\ncolour = red\n",
-     "unknown sweep keys: colour"),
+     "line 3: unknown key 'colour'"),
     ("sweep", "values = 1, 2\n", "sweep spec missing required key 'axis'"),
     ("sweep", "axis = users_transmission\nvalues = 1\noutputs = bogus\n",
      "unknown sweep outputs: bogus"),
